@@ -36,7 +36,6 @@
 #include "json_report.hpp"
 #include "sim/simulation.hpp"
 #include "vgpu/token_backend.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace baseline {
 
@@ -260,12 +259,12 @@ struct PatternResult {
 
 // ---------------------------------------------------------------------------
 // Token-heavy cluster scenario: how many engine events the per-node daemon
-// schedules under each timer implementation. 16 devices x 4 greedy
+// schedules, and how fast the engine retires them. 16 devices x 4 greedy
 // containers each, staggered arrivals, 30 simulated seconds of continuous
-// token exchange — the renewal-storm shape that motivated the timer wheel.
+// token exchange — the renewal-storm shape every daemon deadline rides.
 
 struct GreedyTokenClient : ks::vgpu::TokenClient {
-  ks::vgpu::TokenBackendApi* backend = nullptr;
+  ks::vgpu::TokenBackend* backend = nullptr;
   ks::ContainerId id{""};
   void OnTokenGranted(ks::Time) override {}
   void OnTokenExpired() override {
@@ -275,55 +274,43 @@ struct GreedyTokenClient : ks::vgpu::TokenClient {
 };
 
 struct TokenClusterResult {
-  std::string mode;
   std::uint64_t total_events = 0;
   std::uint64_t grants = 0;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
 };
 
-TokenClusterResult TokenClusterScenario(const std::string& mode_name,
-                                        ks::vgpu::TokenTimerMode mode,
-                                        ks::Duration coalesce_window) {
+TokenClusterResult TokenClusterScenario() {
   using namespace ks;
   sim::Simulation sim;
-  vgpu::BackendConfig cfg;
-  cfg.coalesce_window = coalesce_window;
-  std::unique_ptr<vgpu::TokenBackendApi> backend;
-  if (mode == vgpu::TokenTimerMode::kWheel) {
-    backend = std::make_unique<vgpu::TokenBackend>(&sim, cfg);
-  } else {
-    backend = std::make_unique<vgpu::TokenBackendReference>(&sim, cfg);
-  }
+  vgpu::TokenBackend backend(&sim);
 
   const int kDevices = 16;
   const int kContainersPerDevice = 4;
   std::vector<GpuUuid> gpus;
   for (int d = 0; d < kDevices; ++d) {
     gpus.emplace_back("GPU-TC-" + std::to_string(d));
-    backend->RegisterDevice(gpus.back());
+    backend.RegisterDevice(gpus.back());
   }
   std::vector<std::unique_ptr<GreedyTokenClient>> clients;
   for (int c = 0; c < kDevices * kContainersPerDevice; ++c) {
     auto client = std::make_unique<GreedyTokenClient>();
-    client->backend = backend.get();
+    client->backend = &backend;
     client->id = ContainerId("tc" + std::to_string(c));
     vgpu::ResourceSpec spec;
     spec.gpu_request = 0.2;
     spec.gpu_limit = 1.0;
     if (!backend
-             ->RegisterContainer(client->id,
-                                 gpus[static_cast<std::size_t>(c % kDevices)],
-                                 spec, client.get())
+             .RegisterContainer(client->id,
+                                gpus[static_cast<std::size_t>(c % kDevices)],
+                                spec, client.get())
              .ok()) {
       continue;
     }
-    // Staggered arrivals (1 ms apart) so deadlines are not in lockstep by
-    // construction — coalescing must be earned by the wheel.
-    sim.ScheduleAt(ks::Millis(c),
-                   [&backend, id = client->id] {
-                     (void)backend->RequestToken(id);
-                   });
+    // Staggered arrivals (1 ms apart) so deadlines are not in lockstep.
+    sim.ScheduleAt(ks::Millis(c), [&backend, id = client->id] {
+      (void)backend.RequestToken(id);
+    });
     clients.push_back(std::move(client));
   }
 
@@ -332,9 +319,8 @@ TokenClusterResult TokenClusterScenario(const std::string& mode_name,
   const double wall = NowSec() - t0;
 
   TokenClusterResult result;
-  result.mode = mode_name;
   result.total_events = sim.lifetime_events();
-  result.grants = backend->grants();
+  result.grants = backend.grants();
   result.wall_s = wall;
   result.events_per_sec =
       static_cast<double>(sim.executed()) / (wall > 0.0 ? wall : 1.0);
@@ -449,35 +435,18 @@ int main() {
       "per schedule,\nwhile the current engine cancels in place and keeps "
       "captures inline.\n");
 
-  // Token-heavy cluster scenario: scheduled-event counts per timer mode.
+  // Token-heavy cluster scenario: one engine event per daemon deadline.
   std::printf(
       "\nToken-cluster scenario: 16 devices x 4 greedy containers, 30 "
       "simulated\nseconds of token exchange. 'total events' counts every "
-      "event scheduled on\nthe engine; the wheel batches renewals per "
-      "coalescing window.\n\n");
-  std::vector<TokenClusterResult> token_rows;
-  token_rows.push_back(TokenClusterScenario(
-      "reference", vgpu::TokenTimerMode::kReference, Micros(500)));
-  token_rows.push_back(TokenClusterScenario(
-      "wheel-500us", vgpu::TokenTimerMode::kWheel, Micros(500)));
-  token_rows.push_back(TokenClusterScenario(
-      "wheel-5ms", vgpu::TokenTimerMode::kWheel, Millis(5)));
-  const double ref_events =
-      static_cast<double>(token_rows.front().total_events);
-  Table token_table(
-      {"timers", "total events", "grants", "reduction", "Mev/s"});
-  for (const TokenClusterResult& r : token_rows) {
-    token_table.AddRow(
-        {r.mode, Cell(static_cast<std::int64_t>(r.total_events)),
-         Cell(static_cast<std::int64_t>(r.grants)),
-         Cell(ref_events / static_cast<double>(r.total_events), 2),
-         Cell(r.events_per_sec / 1e6, 2)});
-  }
+      "event scheduled on\nthe engine; each daemon deadline is one event.\n\n");
+  const TokenClusterResult token = TokenClusterScenario();
+  Table token_table({"total events", "grants", "wall (s)", "Mev/s"});
+  token_table.AddRow({Cell(static_cast<std::int64_t>(token.total_events)),
+                      Cell(static_cast<std::int64_t>(token.grants)),
+                      Cell(token.wall_s, 3),
+                      Cell(token.events_per_sec / 1e6, 2)});
   token_table.Print(std::cout);
-  std::printf(
-      "\nwheel-500us keeps deadlines exact (the window divides every daemon "
-      "\nduration) and already coalesces same-tick renewals; wheel-5ms "
-      "trades\ndeadline precision for the headline event reduction.\n");
 
   // Kernel-heavy cluster scenario: scheduled-event counts per device
   // execution engine on a full KubeShare training workload.
@@ -528,17 +497,13 @@ int main() {
   summary.Set("engine", "summary");
   summary.Set("speedup_vs_baseline", geomean);
   bench::AddRow(report, std::move(summary));
-  for (const TokenClusterResult& r : token_rows) {
-    JsonValue row = JsonValue::Object();
-    row.Set("pattern", "token-cluster");
-    row.Set("engine", r.mode);
-    row.Set("total_events", r.total_events);
-    row.Set("grants", r.grants);
-    row.Set("events_reduction_vs_reference",
-            ref_events / static_cast<double>(r.total_events));
-    row.Set("events_per_sec", r.events_per_sec);
-    bench::AddRow(report, std::move(row));
-  }
+  JsonValue token_row = JsonValue::Object();
+  token_row.Set("pattern", "token-cluster");
+  token_row.Set("engine", "current");
+  token_row.Set("total_events", token.total_events);
+  token_row.Set("grants", token.grants);
+  token_row.Set("events_per_sec", token.events_per_sec);
+  bench::AddRow(report, std::move(token_row));
   for (const KernelClusterResult& r : kernel_rows) {
     JsonValue row = JsonValue::Object();
     row.Set("pattern", "kernel-cluster");

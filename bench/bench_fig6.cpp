@@ -66,7 +66,7 @@ int main() {
     });
   }
 
-  vgpu::TokenBackendApi* backend = cluster.node(0).token_backend.get();
+  vgpu::TokenBackend* backend = cluster.node(0).token_backend.get();
   Table table({"time (s)", "A usage", "B usage", "C usage", "total"});
   auto usage_of = [&](const char* name) -> double {
     const vgpu::FrontendHook* hook = host.RunningHook(name);

@@ -24,9 +24,6 @@ struct TimelineResult {
 };
 
 TimelineResult RunTimeline(bool use_kubeshare,
-                           ks::vgpu::TokenTimerMode timers =
-                               ks::vgpu::TokenTimerMode::kWheel,
-                           ks::Duration coalesce_window = ks::Micros(500),
                            ks::gpu::GpuExecMode exec =
                                ks::gpu::GpuExecMode::kFused,
                            ks::workload::WorkloadConfig::JobKind kind =
@@ -36,8 +33,6 @@ TimelineResult RunTimeline(bool use_kubeshare,
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.gpus_per_node = 4;
-  ccfg.token_timers = timers;
-  ccfg.backend.coalesce_window = coalesce_window;
   ccfg.exec = exec;
   k8s::Cluster cluster(ccfg);
   std::unique_ptr<kubeshare::KubeShare> kubeshare;
@@ -138,39 +133,19 @@ int main() {
                "Kubernetes holds all 32 GPUs at low\nutilization for "
                "longer.\n";
 
-  // Same KubeShare timeline under the per-renewal reference backend and
-  // under a coarse 5 ms coalescing window, to record the timer wheel's
-  // event saving on a full workload. The default 500 us window keeps every
-  // deadline exact (it divides each daemon duration) and so schedules about
-  // as many events as the reference; the coarse window batches renewals.
-  TimelineResult kshare_ref =
-      RunTimeline(true, vgpu::TokenTimerMode::kReference);
-  TimelineResult kshare_coarse =
-      RunTimeline(true, vgpu::TokenTimerMode::kWheel, Millis(5));
-  std::cout << "\nKubeShare engine events: " << kshare_ref.total_events
-            << " per-renewal reference, " << kshare.total_events
-            << " wheel (exact 500 us window), " << kshare_coarse.total_events
-            << " wheel (5 ms window, "
-            << Cell(static_cast<double>(kshare_ref.total_events) /
-                        static_cast<double>(kshare_coarse.total_events),
-                    2)
-            << "x reduction).\n";
-
   // Device-engine comparison: the same KubeShare timeline on the per-kernel
   // reference device, and the kernel-heavy variant (the same jobs issuing
   // their request volume as back-to-back training streams) on both engines.
   // The differential suite pins the traces byte-equal; this records what
   // the fused engine's event economy is worth on a full workload.
-  TimelineResult kshare_devref = RunTimeline(
-      true, vgpu::TokenTimerMode::kWheel, Micros(500),
-      gpu::GpuExecMode::kReference);
-  TimelineResult train_fused = RunTimeline(
-      true, vgpu::TokenTimerMode::kWheel, Micros(500),
-      gpu::GpuExecMode::kFused, workload::WorkloadConfig::JobKind::kTraining);
-  TimelineResult train_devref = RunTimeline(
-      true, vgpu::TokenTimerMode::kWheel, Micros(500),
-      gpu::GpuExecMode::kReference,
-      workload::WorkloadConfig::JobKind::kTraining);
+  TimelineResult kshare_devref =
+      RunTimeline(true, gpu::GpuExecMode::kReference);
+  TimelineResult train_fused =
+      RunTimeline(true, gpu::GpuExecMode::kFused,
+                  workload::WorkloadConfig::JobKind::kTraining);
+  TimelineResult train_devref =
+      RunTimeline(true, gpu::GpuExecMode::kReference,
+                  workload::WorkloadConfig::JobKind::kTraining);
   std::cout << "\nDevice-engine events (inference workload): "
             << kshare_devref.total_events << " per-kernel reference, "
             << kshare.total_events << " fused ("
@@ -188,24 +163,20 @@ int main() {
   JsonValue report = bench::MakeReport("fig9");
   struct NamedResult {
     const char* system;
-    const char* timers;
     const char* exec;
     const char* workload;
     const TimelineResult* r;
   };
   const NamedResult named[] = {
-      {"native", "wheel", "fused", "inference", &k8s},
-      {"kubeshare", "wheel", "fused", "inference", &kshare},
-      {"kubeshare", "reference", "fused", "inference", &kshare_ref},
-      {"kubeshare", "wheel-5ms", "fused", "inference", &kshare_coarse},
-      {"kubeshare", "wheel", "reference", "inference", &kshare_devref},
-      {"kubeshare", "wheel", "fused", "training", &train_fused},
-      {"kubeshare", "wheel", "reference", "training", &train_devref},
+      {"native", "fused", "inference", &k8s},
+      {"kubeshare", "fused", "inference", &kshare},
+      {"kubeshare", "reference", "inference", &kshare_devref},
+      {"kubeshare", "fused", "training", &train_fused},
+      {"kubeshare", "reference", "training", &train_devref},
   };
   for (const NamedResult& n : named) {
     JsonValue row = JsonValue::Object();
     row.Set("system", n.system);
-    row.Set("token_timers", n.timers);
     row.Set("exec", n.exec);
     row.Set("workload", n.workload);
     row.Set("completed", n.r->completed);

@@ -99,7 +99,7 @@ ModeResult Run(bool attack, bool enforcement) {
   injector = &inj;
   (void)injector->Arm();
 
-  vgpu::TokenBackendApi* backend = cluster.node(0).token_backend.get();
+  vgpu::TokenBackend* backend = cluster.node(0).token_backend.get();
   ModeResult r;
   // Steady state: attack (if any) starts at 10s; sample [24s, 40s] so the
   // 10s usage window only sees the attacked regime.

@@ -73,7 +73,7 @@ int main() {
   injector.SetWorkloadHost(&host);
   if (!injector.Arm().ok()) return 1;
 
-  vgpu::TokenBackendApi* backend = cluster.node(0).token_backend.get();
+  vgpu::TokenBackend* backend = cluster.node(0).token_backend.get();
   std::printf("    t   polite-0  polite-1    greedy   (server-side usage)\n");
   for (int t = 8; t <= 44; t += 4) {
     cluster.sim().RunUntil(Seconds(t));

@@ -16,7 +16,7 @@ Checks, per file:
     tooling can treat the rows as a table;
   * studies whose rows come from full cluster runs (study_chaos,
     ablation_placement, fig9) report a positive integer "total_events"
-    in every row, so event-count regressions across timer modes stay
+    in every row, so event-count regressions across engine modes stay
     visible in the archived reports;
   * fig9 rows carry non-empty "exec" and "workload" discriminators (the
     device-engine comparison must stay in the archived report);

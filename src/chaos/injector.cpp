@@ -142,17 +142,9 @@ void FaultInjector::InjectDaemonRestart(const Fault& fault) {
     return;
   }
   node->token_backend->Restart();
+  assert(node->token_backend->down());
   ++stats_.faults_injected;
   ++stats_.daemon_restarts;
-  // Restart() wipes every pending renewal (the wheel's InvalidateAll);
-  // the rebuild deadline it schedules must be the one timer left standing,
-  // or the daemon never comes back and every lease on the node hangs.
-  assert(node->token_backend->down());
-  if (node->token_backend->pending_timers() > 0) {
-    ++stats_.wheel_rearms_verified;
-    cluster_->api().events().Record(kComponent, "node/" + fault.node,
-                                    "TokenWheelRearmed");
-  }
 }
 
 void FaultInjector::InjectOomKill(const Fault& fault) {

@@ -25,10 +25,6 @@ struct ChaosStats {
   std::uint64_t node_crashes = 0;
   std::uint64_t node_recoveries = 0;
   std::uint64_t daemon_restarts = 0;
-  /// Daemon restarts after which the node's token timer wheel was verified
-  /// re-armed (a pending rebuild deadline exists — the wheel cannot be left
-  /// dead after InvalidateAll, or every lease on the node would hang).
-  std::uint64_t wheel_rearms_verified = 0;
   std::uint64_t oom_kills = 0;
   std::uint64_t latency_spikes = 0;
   std::uint64_t watch_events_dropped = 0;

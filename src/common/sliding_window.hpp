@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <deque>
 
 #include "common/time.hpp"
@@ -15,6 +16,15 @@ namespace ks {
 /// Intervals are recorded as half-open [start, end). The tracker tolerates
 /// an open interval (activity started, not yet finished) — usage queries
 /// count it up to the query time.
+///
+/// Queries are amortized O(1): every closed interval carries the running
+/// busy total recorded before it, so the busy time of a window is one
+/// subtraction from the head interval that still overlaps it, and a query
+/// cursor advances that head as the window slides. Stop() trims intervals
+/// that left the window, so memory stays bounded by one window's worth of
+/// intervals. Queries must not ask about times before the last Start/Stop
+/// (the simulation clock never runs backwards); among themselves they may
+/// come in any order.
 class SlidingWindowUsage {
  public:
   explicit SlidingWindowUsage(Duration window) : window_(window) {}
@@ -41,22 +51,34 @@ class SlidingWindowUsage {
   /// a container launches.
   double Usage(Time now) const;
 
-  /// Drops intervals that ended before now - window. Called internally by
-  /// queries; exposed so long-running simulations can bound memory.
+  /// Drops intervals that ended before now - window. Stop() calls it, so
+  /// callers never need to.
   void Compact(Time now);
 
  private:
   struct Interval {
     Time start;
     Time end;
+    /// Busy time of every interval recorded before this one.
+    Duration busy_before;
   };
+
+  Time Cutoff(Time now) const {
+    return now.count() > window_.count() ? now - window_ : kTimeZero;
+  }
 
   Duration window_;
   std::deque<Interval> intervals_;
+  /// Busy time of every closed interval ever recorded.
+  Duration busy_total_{0};
   bool active_ = false;
   Time active_since_{0};
   Time origin_{0};
   bool origin_set_ = false;
+  /// Query cursor: index of the first interval ending after `head_cutoff_`,
+  /// the window start of the latest query.
+  mutable std::size_t head_ = 0;
+  mutable Time head_cutoff_{0};
 };
 
 }  // namespace ks

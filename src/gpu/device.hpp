@@ -78,7 +78,7 @@ using ViolationFn = std::function<void(const ContainerId&, DeviceViolation)>;
 /// Which execution engine a cluster's devices use. kFused is the
 /// virtual-time engine with fused kernel streams; kReference is the
 /// original one-event-per-kernel implementation kept as the differential
-/// oracle (same pattern as vgpu::TokenTimerMode).
+/// oracle.
 enum class GpuExecMode {
   kFused,
   kReference,
@@ -99,13 +99,13 @@ enum class GpuExecMode {
 /// This class is the virtual-time engine: each in-flight kernel's remaining
 /// work is a fixed point `end_v` on a global virtual-service axis, Progress
 /// advances one accumulator instead of rescaling every kernel, and exactly
-/// one completion event is armed at the earliest `end_v` (the TimerWheel's
-/// one-armed-event discipline). A completion is therefore O(log n) instead
-/// of an O(n) rescale. On top of that, SubmitRepeat lets steady kernel
-/// streams retire K identical back-to-back units with a single engine
-/// event; any membership, teardown or cancellation event splits the fusion
-/// so observable traces (kernel ids/times, utilization, callbacks) are
-/// byte-equal to the per-kernel oracle, GpuDeviceReference.
+/// one completion event is armed at the earliest `end_v`. A completion is
+/// therefore O(log n) instead of an O(n) rescale. On top of that,
+/// SubmitRepeat lets steady kernel streams retire K identical back-to-back
+/// units with a single engine event; any membership, teardown or
+/// cancellation event splits the fusion so observable traces (kernel
+/// ids/times, utilization, callbacks) are byte-equal to the per-kernel
+/// oracle, GpuDeviceReference.
 class GpuDevice {
  public:
   GpuDevice(sim::Simulation* sim, GpuUuid uuid, GpuSpec spec = {});

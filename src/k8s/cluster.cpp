@@ -61,13 +61,8 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
       backend_cfg.spatial_enabled = true;
       backend_cfg.sm_groups = config_.spatial.sm_groups;
     }
-    if (config_.token_timers == vgpu::TokenTimerMode::kWheel) {
-      handle->token_backend =
-          std::make_unique<vgpu::TokenBackend>(&sim_, backend_cfg);
-    } else {
-      handle->token_backend =
-          std::make_unique<vgpu::TokenBackendReference>(&sim_, backend_cfg);
-    }
+    handle->token_backend =
+        std::make_unique<vgpu::TokenBackend>(&sim_, backend_cfg);
     for (gpu::GpuDevice* g : raw_gpus) {
       handle->token_backend->RegisterDevice(g->uuid());
     }
@@ -78,7 +73,7 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
       // per-tenant violation ledger.
       handle->token_backend->SetDeviceResolver(
           [this](const GpuUuid& u) { return FindGpu(u); });
-      vgpu::TokenBackendApi* backend = handle->token_backend.get();
+      vgpu::TokenBackend* backend = handle->token_backend.get();
       for (gpu::GpuDevice* g : raw_gpus) {
         g->SetViolationFn([backend](const ContainerId& owner,
                                     gpu::DeviceViolation v) {
@@ -133,7 +128,7 @@ gpu::GpuDevice* Cluster::FindGpu(const GpuUuid& uuid) {
   return nullptr;
 }
 
-vgpu::TokenBackendApi* Cluster::BackendForGpu(const GpuUuid& uuid) {
+vgpu::TokenBackend* Cluster::BackendForGpu(const GpuUuid& uuid) {
   for (auto& node : nodes_) {
     for (auto& dev : node->gpus) {
       if (dev->uuid() == uuid) return node->token_backend.get();

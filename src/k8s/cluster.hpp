@@ -19,7 +19,6 @@
 #include "spatial/geometry.hpp"
 #include "vgpu/swap.hpp"
 #include "vgpu/token_backend.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace ks::k8s {
 
@@ -45,10 +44,6 @@ struct ClusterConfig {
   /// anti-thrashing rotation. Disabled by default: the cluster behaves
   /// byte-identically to the strict-quota system.
   vgpu::OversubscriptionConfig oversub;
-  /// Which token-renewal timer implementation the per-node daemons use:
-  /// the hierarchical timer wheel (default) or the one-event-per-deadline
-  /// reference backend kept as the differential-test oracle.
-  vgpu::TokenTimerMode token_timers = vgpu::TokenTimerMode::kWheel;
   /// Which device execution engine the GPUs use: the virtual-time core
   /// with fused kernel streams (default) or the per-kernel reference
   /// engine kept as the differential-test oracle.
@@ -113,7 +108,7 @@ class Cluster {
     std::unique_ptr<DevicePlugin> plugin;
     std::unique_ptr<ContainerRuntime> runtime;
     std::unique_ptr<Kubelet> kubelet;
-    std::unique_ptr<vgpu::TokenBackendApi> token_backend;
+    std::unique_ptr<vgpu::TokenBackend> token_backend;
     bool crashed = false;
   };
 
@@ -123,7 +118,7 @@ class Cluster {
 
   gpu::GpuDevice* FindGpu(const GpuUuid& uuid);
   /// Token backend of the node hosting `uuid` (every GPU has exactly one).
-  vgpu::TokenBackendApi* BackendForGpu(const GpuUuid& uuid);
+  vgpu::TokenBackend* BackendForGpu(const GpuUuid& uuid);
 
   /// Installs one application-side start/stop hook across all node
   /// runtimes (the workload layer's attachment point).

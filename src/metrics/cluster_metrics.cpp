@@ -27,9 +27,10 @@ void ExportClusterMetrics(k8s::Cluster& cluster,
     }
   }
 
-  // Event-engine health: how much the timer wheel / shared sampler tick
-  // compress the schedule. Pull-at-read-time by construction — these are
-  // plain counter reads, no sampling events of their own.
+  // Event-engine health: how much the shared sampler tick compresses the
+  // schedule and how many deadlines the token daemons hold. Pull-at-read-
+  // time by construction — these are plain counter reads, no sampling
+  // events of their own.
   exporter.Gauge("ks_sim_lifetime_events",
                  "Engine events scheduled since simulation start", {},
                  static_cast<double>(cluster.sim().lifetime_events()));
@@ -47,21 +48,9 @@ void ExportClusterMetrics(k8s::Cluster& cluster,
   for (std::size_t n = 0; n < cluster.node_count(); ++n) {
     auto& node = cluster.node(n);
     exporter.Gauge("ks_token_timers_pending",
-                   "Renewal deadlines resident in the node's token timers",
+                   "Deadlines the node's token daemon has armed",
                    {{"node", node.name}},
                    static_cast<double>(node.token_backend->pending_timers()));
-    if (auto* wheel_backend =
-            dynamic_cast<vgpu::TokenBackend*>(node.token_backend.get())) {
-      exporter.Gauge("ks_token_wheel_ticks",
-                     "Engine events the node's timer wheel consumed",
-                     {{"node", node.name}},
-                     static_cast<double>(wheel_backend->wheel().stats().ticks));
-      exporter.Gauge(
-          "ks_token_wheel_timers_scheduled",
-          "Renewal deadlines placed on the node's timer wheel",
-          {{"node", node.name}},
-          static_cast<double>(wheel_backend->wheel().stats().scheduled));
-    }
   }
 
   if (cluster.config().spatial.enabled) {

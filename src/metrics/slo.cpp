@@ -7,7 +7,7 @@ SloMetrics CollectSloMetrics(k8s::Cluster& cluster,
   SloMetrics out;
   out.services = std::move(samples);
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const vgpu::TokenBackendApi* backend = cluster.node(i).token_backend.get();
+    const vgpu::TokenBackend* backend = cluster.node(i).token_backend.get();
     if (backend == nullptr) continue;
     out.admission_sheds_total += backend->admission_sheds();
     out.admission_queued_total += backend->admission_queued();

@@ -42,7 +42,7 @@ struct SloMetrics {
 };
 
 /// Combines frontend-side samples with the cluster's daemon-side admission
-/// counters (TokenBackendApi::admission_sheds / admission_queued, summed
+/// counters (TokenBackend::admission_sheds / admission_queued, summed
 /// across nodes).
 SloMetrics CollectSloMetrics(k8s::Cluster& cluster,
                              std::vector<ServiceSloSample> samples);

@@ -103,8 +103,8 @@ bool TokenServer::Acquire(const std::string& id) {
       }
     }
     // Deadline-aware parking (the thread-world analog of the simulated
-    // backend's timer wheel): while the token is held nothing can change
-    // before the holder's quota deadline except a Release — and that
+    // backend's quota-expiry event): while the token is held nothing can
+    // change before the holder's quota deadline except a Release — and that
     // notifies — so sleep straight through to the deadline instead of
     // polling. The 2 ms floor doubles as the free-token poll (so
     // limit-throttled clients re-qualify as their window slides) and as

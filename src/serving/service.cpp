@@ -20,7 +20,7 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
     std::string name;
     workload::RequestServerJob* job = nullptr;
     ContainerId container;
-    vgpu::TokenBackendApi* backend = nullptr;
+    vgpu::TokenBackend* backend = nullptr;
     std::uint64_t outstanding = 0;  // dispatched, not yet served
   };
   /// Ready replicas, name-sorted so round-robin order is deterministic

@@ -1,33 +1,39 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <map>
+#include <set>
 
 #include "common/time.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/simulation.hpp"
 
 namespace ks::sim {
 
-/// Repeating-callback multiplexer on a TimerWheel: the "single shared
-/// sampler tick". Every periodic instrument (metrics samplers, the NVML
-/// poller) used to keep a private self-rescheduling event — one engine
-/// event per sample per instrument. A TickHub subscription instead rides
-/// the hub's wheel: subscribers whose deadlines land on the same wheel
-/// tick share one engine event, and the hub keeps at most one event armed
-/// no matter how many instruments it carries.
+/// Repeating-callback multiplexer: the "single shared sampler tick". Every
+/// periodic instrument (metrics samplers, the NVML poller) used to keep a
+/// private self-rescheduling event — one engine event per sample per
+/// instrument. A TickHub subscription instead rides the hub: deadlines are
+/// rounded up to the hub's `granularity` grid, subscribers due at the same
+/// grid instant fire from one engine event, and the hub keeps at most one
+/// event armed — at the earliest due instant — no matter how many
+/// instruments it carries.
 ///
 /// Each subscription fires at exact multiples of its period from the
 /// subscription time (next_due advances by period, never from the fire
 /// time), so a pull-mode sampler records byte-identical timestamps to the
-/// push-mode one whenever its period sits on the hub's grid.
+/// push-mode one whenever its period sits on the hub's grid. Subscribers
+/// sharing an instant fire in (due time, arming order) order.
 class TickHub {
  public:
   using SubId = std::uint64_t;
 
-  /// `granularity` is the wheel tick; zero (the default) keeps the hub
-  /// exact at microsecond resolution.
-  explicit TickHub(Simulation* sim, Duration granularity = Duration{0})
-      : sim_(sim), wheel_(sim, granularity) {}
+  /// `granularity` is the grid deadlines round up to; zero (the default)
+  /// keeps the hub exact at microsecond resolution.
+  explicit TickHub(Simulation* sim, Duration granularity = Duration{0});
+  ~TickHub();
+  TickHub(const TickHub&) = delete;
+  TickHub& operator=(const TickHub&) = delete;
 
   Simulation* sim() const { return sim_; }
 
@@ -41,24 +47,40 @@ class TickHub {
   /// Callback invocations across all subscriptions.
   std::uint64_t fires() const { return fires_; }
   /// Engine events consumed; fires()/ticks() is the sharing ratio.
-  std::uint64_t ticks() const { return wheel_.stats().ticks; }
-  const TimerWheel& wheel() const { return wheel_; }
+  std::uint64_t ticks() const { return ticks_; }
 
  private:
+  /// One armed deadline; ordered by fire instant, then requested due
+  /// time, then arming order.
+  struct Due {
+    Time fire{0};
+    Time due{0};
+    std::uint64_t seq = 0;  // 0: not armed (the subscription is firing)
+    SubId id = 0;
+    auto operator<=>(const Due&) const = default;
+  };
+
   struct Sub {
     Duration period{0};
     EventCallback fn;
     Time next_due{0};
-    TimerId timer = kInvalidTimer;
+    Due slot;  // its entry in `due_`
   };
 
   void Arm(SubId id);
+  void OnTick();
 
   Simulation* sim_;
-  TimerWheel wheel_;
+  std::int64_t grid_us_;
   std::map<SubId, Sub> subs_;
+  std::set<Due> due_;
+  EventId armed_event_ = kInvalidEvent;
+  Time armed_at_{0};
+  bool firing_ = false;
   SubId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t fires_ = 0;
+  std::uint64_t ticks_ = 0;
 };
 
 }  // namespace ks::sim

@@ -8,7 +8,7 @@
 
 namespace ks::vgpu {
 
-FrontendHook::FrontendHook(cuda::CudaApi* inner, TokenBackendApi* backend,
+FrontendHook::FrontendHook(cuda::CudaApi* inner, TokenBackend* backend,
                            ContainerId container, GpuUuid device,
                            ResourceSpec spec,
                            std::uint64_t device_memory_bytes)

@@ -63,7 +63,7 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   /// the physical capacity used to convert the fractional gpu_mem into a
   /// byte quota. Registration with the backend happens in the constructor;
   /// the destructor unregisters.
-  FrontendHook(cuda::CudaApi* inner, TokenBackendApi* backend,
+  FrontendHook(cuda::CudaApi* inner, TokenBackend* backend,
                ContainerId container, GpuUuid device, ResourceSpec spec,
                std::uint64_t device_memory_bytes);
   ~FrontendHook() override;
@@ -202,7 +202,7 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   void AttackTick();
 
   cuda::CudaApi* inner_;
-  TokenBackendApi* backend_;
+  TokenBackend* backend_;
   ContainerId container_;
   GpuUuid device_;
   ResourceSpec spec_;

@@ -10,11 +10,9 @@
 namespace ks::vgpu {
 
 TokenBackend::TokenBackend(sim::Simulation* sim, BackendConfig config)
-    : sim_(sim),
-      config_(config),
-      wheel_(sim, config.coalesce_window),
-      tq_(config.tq) {
+    : sim_(sim), config_(config), tq_(config.tq) {
   assert(sim_ != nullptr);
+  assert(config_.sm_groups > 0);
 }
 
 void TokenBackend::RegisterDevice(const GpuUuid& device) {
@@ -73,14 +71,12 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
     if (was_pending) return Status::Ok();
     return NotFoundError("container not registered: " + container.value());
   }
-  DeviceState& dev = devices_.at(it->second.device);
   const GpuUuid device_id = it->second.device;
-  // Drop from the wait queue if present.
+  DeviceState& dev = devices_.at(device_id);
   dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), container),
                   dev.queue.end());
   // A reeval poll armed for a queue this unregistration just emptied would
-  // dangle until it fired as a no-op; the wheel's generation stamp makes
-  // the cancel safe even if the tick is already being dispatched.
+  // otherwise dangle until it fired as a no-op.
   CancelIdleReeval(dev);
   if (Enforcing()) {
     // The container is gone (OOM-kill, node crash, eviction teardown):
@@ -92,39 +88,11 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
       d->ClearMemoryQuota(container);
     }
   }
-  if (config_.spatial_enabled) {
-    auto hit = dev.holds.find(container);
-    const bool held = hit != dev.holds.end();
-    if (held) {
-      if (hit->second.expiry_timer != sim::kInvalidTimer) {
-        wheel_.Cancel(hit->second.expiry_timer);
-      }
-      if (hit->second.fence_timer != sim::kInvalidTimer) {
-        wheel_.Cancel(hit->second.fence_timer);
-      }
-      dev.groups_held -= hit->second.groups;
-      dev.holds.erase(hit);
-    }
-    containers_.erase(it);
-    if (held) TryGrantSpatial(device_id);
-    return Status::Ok();
-  }
-  const bool was_holder = dev.holder.has_value() && *dev.holder == container;
-  if (was_holder) {
-    if (dev.expiry_timer != sim::kInvalidTimer) {
-      wheel_.Cancel(dev.expiry_timer);
-      dev.expiry_timer = sim::kInvalidTimer;
-    }
-    if (dev.fence_timer != sim::kInvalidTimer) {
-      wheel_.Cancel(dev.fence_timer);
-      dev.fence_timer = sim::kInvalidTimer;
-    }
-    dev.holder.reset();
-    dev.token_valid = false;
-    dev.grant_in_flight = false;
-  }
+  auto hit = dev.holds.find(container);
+  const bool held = hit != dev.holds.end();
+  if (held) EndHold(dev, hit, nullptr, sim_->Now());
   containers_.erase(it);
-  if (was_holder) TryGrant(device_id);
+  if (held) TryGrant(device_id);
   return Status::Ok();
 }
 
@@ -149,14 +117,8 @@ Status TokenBackend::RequestToken(const ContainerId& container) {
   }
   ContainerState& state = it->second;
   DeviceState& dev = devices_.at(state.device);
-  if (config_.spatial_enabled) {
-    auto hit = dev.holds.find(container);
-    if (hit != dev.holds.end() &&
-        (hit->second.valid || hit->second.in_flight)) {
-      return Status::Ok();  // already holding (or being granted) a token
-    }
-  } else if (dev.holder.has_value() && *dev.holder == container &&
-             (dev.token_valid || dev.grant_in_flight)) {
+  const auto hit = dev.holds.find(container);
+  if (hit != dev.holds.end() && (hit->second.valid || hit->second.in_flight)) {
     return Status::Ok();  // already holding (or being granted) a valid token
   }
   // An expired holder may queue BEFORE it releases: its re-request must be
@@ -179,71 +141,22 @@ Status TokenBackend::ReleaseToken(const ContainerId& container) {
   }
   ContainerState& state = it->second;
   DeviceState& dev = devices_.at(state.device);
-  if (config_.spatial_enabled) {
-    auto hit = dev.holds.find(container);
-    if (hit == dev.holds.end()) {
-      return FailedPreconditionError("container does not hold the token: " +
-                                     container.value());
-    }
-    const Time now = sim_->Now();
-    state.usage.Stop(now);
-    if (now > state.grant_time) {
-      state.stats.held_total += now - state.grant_time;
-    }
-    Hold& hold = hit->second;
-    if (!hold.valid && !hold.in_flight && now > hold.expiry) {
-      state.stats.overrun_total += now - hold.expiry;
-    }
-    if (hold.expiry_timer != sim::kInvalidTimer) {
-      wheel_.Cancel(hold.expiry_timer);
-    }
-    if (hold.fence_timer != sim::kInvalidTimer) {
-      wheel_.Cancel(hold.fence_timer);
-    }
-    dev.groups_held -= hold.groups;
-    dev.holds.erase(hit);
-    if (Enforcing()) {
-      // Clean close of the gate: submits between this release and the
-      // next grant are rejected (that is the flood containment), without
-      // counting an overstay against a polite releaser.
-      if (gpu::GpuDevice* d = ResolveDevice(state.device)) {
-        d->FenceTokenEpoch(container);
-      }
-    }
-    RecordGrantTrace("release", container, now);
-    TryGrantSpatial(state.device);
-    return Status::Ok();
-  }
-  if (!dev.holder.has_value() || *dev.holder != container) {
+  auto hit = dev.holds.find(container);
+  if (hit == dev.holds.end()) {
     return FailedPreconditionError("container does not hold the token: " +
                                    container.value());
   }
-  state.usage.Stop(sim_->Now());
-  // Hold accounting: total hold time and the slice past the quota deadline
-  // (overrun from non-preemptive kernels).
   const Time now = sim_->Now();
-  if (now > state.grant_time) {
-    state.stats.held_total += now - state.grant_time;
-  }
-  if (!dev.token_valid && now > dev.expiry) {
-    state.stats.overrun_total += now - dev.expiry;
-  }
-  if (dev.expiry_timer != sim::kInvalidTimer) {
-    wheel_.Cancel(dev.expiry_timer);
-    dev.expiry_timer = sim::kInvalidTimer;
-  }
-  if (dev.fence_timer != sim::kInvalidTimer) {
-    wheel_.Cancel(dev.fence_timer);
-    dev.fence_timer = sim::kInvalidTimer;
-  }
-  dev.holder.reset();
-  dev.token_valid = false;
+  EndHold(dev, hit, &state, now);
   if (Enforcing()) {
+    // Clean close of the gate: submits between this release and the next
+    // grant are rejected (that is the flood containment), without counting
+    // an overstay against a polite releaser.
     if (gpu::GpuDevice* d = ResolveDevice(state.device)) {
       d->FenceTokenEpoch(container);
     }
   }
-  RecordGrantTrace("release", container, now);
+  Trace("release", container, now);
   TryGrant(state.device);
   return Status::Ok();
 }
@@ -262,49 +175,14 @@ Status TokenBackend::ExtendQuota(const ContainerId& container,
     return NotFoundError("container not registered: " + container.value());
   }
   DeviceState& dev = devices_.at(it->second.device);
-  const GpuUuid device_id = it->second.device;
-  if (config_.spatial_enabled) {
-    auto hit = dev.holds.find(container);
-    if (hit == dev.holds.end() || !hit->second.valid) {
-      return FailedPreconditionError("container holds no valid token: " +
-                                     container.value());
-    }
-    if (extra.count() <= 0) return Status::Ok();
-    Hold& hold = hit->second;
-    wheel_.Cancel(hold.expiry_timer);
-    hold.expiry += extra;
-    const ContainerId holder = container;
-    hold.expiry_timer = wheel_.ScheduleAt(hold.expiry,
-                                          [this, device_id, holder] {
-      OnHoldExpiry(device_id, holder);
-    });
-    if (hold.fence_timer != sim::kInvalidTimer) {
-      wheel_.Cancel(hold.fence_timer);
-      hold.fence_timer = wheel_.ScheduleAt(
-          hold.expiry + config_.enforcement.fence_grace,
-          [this, device_id, holder] {
-            OnHoldFenceDeadline(device_id, holder);
-          });
-    }
-    return Status::Ok();
-  }
-  if (!dev.holder.has_value() || *dev.holder != container ||
-      !dev.token_valid) {
+  auto hit = dev.holds.find(container);
+  if (hit == dev.holds.end() || !hit->second.valid) {
     return FailedPreconditionError("container holds no valid token: " +
                                    container.value());
   }
   if (extra.count() <= 0) return Status::Ok();
-  wheel_.Cancel(dev.expiry_timer);
-  dev.expiry += extra;
-  dev.expiry_timer = wheel_.ScheduleAt(dev.expiry, [this, device_id] {
-    OnExpiry(device_id);
-  });
-  if (dev.fence_timer != sim::kInvalidTimer) {
-    wheel_.Cancel(dev.fence_timer);
-    dev.fence_timer = wheel_.ScheduleAt(
-        dev.expiry + config_.enforcement.fence_grace,
-        [this, device_id] { OnFenceDeadline(device_id); });
-  }
+  hit->second.expiry += extra;
+  ArmExpiry(it->second.device, container, hit->second);
   return Status::Ok();
 }
 
@@ -316,18 +194,13 @@ double TokenBackend::UsageOf(const ContainerId& container) const {
 
 std::optional<ContainerId> TokenBackend::HolderOf(const GpuUuid& device) const {
   auto it = devices_.find(device);
-  if (it == devices_.end()) return std::nullopt;
-  if (config_.spatial_enabled && !it->second.holds.empty()) {
-    return it->second.holds.begin()->first;
-  }
-  return it->second.holder;
+  if (it == devices_.end() || it->second.holds.empty()) return std::nullopt;
+  return it->second.holds.begin()->first;
 }
 
 std::size_t TokenBackend::ActiveHolders(const GpuUuid& device) const {
   auto it = devices_.find(device);
-  if (it == devices_.end()) return 0;
-  if (config_.spatial_enabled) return it->second.holds.size();
-  return it->second.holder.has_value() ? 1 : 0;
+  return it == devices_.end() ? 0 : it->second.holds.size();
 }
 
 std::size_t TokenBackend::QueueLength(const GpuUuid& device) const {
@@ -336,84 +209,103 @@ std::size_t TokenBackend::QueueLength(const GpuUuid& device) const {
   return it->second.queue.size();
 }
 
+std::size_t TokenBackend::pending_timers() const {
+  std::size_t n = down_ ? 1 : 0;  // the restart come-back deadline
+  for (const auto& [device_id, dev] : devices_) {
+    if (dev.reeval_event != sim::kInvalidEvent) ++n;
+    for (const auto& [container, hold] : dev.holds) {
+      if (hold.in_flight) ++n;  // the grant hand-off
+      if (hold.expiry_event != sim::kInvalidEvent) ++n;
+      if (hold.fence_event != sim::kInvalidEvent) ++n;
+    }
+  }
+  return n;
+}
+
 void TokenBackend::ScheduleReeval(DeviceState& dev, const GpuUuid& device_id) {
-  if (dev.reeval_timer != sim::kInvalidTimer) return;
-  dev.reeval_timer = wheel_.ScheduleAfter(config_.reeval_period, [this,
-                                                                  device_id] {
+  if (dev.reeval_event != sim::kInvalidEvent) return;
+  dev.reeval_event = sim_->ScheduleAfter(config_.reeval_period, [this,
+                                                                 device_id] {
     auto it = devices_.find(device_id);
     if (it == devices_.end()) return;
-    it->second.reeval_timer = sim::kInvalidTimer;
+    it->second.reeval_event = sim::kInvalidEvent;
     TryGrant(device_id);
   });
 }
 
 void TokenBackend::CancelIdleReeval(DeviceState& dev) {
-  if (dev.queue.empty() && dev.reeval_timer != sim::kInvalidTimer) {
-    wheel_.Cancel(dev.reeval_timer);
-    dev.reeval_timer = sim::kInvalidTimer;
+  if (dev.queue.empty() && dev.reeval_event != sim::kInvalidEvent) {
+    sim_->Cancel(dev.reeval_event);
+    dev.reeval_event = sim::kInvalidEvent;
   }
 }
 
+int TokenBackend::ClaimOf(const ContainerState& state) const {
+  if (!config_.spatial_enabled || state.spec.slice_groups <= 0) {
+    return config_.sm_groups;
+  }
+  return std::min(state.spec.slice_groups, config_.sm_groups);
+}
+
 void TokenBackend::TryGrant(const GpuUuid& device_id) {
-  if (config_.spatial_enabled) {
-    TryGrantSpatial(device_id);
-    return;
-  }
   DeviceState& dev = devices_.at(device_id);
-  if (dev.holder.has_value() || dev.grant_in_flight) return;
-  if (dev.queue.empty()) return;
-
-  const Time now = sim_->Now();
-
-  // Step 1: filter requesters already at their gpu_limit. Usage and spec
-  // go through the enforcement lens: measured (not self-reported)
-  // attribution, and clamped limits for repeat offenders.
-  std::vector<ContainerId> eligible;
-  for (const ContainerId& c : dev.queue) {
-    const ContainerState& s = containers_.at(c);
-    if (SchedulingUsage(s, now) < EffectiveLimit(c, s)) eligible.push_back(c);
-  }
-  if (eligible.empty()) {
-    // Everyone is throttled; usage decays as the window slides, so check
-    // again shortly.
-    ScheduleReeval(dev, device_id);
-    return;
-  }
-
-  // Step 2: prefer the container farthest below its guaranteed minimum.
-  const ContainerId* pick = nullptr;
-  double best_deficit = 0.0;
-  std::uint64_t best_seq = 0;
-  for (const ContainerId& c : eligible) {
-    const ContainerState& s = containers_.at(c);
-    const double deficit = EffectiveRequest(c, s) - SchedulingUsage(s, now);
-    if (deficit <= 0.0) continue;
-    if (pick == nullptr || deficit > best_deficit ||
-        (deficit == best_deficit && s.enqueue_seq < best_seq)) {
-      pick = &c;
-      best_deficit = deficit;
-      best_seq = s.enqueue_seq;
-    }
-  }
-
-  // Step 3: all requesters have met their minimum — grant to the lowest
-  // current usage so residual capacity is divided fairly.
-  if (pick == nullptr) {
+  // Grants loop until space or eligibility runs out: one release can admit
+  // several small-slice waiters in the same decision. With every claim the
+  // whole GPU this is the paper's single-token schedule.
+  while (!dev.queue.empty()) {
+    const int free = config_.sm_groups - dev.groups_held;
+    if (free <= 0) return;  // every claim is at least one group
+    const Time now = sim_->Now();
+    // One pass evaluates the three-step policy: claims that don't fit the
+    // free groups wait for a release (not a reeval poll — window decay
+    // can't free groups); step 1 filters requesters at their gpu_limit
+    // (measured attribution + clamped specs under enforcement); step 2
+    // picks the largest deficit below gpu_request; step 3, when every
+    // requester met its minimum, the lowest usage. Ties go to the earliest
+    // enqueue. A queued container that still holds is a re-requester
+    // racing its own release (the frontend re-requests before releasing):
+    // granting it now would stack a second hold on the same entry, so its
+    // release re-enters this function and grants it a fresh hold then.
+    bool fits = false;
+    const ContainerId* by_deficit = nullptr;
+    double best_deficit = 0.0;
+    std::uint64_t deficit_seq = 0;
+    const ContainerId* by_usage = nullptr;
     double best_usage = 0.0;
-    for (const ContainerId& c : eligible) {
+    std::uint64_t usage_seq = 0;
+    for (const ContainerId& c : dev.queue) {
+      if (dev.holds.count(c) > 0) continue;
       const ContainerState& s = containers_.at(c);
+      if (ClaimOf(s) > free) continue;
+      fits = true;
       const double usage = SchedulingUsage(s, now);
-      if (pick == nullptr || usage < best_usage ||
-          (usage == best_usage && s.enqueue_seq < best_seq)) {
-        pick = &c;
+      if (usage >= EffectiveLimit(c, s)) continue;
+      const double deficit = EffectiveRequest(c, s) - usage;
+      if (deficit > 0.0 &&
+          (by_deficit == nullptr || deficit > best_deficit ||
+           (deficit == best_deficit && s.enqueue_seq < deficit_seq))) {
+        by_deficit = &c;
+        best_deficit = deficit;
+        deficit_seq = s.enqueue_seq;
+      }
+      if (by_usage == nullptr || usage < best_usage ||
+          (usage == best_usage && s.enqueue_seq < usage_seq)) {
+        by_usage = &c;
         best_usage = usage;
-        best_seq = s.enqueue_seq;
+        usage_seq = s.enqueue_seq;
       }
     }
+    if (!fits) return;
+    const ContainerId* pick = by_deficit != nullptr ? by_deficit : by_usage;
+    if (pick == nullptr) {
+      // Everyone who fits is throttled; usage decays as the window slides,
+      // so check again shortly.
+      ScheduleReeval(dev, device_id);
+      return;
+    }
+    const ContainerId chosen = *pick;  // GrantTo erases it from the queue
+    GrantTo(dev, device_id, chosen);
   }
-
-  assert(pick != nullptr);
-  GrantTo(dev, device_id, *pick);
 }
 
 void TokenBackend::GrantTo(DeviceState& dev, const GpuUuid& device_id,
@@ -422,85 +314,122 @@ void TokenBackend::GrantTo(DeviceState& dev, const GpuUuid& device_id,
   dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), container),
                   dev.queue.end());
   state.queued = false;
-  dev.holder = container;
-  dev.grant_in_flight = true;
+  Hold& hold = dev.holds[container];
+  hold.in_flight = true;
+  hold.valid = false;
+  hold.groups = ClaimOf(state);
+  dev.groups_held += hold.groups;
+  peak_holders_ = std::max(peak_holders_, dev.holds.size());
   ++grants_;
-  peak_holders_ = std::max<std::size_t>(peak_holders_, 1);
 
-  // The hand-off costs one exchange latency, during which the device is
-  // idle; the token is valid from the end of the exchange for one quota.
-  // The epoch guard is belt-and-braces here: a restart also invalidates
-  // this wheel timer outright.
-  const ContainerId granted = container;
-  wheel_.ScheduleAfter(config_.exchange_latency, [this, device_id, granted,
-                                                  epoch = epoch_] {
+  // The hand-off costs one exchange latency, during which the holder's
+  // groups sit idle; the token is valid from the end of the exchange for
+  // one quota.
+  sim_->ScheduleAfter(config_.exchange_latency, [this, device_id,
+                                                 granted = container,
+                                                 epoch = epoch_] {
     if (epoch != epoch_) return;  // daemon restarted mid-exchange
     auto dit = devices_.find(device_id);
     if (dit == devices_.end()) return;
-    DeviceState& d = dit->second;
-    if (!d.holder.has_value() || *d.holder != granted) return;  // unregistered
+    auto hit = dit->second.holds.find(granted);
+    if (hit == dit->second.holds.end()) return;  // released or unregistered
     auto cit = containers_.find(granted);
     if (cit == containers_.end()) return;
-    d.grant_in_flight = false;
-    d.token_valid = true;
-    // While the thrash detector has this device in TQ rotation the grant
-    // carries the nvshare-style exclusive quantum instead of the normal
-    // quota — long residency bursts instead of a migration per hand-off.
-    d.expiry = sim_->Now() + GrantQuotaFor(device_id);
-    cit->second.grant_time = sim_->Now();
+    Hold& h = hit->second;
+    const Time now = sim_->Now();
+    h.in_flight = false;
+    h.valid = true;
+    h.expiry = now + GrantQuotaFor(device_id, h.groups);
+    cit->second.grant_time = now;
     ++cit->second.stats.grants;
-    cit->second.usage.Start(sim_->Now());
-    d.expiry_timer = wheel_.ScheduleAt(d.expiry, [this, device_id] {
-      OnExpiry(device_id);
-    });
+    cit->second.usage.Start(now);
     if (Enforcing()) {
       // Open the device gate for this grant only: a fresh monotonic epoch
-      // is admitted, and the overstay deadline is armed one fence_grace
-      // past the quota so a polite overrun (one non-preemptive kernel)
-      // never trips it.
+      // is admitted, and the overstay deadline (armed with the expiry) sits
+      // one fence_grace past the quota so a polite overrun (one
+      // non-preemptive kernel) never trips it.
       if (gpu::GpuDevice* gd = ResolveDevice(device_id)) {
         gd->AdmitTokenEpoch(granted, ++token_epoch_);
       }
-      d.fence_timer = wheel_.ScheduleAt(
-          d.expiry + config_.enforcement.fence_grace,
-          [this, device_id] { OnFenceDeadline(device_id); });
     }
-    RecordGrantTrace("grant", granted, d.expiry);
-    cit->second.client->OnTokenGranted(d.expiry);
+    ArmExpiry(device_id, granted, h);
+    Trace("grant", granted, h.expiry);
+    cit->second.client->OnTokenGranted(h.expiry);
   });
+}
+
+void TokenBackend::ArmExpiry(const GpuUuid& device_id,
+                             const ContainerId& container, Hold& hold) {
+  sim_->Cancel(hold.expiry_event);
+  hold.expiry_event = sim_->ScheduleAt(
+      hold.expiry,
+      [this, device_id, container] { OnExpiry(device_id, container); });
+  if (!Enforcing()) return;
+  sim_->Cancel(hold.fence_event);
+  hold.fence_event = sim_->ScheduleAt(
+      hold.expiry + config_.enforcement.fence_grace,
+      [this, device_id, container] { OnFenceDeadline(device_id, container); });
+}
+
+void TokenBackend::EndHold(DeviceState& dev,
+                           std::map<ContainerId, Hold>::iterator hit,
+                           ContainerState* state, Time now) {
+  const Hold& hold = hit->second;
+  if (state != nullptr) {
+    // Hold accounting: total hold time and the slice past the quota
+    // deadline (overrun from non-preemptive kernels).
+    state->usage.Stop(now);
+    if (now > state->grant_time) {
+      state->stats.held_total += now - state->grant_time;
+    }
+    if (!hold.valid && !hold.in_flight && now > hold.expiry) {
+      state->stats.overrun_total += now - hold.expiry;
+    }
+  }
+  sim_->Cancel(hold.expiry_event);
+  sim_->Cancel(hold.fence_event);
+  dev.groups_held -= hold.groups;
+  dev.holds.erase(hit);
+}
+
+void TokenBackend::OnExpiry(const GpuUuid& device_id,
+                            const ContainerId& container) {
+  auto dit = devices_.find(device_id);
+  if (dit == devices_.end()) return;
+  auto hit = dit->second.holds.find(container);
+  if (hit == dit->second.holds.end()) return;
+  hit->second.expiry_event = sim::kInvalidEvent;
+  hit->second.valid = false;
+  auto it = containers_.find(container);
+  if (it == containers_.end()) return;
+  // The holder keeps its groups (and keeps accruing usage) until it
+  // releases — its in-flight kernel is non-preemptive.
+  Trace("expire", container, sim_->Now());
+  it->second.client->OnTokenExpired();
 }
 
 void TokenBackend::Restart() {
   ++epoch_;  // invalidate in-flight grant hand-offs
   ++restarts_;
   down_ = true;
-  RecordGrantTrace("restart", ContainerId(""), sim_->Now());
-  // All per-device token state dies with the daemon. One wholesale wheel
-  // invalidation replaces the per-timer cancels: every outstanding timer
-  // id of the old incarnation goes stale at once (generation stamps), so
-  // nothing can fire into the new one.
-  wheel_.InvalidateAll();
+  Trace("restart", ContainerId(""), sim_->Now());
+  // All per-device token state dies with the daemon; pending timers are
+  // cancelled so nothing from the old incarnation fires into the new one.
   for (auto& [device_id, dev] : devices_) {
-    if (Enforcing()) {
+    gpu::GpuDevice* d = Enforcing() ? ResolveDevice(device_id) : nullptr;
+    for (const auto& [container, hold] : dev.holds) {
       // Every outstanding token dies with the daemon: fence the holders'
       // epochs at the device so nothing can submit on a zombie token
       // during the downtime. Grants of the new incarnation admit fresh
       // (still-monotonic) epochs. Per-owner fencing is order-independent,
       // so iterating the unordered device map here is deterministic.
-      if (gpu::GpuDevice* d = ResolveDevice(device_id)) {
-        if (dev.holder.has_value()) d->FenceTokenEpoch(*dev.holder);
-        for (const auto& entry : dev.holds) {
-          d->FenceTokenEpoch(entry.first);
-        }
-      }
+      if (d != nullptr) d->FenceTokenEpoch(container);
+      sim_->Cancel(hold.expiry_event);
+      sim_->Cancel(hold.fence_event);
     }
-    dev.expiry_timer = sim::kInvalidTimer;
-    dev.reeval_timer = sim::kInvalidTimer;
-    dev.fence_timer = sim::kInvalidTimer;
+    sim_->Cancel(dev.reeval_event);
+    dev.reeval_event = sim::kInvalidEvent;
     dev.queue.clear();
-    dev.holder.reset();
-    dev.token_valid = false;
-    dev.grant_in_flight = false;
     dev.holds.clear();
     dev.groups_held = 0;
   }
@@ -511,8 +440,7 @@ void TokenBackend::Restart() {
     pending_reattach_[container] = {state.device, state.spec, state.client};
   }
   containers_.clear();
-  // The come-back deadline re-arms the wheel for the new incarnation.
-  wheel_.ScheduleAfter(config_.restart_downtime, [this, epoch = epoch_] {
+  sim_->ScheduleAfter(config_.restart_downtime, [this, epoch = epoch_] {
     if (epoch != epoch_) return;  // restarted again before coming up
     down_ = false;
     // pending_reattach_ is a sorted map — deterministic reattach order.
@@ -527,169 +455,6 @@ void TokenBackend::Restart() {
       info.client->OnBackendRestart();
     }
   });
-}
-
-int TokenBackend::ClaimOf(const ContainerState& state) const {
-  // No slice claim = the whole GPU: the container holds every SM group,
-  // which reduces spatial mode to one-token-at-a-time for it.
-  if (state.spec.slice_groups <= 0) return config_.sm_groups;
-  return std::min(state.spec.slice_groups, config_.sm_groups);
-}
-
-void TokenBackend::TryGrantSpatial(const GpuUuid& device_id) {
-  DeviceState& dev = devices_.at(device_id);
-  // Grants loop until space or eligibility runs out: one release can admit
-  // several small-slice waiters in the same decision.
-  while (!dev.queue.empty()) {
-    const Time now = sim_->Now();
-    const int free = config_.sm_groups - dev.groups_held;
-
-    // Space filter: claims that don't fit the free SM groups wait for a
-    // release (not a reeval poll — window decay can't free groups). With
-    // every claim full-GPU this reduces to the temporal "holder exists →
-    // return" early-out. A queued container that still has a hold is a
-    // re-requester racing its own release (the frontend re-requests before
-    // releasing); granting it now would stack a second hold on the same
-    // entry, which the imminent release would erase — dropping the grant
-    // and leaking its groups. Its release re-enters this function and
-    // grants it a fresh hold then.
-    std::vector<ContainerId> space_eligible;
-    for (const ContainerId& c : dev.queue) {
-      if (dev.holds.count(c) > 0) continue;
-      if (ClaimOf(containers_.at(c)) <= free) space_eligible.push_back(c);
-    }
-    if (space_eligible.empty()) return;
-
-    // Step 1: filter requesters already at their gpu_limit (measured
-    // attribution + clamped specs, as in the temporal path).
-    std::vector<ContainerId> eligible;
-    for (const ContainerId& c : space_eligible) {
-      const ContainerState& s = containers_.at(c);
-      if (SchedulingUsage(s, now) < EffectiveLimit(c, s)) {
-        eligible.push_back(c);
-      }
-    }
-    if (eligible.empty()) {
-      // Everyone who fits is throttled; usage decays as the window
-      // slides, so check again shortly.
-      ScheduleReeval(dev, device_id);
-      return;
-    }
-
-    // Step 2: prefer the container farthest below its guaranteed minimum.
-    const ContainerId* pick = nullptr;
-    double best_deficit = 0.0;
-    std::uint64_t best_seq = 0;
-    for (const ContainerId& c : eligible) {
-      const ContainerState& s = containers_.at(c);
-      const double deficit = EffectiveRequest(c, s) - SchedulingUsage(s, now);
-      if (deficit <= 0.0) continue;
-      if (pick == nullptr || deficit > best_deficit ||
-          (deficit == best_deficit && s.enqueue_seq < best_seq)) {
-        pick = &c;
-        best_deficit = deficit;
-        best_seq = s.enqueue_seq;
-      }
-    }
-
-    // Step 3: all requesters met their minimum — lowest usage wins.
-    if (pick == nullptr) {
-      double best_usage = 0.0;
-      for (const ContainerId& c : eligible) {
-        const ContainerState& s = containers_.at(c);
-        const double usage = SchedulingUsage(s, now);
-        if (pick == nullptr || usage < best_usage ||
-            (usage == best_usage && s.enqueue_seq < best_seq)) {
-          pick = &c;
-          best_usage = usage;
-          best_seq = s.enqueue_seq;
-        }
-      }
-    }
-
-    assert(pick != nullptr);
-    GrantSpatialTo(dev, device_id, *pick);
-  }
-}
-
-void TokenBackend::GrantSpatialTo(DeviceState& dev, const GpuUuid& device_id,
-                                  const ContainerId& container) {
-  ContainerState& state = containers_.at(container);
-  dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), container),
-                  dev.queue.end());
-  state.queued = false;
-  Hold& hold = dev.holds[container];
-  hold.in_flight = true;
-  hold.valid = false;
-  hold.groups = ClaimOf(state);
-  dev.groups_held += hold.groups;
-  peak_holders_ = std::max(peak_holders_, dev.holds.size());
-  ++grants_;
-
-  // Same exchange protocol as the temporal GrantTo, per hold: the token
-  // becomes valid after one exchange latency, for one quota.
-  const ContainerId granted = container;
-  wheel_.ScheduleAfter(config_.exchange_latency, [this, device_id, granted,
-                                                  epoch = epoch_] {
-    if (epoch != epoch_) return;  // daemon restarted mid-exchange
-    auto dit = devices_.find(device_id);
-    if (dit == devices_.end()) return;
-    auto hit = dit->second.holds.find(granted);
-    if (hit == dit->second.holds.end()) return;  // unregistered
-    auto cit = containers_.find(granted);
-    if (cit == containers_.end()) return;
-    Hold& h = hit->second;
-    h.in_flight = false;
-    h.valid = true;
-    h.expiry = sim_->Now() + config_.quota;
-    cit->second.grant_time = sim_->Now();
-    ++cit->second.stats.grants;
-    cit->second.usage.Start(sim_->Now());
-    h.expiry_timer = wheel_.ScheduleAt(h.expiry, [this, device_id, granted] {
-      OnHoldExpiry(device_id, granted);
-    });
-    if (Enforcing()) {
-      if (gpu::GpuDevice* gd = ResolveDevice(device_id)) {
-        gd->AdmitTokenEpoch(granted, ++token_epoch_);
-      }
-      h.fence_timer = wheel_.ScheduleAt(
-          h.expiry + config_.enforcement.fence_grace,
-          [this, device_id, granted] {
-            OnHoldFenceDeadline(device_id, granted);
-          });
-    }
-    RecordGrantTrace("grant", granted, h.expiry);
-    cit->second.client->OnTokenGranted(h.expiry);
-  });
-}
-
-void TokenBackend::OnHoldExpiry(const GpuUuid& device_id,
-                                const ContainerId& container) {
-  auto dit = devices_.find(device_id);
-  if (dit == devices_.end()) return;
-  auto hit = dit->second.holds.find(container);
-  if (hit == dit->second.holds.end()) return;
-  hit->second.expiry_timer = sim::kInvalidTimer;
-  hit->second.valid = false;
-  auto it = containers_.find(container);
-  if (it == containers_.end()) return;
-  // As in the temporal path: the holder keeps its groups (and keeps
-  // accruing usage) until it releases — kernels are non-preemptive.
-  RecordGrantTrace("expire", container, sim_->Now());
-  it->second.client->OnTokenExpired();
-}
-
-void TokenBackend::OnExpiry(const GpuUuid& device_id) {
-  DeviceState& dev = devices_.at(device_id);
-  dev.expiry_timer = sim::kInvalidTimer;
-  if (!dev.holder.has_value()) return;
-  dev.token_valid = false;
-  auto it = containers_.find(*dev.holder);
-  if (it == containers_.end()) return;
-  // The holder keeps the token (and keeps accruing usage) until it releases
-  // — its in-flight kernel is non-preemptive.
-  RecordGrantTrace("expire", *dev.holder, sim_->Now());
-  it->second.client->OnTokenExpired();
 }
 
 // --- Isolation enforcement ----------------------------------------------
@@ -798,6 +563,33 @@ void TokenBackend::ReportUsage(const ContainerId& container, double claimed) {
   }
 }
 
+void TokenBackend::OnFenceDeadline(const GpuUuid& device_id,
+                                   const ContainerId& container) {
+  auto dit = devices_.find(device_id);
+  if (dit == devices_.end()) return;
+  DeviceState& dev = dit->second;
+  auto hit = dev.holds.find(container);
+  if (hit == dev.holds.end()) return;
+  hit->second.fence_event = sim::kInvalidEvent;
+  // A clean release or an ExtendQuota re-arm cancels this timer, so firing
+  // with a valid token means a stale deadline — ignore it.
+  if (hit->second.valid || hit->second.in_flight) return;
+  auto cit = containers_.find(container);
+  if (cit == containers_.end()) return;
+  // The holder sat on an expired token a full fence_grace past the quota:
+  // declare the overstay, fence its epoch at the device (in-flight kernels
+  // finish, nothing new is admitted), and reclaim the token so polite
+  // waiters stop starving.
+  const Time now = sim_->Now();
+  EndHold(dev, hit, &cit->second, now);
+  if (gpu::GpuDevice* d = ResolveDevice(device_id)) {
+    d->FenceTokenEpoch(container);
+  }
+  Trace("fence", container, now);
+  RecordViolation(container, ViolationKind::kOverstay);
+  TryGrant(device_id);
+}
+
 // --- SLO admission control ------------------------------------------------
 
 void TokenBackend::SetServiceSlo(const ContainerId& container,
@@ -849,8 +641,8 @@ double TokenBackend::ObservedP99Of(const ContainerId& container, Time now) {
 
 // --- Memory oversubscription (nvshare-TQ) --------------------------------
 
-Duration TokenBackend::GrantQuotaFor(const GpuUuid& device_id) {
-  if (!config_.tq.enabled) return config_.quota;
+Duration TokenBackend::GrantQuotaFor(const GpuUuid& device_id, int groups) {
+  if (!config_.tq.enabled || groups < config_.sm_groups) return config_.quota;
   return tq_.Engaged(device_id, sim_->Now()) ? config_.tq.quantum
                                              : config_.quota;
 }
@@ -861,72 +653,6 @@ void TokenBackend::ReportSwapBytes(const ContainerId& container,
   auto it = containers_.find(container);
   if (it == containers_.end()) return;
   tq_.OnSwapBytes(it->second.device, bytes, sim_->Now());
-}
-
-void TokenBackend::OnFenceDeadline(const GpuUuid& device_id) {
-  auto dit = devices_.find(device_id);
-  if (dit == devices_.end()) return;
-  DeviceState& dev = dit->second;
-  dev.fence_timer = sim::kInvalidTimer;
-  // A clean release or an ExtendQuota re-arm cancels this timer, so firing
-  // with a valid token (or no holder) means a stale tick — ignore it.
-  if (!dev.holder.has_value() || dev.token_valid) return;
-  const ContainerId container = *dev.holder;
-  auto cit = containers_.find(container);
-  if (cit == containers_.end()) return;
-  ContainerState& state = cit->second;
-  const Time now = sim_->Now();
-  // The holder sat on an expired token a full fence_grace past the quota:
-  // declare the overstay, fence its epoch at the device (in-flight
-  // kernels finish, nothing new is admitted), and reclaim the token so
-  // polite waiters stop starving.
-  state.usage.Stop(now);
-  if (now > state.grant_time) {
-    state.stats.held_total += now - state.grant_time;
-  }
-  if (now > dev.expiry) {
-    state.stats.overrun_total += now - dev.expiry;
-  }
-  if (gpu::GpuDevice* d = ResolveDevice(device_id)) {
-    d->FenceTokenEpoch(container);
-  }
-  dev.holder.reset();
-  dev.token_valid = false;
-  dev.grant_in_flight = false;
-  RecordGrantTrace("fence", container, now);
-  RecordViolation(container, ViolationKind::kOverstay);
-  TryGrant(device_id);
-}
-
-void TokenBackend::OnHoldFenceDeadline(const GpuUuid& device_id,
-                                       const ContainerId& container) {
-  auto dit = devices_.find(device_id);
-  if (dit == devices_.end()) return;
-  DeviceState& dev = dit->second;
-  auto hit = dev.holds.find(container);
-  if (hit == dev.holds.end()) return;
-  Hold& hold = hit->second;
-  hold.fence_timer = sim::kInvalidTimer;
-  if (hold.valid || hold.in_flight) return;  // stale tick
-  auto cit = containers_.find(container);
-  if (cit == containers_.end()) return;
-  ContainerState& state = cit->second;
-  const Time now = sim_->Now();
-  state.usage.Stop(now);
-  if (now > state.grant_time) {
-    state.stats.held_total += now - state.grant_time;
-  }
-  if (now > hold.expiry) {
-    state.stats.overrun_total += now - hold.expiry;
-  }
-  if (gpu::GpuDevice* d = ResolveDevice(device_id)) {
-    d->FenceTokenEpoch(container);
-  }
-  dev.groups_held -= hold.groups;
-  dev.holds.erase(hit);
-  RecordGrantTrace("fence", container, now);
-  RecordViolation(container, ViolationKind::kOverstay);
-  TryGrantSpatial(device_id);
 }
 
 }  // namespace ks::vgpu

@@ -60,7 +60,7 @@ void WorkloadHost::OnContainerStart(const k8s::ContainerInstance& inst) {
   // Install the vGPU device library when DevMgr configured one; otherwise
   // offer the container to the registered baseline decorator.
   if (auto binding = kubeshare::KubeShare::ParseBinding(inst.env)) {
-    vgpu::TokenBackendApi* backend = cluster_->BackendForGpu(device->uuid());
+    vgpu::TokenBackend* backend = cluster_->BackendForGpu(device->uuid());
     assert(backend != nullptr);
     if (cluster_->config().spatial.enabled && binding->spec.slice_groups > 0) {
       // Pin the container's kernels and memory to its MIG-style slice

@@ -146,7 +146,7 @@ TEST(FaultInjector, DaemonRestartReattachesFrontends) {
   k8s::Cluster cluster(ccfg);
   ASSERT_TRUE(cluster.Start().ok());
 
-  vgpu::TokenBackendApi& backend = *cluster.node(0).token_backend;
+  vgpu::TokenBackend& backend = *cluster.node(0).token_backend;
   ReattachClient client;
   vgpu::ResourceSpec spec;
   spec.gpu_request = 0.5;

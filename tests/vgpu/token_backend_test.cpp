@@ -312,5 +312,36 @@ TEST_F(TokenBackendTest, GrantsCounterAdvances) {
   EXPECT_EQ(backend_->grants(), static_cast<std::uint64_t>(clients_[0]->grants));
 }
 
+// Regression: unregistering the last queued container between a reeval's
+// scheduling and its fire must cancel the pending timer, not leave it
+// dangling. A limit-throttled lone requester is exactly that state: the
+// token is free, the queue holds one filtered container, the reeval timer
+// is armed.
+TEST(DanglingReevalRegression, CancelsReevalOnLastUnregister) {
+  sim::Simulation sim;
+  TokenBackend backend(&sim);
+  const GpuUuid gpu("GPU-RV");
+  backend.RegisterDevice(gpu);
+  ResourceSpec spec;
+  spec.gpu_request = 0.005;
+  spec.gpu_limit = 0.005;  // one 100 ms hold in a 10 s window exceeds this
+  FakeClient client(&sim, &backend, ContainerId("rv"));
+  ASSERT_TRUE(
+      backend.RegisterContainer(ContainerId("rv"), gpu, spec, &client).ok());
+  ASSERT_TRUE(backend.RequestToken(ContainerId("rv")).ok());
+  // The first hold runs a full quota, pushing usage past the limit; the
+  // greedy re-request then parks in the queue behind the reeval timer.
+  sim.RunUntil(Millis(300));
+  ASSERT_EQ(backend.QueueLength(gpu), 1u);
+  ASSERT_FALSE(backend.HolderOf(gpu).has_value());
+  ASSERT_EQ(backend.pending_timers(), 1u);  // the armed reeval
+
+  ASSERT_TRUE(backend.UnregisterContainer(ContainerId("rv")).ok());
+  EXPECT_EQ(backend.QueueLength(gpu), 0u);
+  EXPECT_EQ(backend.pending_timers(), 0u)
+      << "reeval timer left dangling after the last waiter unregistered";
+  EXPECT_EQ(sim.pending(), 0u);  // the engine holds nothing for the daemon
+}
+
 }  // namespace
 }  // namespace ks::vgpu

@@ -8,7 +8,6 @@
 #include "gpu/device.hpp"
 #include "vgpu/frontend_hook.hpp"
 #include "vgpu/token_backend.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace ks::vgpu {
 namespace {
@@ -20,7 +19,7 @@ namespace {
 class BurstyClient {
  public:
   BurstyClient(sim::Simulation* sim, gpu::GpuDevice* dev,
-               TokenBackendApi* backend, std::string name, ResourceSpec spec,
+               TokenBackend* backend, std::string name, ResourceSpec spec,
                Rng* rng)
       : sim_(sim),
         name_(std::move(name)),
@@ -75,30 +74,17 @@ class BurstyClient {
   int completed_ = 0;
 };
 
-struct ChurnParam {
-  std::uint64_t seed;
-  /// Both timer implementations must satisfy the churn properties: the
-  /// wheel (default) and the one-event-per-deadline reference oracle.
-  TokenTimerMode mode = TokenTimerMode::kWheel;
-};
-
-class TokenChurnProperty : public ::testing::TestWithParam<ChurnParam> {};
+class TokenChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 /// Property: under random client churn (bursty arrivals, random
 /// registrations and teardowns) the backend keeps making progress, the
 /// token never sits with an unregistered client, and the queue drains
 /// when clients leave.
 TEST_P(TokenChurnProperty, SurvivesRandomChurn) {
-  Rng rng(GetParam().seed);
+  Rng rng(GetParam());
   sim::Simulation sim;
   gpu::GpuDevice dev(&sim, GpuUuid("GPU-C"));
-  std::unique_ptr<TokenBackendApi> backend_ptr;
-  if (GetParam().mode == TokenTimerMode::kWheel) {
-    backend_ptr = std::make_unique<TokenBackend>(&sim);
-  } else {
-    backend_ptr = std::make_unique<TokenBackendReference>(&sim);
-  }
-  TokenBackendApi& backend = *backend_ptr;
+  TokenBackend backend(&sim);
 
   std::vector<std::unique_ptr<BurstyClient>> clients;
   int next_id = 0;
@@ -146,24 +132,11 @@ TEST_P(TokenChurnProperty, SurvivesRandomChurn) {
   EXPECT_EQ(backend.QueueLength(dev.uuid()), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, TokenChurnProperty,
-    ::testing::Values(
-        ChurnParam{7, TokenTimerMode::kWheel},
-        ChurnParam{77, TokenTimerMode::kWheel},
-        ChurnParam{777, TokenTimerMode::kWheel},
-        ChurnParam{7777, TokenTimerMode::kWheel},
-        ChurnParam{77777, TokenTimerMode::kWheel},
-        ChurnParam{7, TokenTimerMode::kReference},
-        ChurnParam{77, TokenTimerMode::kReference},
-        ChurnParam{777, TokenTimerMode::kReference},
-        ChurnParam{7777, TokenTimerMode::kReference},
-        ChurnParam{77777, TokenTimerMode::kReference}),
-    [](const ::testing::TestParamInfo<ChurnParam>& i) {
-      return std::string(i.param.mode == TokenTimerMode::kWheel ? "wheel"
-                                                                : "reference") +
-             "_seed" + std::to_string(i.param.seed);
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, TokenChurnProperty,
+                         ::testing::Values(7, 77, 777, 7777, 77777),
+                         [](const ::testing::TestParamInfo<std::uint64_t>& i) {
+                           return "seed" + std::to_string(i.param);
+                         });
 
 }  // namespace
 }  // namespace ks::vgpu

@@ -1,0 +1,504 @@
+// Golden-trace pins for the per-node token daemon.
+//
+// The recorded traces in tests/golden/token_daemon.golden come from the
+// daemon's two retired implementations, and it must keep reproducing them
+// byte for byte:
+//   - seeded churn plans (registrations, unregistrations, spec resizes and
+//     daemon restarts) replayed against a lone daemon — grant trace,
+//     sliding-window usage probes, final per-container stats, grant count
+//     and, from the one-event-per-deadline oracle, the engine-event count;
+//     the slice-claim and enforcement variants the oracle lacked come from
+//     the timer-wheel daemon at an exact 1 us tick;
+//   - whole-cluster KubeShare runs (inference, training, across a
+//     token-daemon restart and a DevMgr crash) from the oracle — kernel,
+//     NVML and token traces plus completions and engine-event count.
+// Each trace is stored as its line count and FNV-1a digest. After an
+// intentional behaviour change, re-record by running the test binary
+// directly with KS_UPDATE_GOLDEN=1 and review the diff of the golden file.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "chaos/fault_plan.hpp"
+#include "chaos/injector.hpp"
+#include "common/rng.hpp"
+#include "gpu/nvml.hpp"
+#include "k8s/cluster.hpp"
+#include "kubeshare/kubeshare.hpp"
+#include "sim/simulation.hpp"
+#include "vgpu/token_backend.hpp"
+#include "workload/generator.hpp"
+#include "workload/host.hpp"
+
+namespace ks::vgpu {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Golden file: one "key summary" line per pinned run.
+
+constexpr const char* kGoldenHeader =
+    "# Token-daemon golden traces: <run> <line counts + FNV-1a digests>.\n"
+    "# churn/seed* and cluster/* were recorded from the one-event-per-\n"
+    "# deadline daemon, churn/sliced_* and churn/enforced_* from the\n"
+    "# timer-wheel daemon at an exact 1 us tick; see\n"
+    "# tests/vgpu/token_golden_test.cpp for how each run is built.\n";
+
+std::string GoldenPath() {
+  return std::string(KS_SOURCE_DIR) + "/tests/golden/token_daemon.golden";
+}
+
+std::map<std::string, std::string> LoadGolden() {
+  std::map<std::string, std::string> golden;
+  std::ifstream in(GoldenPath());
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.find(' ');
+    if (space == std::string::npos) continue;
+    golden[line.substr(0, space)] = line.substr(space + 1);
+  }
+  return golden;
+}
+
+void ExpectGolden(const std::string& key, const std::string& actual) {
+  std::map<std::string, std::string> golden = LoadGolden();
+  if (std::getenv("KS_UPDATE_GOLDEN") != nullptr) {
+    golden[key] = actual;
+    std::ofstream out(GoldenPath());
+    out << kGoldenHeader;
+    for (const auto& [k, v] : golden) out << k << " " << v << "\n";
+    return;
+  }
+  const auto it = golden.find(key);
+  ASSERT_NE(it, golden.end()) << "no golden entry for " << key;
+  EXPECT_EQ(it->second, actual) << key;
+}
+
+/// Line count plus FNV-1a 64 over the lines (each newline-terminated).
+class TraceDigest {
+ public:
+  void Add(const std::string& line) {
+    for (const char c : line) Mix(static_cast<unsigned char>(c));
+    Mix('\n');
+    ++lines_;
+  }
+  std::string str() const {
+    std::ostringstream out;
+    out << lines_ << ":" << std::hex << hash_;
+    return out.str();
+  }
+
+ private:
+  void Mix(unsigned char c) {
+    hash_ ^= c;
+    hash_ *= 1099511628211ull;
+  }
+  std::uint64_t hash_ = 14695981039346656037ull;
+  std::uint64_t lines_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Churn plan against a lone daemon.
+
+/// kTemporal is the paper's daemon; the other two turn on the features
+/// the one-event-per-deadline oracle never had: slice claims with spatial
+/// sharing, and isolation enforcement with tenants that overstay.
+enum class Variant { kTemporal, kSliced, kEnforced };
+
+struct ChurnOp {
+  enum Kind { kRegister, kUnregister, kUpdateSpec, kRestart };
+  Time at{0};
+  Kind kind = kRegister;
+  std::string name;       // container (empty for kRestart)
+  ResourceSpec spec;      // for kRegister / kUpdateSpec
+  bool stubborn = false;  // kRegister under kEnforced: overstays expiries
+};
+
+struct ChurnPlan {
+  std::vector<ChurnOp> ops;
+  Time horizon{0};
+};
+
+ResourceSpec RandomSpec(Rng& rng, Variant variant) {
+  ResourceSpec spec;
+  spec.gpu_request = rng.Uniform(0.05, 0.3);
+  spec.gpu_limit = std::min(1.0, spec.gpu_request + rng.Uniform(0.05, 0.5));
+  if (variant == Variant::kSliced) {
+    spec.slice_groups = static_cast<int>(rng.UniformInt(0, 4));
+  }
+  return spec;
+}
+
+ChurnPlan MakePlan(std::uint64_t seed, Variant variant) {
+  Rng rng(seed);
+  ChurnPlan plan;
+  std::vector<std::string> live;
+  int next_id = 0;
+  Time t = Millis(1);
+  const int ops = static_cast<int>(rng.UniformInt(30, 50));
+  for (int i = 0; i < ops; ++i) {
+    t = t + Millis(rng.UniformInt(1, 80));
+    ChurnOp op;
+    op.at = t;
+    const double roll = rng.Uniform(0.0, 1.0);
+    if (live.size() < 2 || (live.size() < 7 && roll < 0.45)) {
+      op.kind = ChurnOp::kRegister;
+      op.name = "c" + std::to_string(next_id++);
+      op.spec = RandomSpec(rng, variant);
+      op.stubborn = variant == Variant::kEnforced && rng.Chance(0.4);
+      live.push_back(op.name);
+    } else if (roll < 0.65) {
+      op.kind = ChurnOp::kUnregister;
+      const auto idx = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      op.name = live[idx];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (roll < 0.9) {
+      op.kind = ChurnOp::kUpdateSpec;
+      const auto idx = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      op.name = live[idx];
+      op.spec = RandomSpec(rng, variant);
+    } else {
+      op.kind = ChurnOp::kRestart;
+    }
+    plan.ops.push_back(op);
+  }
+  plan.horizon = t + Seconds(1.5);
+  return plan;
+}
+
+/// Greedy client: always wants the token. A polite one releases the
+/// moment its quota expires and never originates its own timing, so the
+/// run's timeline is a pure function of plan + daemon. A stubborn one
+/// holds on past the overstay fence (at an odd microsecond offset, so its
+/// release never ties with a daemon deadline).
+class GreedyClient : public TokenClient {
+ public:
+  GreedyClient(sim::Simulation* sim, TokenBackend* backend, ContainerId id,
+               bool stubborn, TraceDigest* trace)
+      : sim_(sim),
+        backend_(backend),
+        id_(std::move(id)),
+        stubborn_(stubborn),
+        trace_(trace) {}
+
+  void OnTokenGranted(Time expiry) override {
+    trace_->Add("grant " + id_.value() + " exp=" +
+                std::to_string(expiry.count()));
+  }
+  void OnTokenExpired() override {
+    if (!stubborn_) {
+      ReleaseAndRequest();
+      return;
+    }
+    sim_->ScheduleAfter(Millis(60) + Micros(7), [this] {
+      if (live_) ReleaseAndRequest();
+    });
+  }
+  void OnBackendRestart() override {
+    if (live_) (void)backend_->RequestToken(id_);
+  }
+  void MarkDead() { live_ = false; }
+
+ private:
+  void ReleaseAndRequest() {
+    (void)backend_->ReleaseToken(id_);
+    if (live_) (void)backend_->RequestToken(id_);
+  }
+
+  sim::Simulation* sim_;
+  TokenBackend* backend_;
+  ContainerId id_;
+  bool stubborn_;
+  TraceDigest* trace_;
+  bool live_ = true;
+};
+
+std::string RunChurnPlan(const ChurnPlan& plan, Variant variant) {
+  sim::Simulation sim;
+  BackendConfig cfg;
+  cfg.spatial_enabled = variant == Variant::kSliced;
+  cfg.enforcement.enabled = variant == Variant::kEnforced;
+  auto backend = std::make_unique<TokenBackend>(&sim, cfg);
+  const GpuUuid gpu("GPU-EQ");
+  backend->RegisterDevice(gpu);
+
+  TraceDigest trace;
+  if (variant != Variant::kTemporal) {
+    // The feature runs also fold in the daemon's own transitions
+    // (concurrent holds, fences).
+    backend->SetGrantTraceFn(
+        [&](const char* what, const ContainerId& c, Time when) {
+          trace.Add(std::string(what) + " " + c.value() + " " +
+                    std::to_string(when.count()));
+        });
+  }
+  std::uint64_t violations = 0;
+  std::map<std::string, std::pair<std::unique_ptr<GreedyClient>, ResourceSpec>>
+      registered;  // name-sorted: probe order is deterministic
+  // Unregistered clients stay alive: a stubborn one may still have its
+  // delayed release pending.
+  std::vector<std::unique_ptr<GreedyClient>> retired;
+
+  // Driver ops and probes are pre-scheduled, so they carry the lowest
+  // insertion seqs and fire ahead of any same-instant daemon event.
+  for (const ChurnOp& op : plan.ops) {
+    sim.ScheduleAt(op.at, [&, op] {
+      const ContainerId id(op.name);
+      switch (op.kind) {
+        case ChurnOp::kRegister: {
+          auto client = std::make_unique<GreedyClient>(
+              &sim, backend.get(), id, op.stubborn, &trace);
+          const Status st =
+              backend->RegisterContainer(id, gpu, op.spec, client.get());
+          trace.Add("register " + op.name + " " + st.ToString());
+          if (st.ok()) {
+            (void)backend->RequestToken(id);
+            registered[op.name] = {std::move(client), op.spec};
+          }
+          break;
+        }
+        case ChurnOp::kUnregister: {
+          auto it = registered.find(op.name);
+          if (it == registered.end()) break;
+          it->second.first->MarkDead();
+          trace.Add("unregister " + op.name + " " +
+                    backend->UnregisterContainer(id).ToString());
+          retired.push_back(std::move(it->second.first));
+          registered.erase(it);
+          break;
+        }
+        case ChurnOp::kUpdateSpec: {
+          auto it = registered.find(op.name);
+          if (it == registered.end()) break;
+          const Status st = backend->UpdateSpec(id, op.spec);
+          trace.Add("resize " + op.name + " " + st.ToString());
+          if (st.ok()) it->second.second = op.spec;
+          break;
+        }
+        case ChurnOp::kRestart:
+          backend->Restart();
+          trace.Add("restart");
+          // The come-back deadline is armed inside Restart() itself.
+          EXPECT_GT(backend->pending_timers(), 0u);
+          break;
+      }
+    });
+  }
+  for (Time probe = Millis(100); probe <= plan.horizon;
+       probe = probe + Millis(100)) {
+    sim.ScheduleAt(probe, [&] {
+      for (const auto& [name, entry] : registered) {
+        const double usage = backend->UsageOf(ContainerId(name));
+        std::ostringstream line;
+        line << "probe t=" << sim.Now().count() << " " << name
+             << " usage=" << usage;
+        trace.Add(line.str());
+        if (usage > entry.second.gpu_limit + 1e-9) ++violations;
+      }
+    });
+  }
+
+  sim.RunUntil(plan.horizon);
+  for (const auto& [name, entry] : registered) {
+    const auto stats = backend->StatsOf(ContainerId(name));
+    trace.Add("final " + name + " grants=" + std::to_string(stats.grants) +
+              " held=" + std::to_string(stats.held_total.count()) +
+              " overrun=" + std::to_string(stats.overrun_total.count()));
+  }
+  std::ostringstream out;
+  out << "trace=" << trace.str() << " grants=" << backend->grants()
+      << " violations=" << violations;
+  if (variant == Variant::kTemporal) {
+    out << " events=" << sim.lifetime_events();
+  } else {
+    // Recorded from a daemon that batched same-instant deadlines into one
+    // engine event, so only its trace and counters carry over.
+    out << " peak_holders=" << backend->peak_active_holders()
+        << " ledger=" << backend->violations_total() << "/"
+        << backend->clampdowns_total() << "/" << backend->evictions_total();
+  }
+  return out.str();
+}
+
+class TokenGolden : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TokenGolden, ChurnPlanMatchesRecordedTrace) {
+  ExpectGolden("churn/seed" + std::to_string(GetParam()),
+               RunChurnPlan(MakePlan(GetParam(), Variant::kTemporal),
+                            Variant::kTemporal));
+}
+
+std::vector<std::uint64_t> ChurnSeeds() {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t s = 1; s <= 24; ++s) seeds.push_back(s * 1033 + 7);
+  return seeds;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TokenGolden, ::testing::ValuesIn(ChurnSeeds()),
+                         [](const ::testing::TestParamInfo<std::uint64_t>& i) {
+                           return "seed" + std::to_string(i.param);
+                         });
+
+class TokenFeatureGolden
+    : public ::testing::TestWithParam<std::pair<Variant, std::uint64_t>> {};
+
+std::string FeatureKey(const std::pair<Variant, std::uint64_t>& param) {
+  return std::string(param.first == Variant::kSliced ? "sliced" : "enforced") +
+         "_seed" + std::to_string(param.second);
+}
+
+TEST_P(TokenFeatureGolden, ChurnPlanMatchesRecordedTrace) {
+  const auto [variant, seed] = GetParam();
+  ExpectGolden("churn/" + FeatureKey(GetParam()),
+               RunChurnPlan(MakePlan(seed, variant), variant));
+}
+
+std::vector<std::pair<Variant, std::uint64_t>> FeatureParams() {
+  std::vector<std::pair<Variant, std::uint64_t>> params;
+  for (const Variant v : {Variant::kSliced, Variant::kEnforced}) {
+    for (std::uint64_t s = 1; s <= 8; ++s) params.push_back({v, s * 1033 + 7});
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TokenFeatureGolden, ::testing::ValuesIn(FeatureParams()),
+    [](const ::testing::TestParamInfo<std::pair<Variant, std::uint64_t>>& i) {
+      return FeatureKey(i.param);
+    });
+
+// ---------------------------------------------------------------------------
+// Whole-cluster KubeShare runs.
+
+enum class FaultChoice { kNone, kTokenDaemonRestart, kDevMgrCrash };
+
+struct ClusterRun {
+  const char* key;
+  std::uint64_t seed;
+  workload::WorkloadConfig::JobKind kind;
+  FaultChoice fault;
+};
+
+std::string RunCluster(const ClusterRun& run) {
+  // Heap-owned collectors: trace callbacks keep firing during cluster
+  // teardown, so they must outlive the cluster scope.
+  auto kernels = std::make_unique<std::map<std::string, TraceDigest>>();
+  auto tokens = std::make_unique<std::map<std::string, TraceDigest>>();
+  TraceDigest nvml;
+  std::ostringstream out;
+  {
+    k8s::ClusterConfig ccfg;
+    ccfg.nodes = 3;
+    ccfg.gpus_per_node = 2;
+    k8s::Cluster cluster(ccfg);
+    for (std::size_t n = 0; n < cluster.node_count(); ++n) {
+      k8s::Cluster::NodeHandle& node = cluster.node(n);
+      for (auto& dev : node.gpus) {
+        TraceDigest* sink = &(*kernels)[dev->uuid().value()];
+        dev->SetKernelTraceFn([sink](const gpu::KernelTraceEvent& e) {
+          sink->Add(std::to_string(e.id) + " " + e.owner.value() + " " +
+                    e.name + " " + std::to_string(e.start.count()) + " " +
+                    std::to_string(e.finish.count()));
+        });
+      }
+      TraceDigest* sink = &(*tokens)[node.name];
+      node.token_backend->SetGrantTraceFn(
+          [sink](const char* what, const ContainerId& container, Time when) {
+            sink->Add(std::string(what) + " " + container.value() + " " +
+                      std::to_string(when.count()));
+          });
+    }
+
+    kubeshare::KubeShare kubeshare(&cluster);
+    workload::WorkloadHost host(&cluster);
+    workload::WorkloadConfig wcfg;
+    wcfg.total_jobs = 12;
+    wcfg.mean_interarrival = Seconds(1.0);
+    wcfg.demand_mean = 0.4;
+    wcfg.demand_stddev = 0.15;
+    wcfg.job_duration = Seconds(6);
+    wcfg.seed = run.seed;
+    wcfg.job_kind = run.kind;
+    workload::WorkloadDriver driver(&cluster, &host,
+                                    workload::WorkloadDriver::Mode::kKubeShare,
+                                    &kubeshare, wcfg);
+
+    chaos::FaultPlan plan;
+    if (run.fault != FaultChoice::kNone) {
+      chaos::Fault f;
+      f.at = Seconds(8);
+      if (run.fault == FaultChoice::kTokenDaemonRestart) {
+        f.kind = chaos::FaultKind::kTokenDaemonRestart;
+        f.node = "node-0";
+      } else {
+        f.kind = chaos::FaultKind::kDevMgrCrash;
+        f.duration = Seconds(2);
+      }
+      plan.faults.push_back(f);
+    }
+    chaos::FaultInjector injector(&cluster, plan);
+    injector.SetKubeShare(&kubeshare);
+
+    EXPECT_TRUE(cluster.Start().ok());
+    EXPECT_TRUE(kubeshare.Start().ok());
+    EXPECT_TRUE(injector.Arm().ok());
+    cluster.nvml().Start();
+    driver.Start();
+    cluster.sim().RunUntil(Seconds(35));
+    cluster.nvml().Stop();
+
+    for (std::size_t n = 0; n < cluster.node_count(); ++n) {
+      for (auto& dev : cluster.node(n).gpus) {
+        const GpuUuid& uuid = dev->uuid();
+        for (const gpu::NvmlSample& s : cluster.nvml().SamplesFor(uuid)) {
+          std::ostringstream line;
+          line << uuid.value() << " " << s.at.count() << " " << std::hexfloat
+               << s.gpu_util << " " << s.mem_used;
+          nvml.Add(line.str());
+        }
+      }
+    }
+    out << " completed=" << host.completed() << " failed=" << host.failed()
+        << " events=" << cluster.sim().lifetime_events();
+  }
+  // Devices and nodes fold in name order; each trace keeps its own order.
+  TraceDigest kernel_all;
+  for (const auto& [uuid, d] : *kernels) kernel_all.Add(uuid + " " + d.str());
+  TraceDigest token_all;
+  for (const auto& [node, d] : *tokens) token_all.Add(node + " " + d.str());
+  return "kernels=" + kernel_all.str() + " tokens=" + token_all.str() +
+         " nvml=" + nvml.str() + out.str();
+}
+
+TEST(TokenGolden, ClusterRunsMatchRecordedTraces) {
+  using Kind = workload::WorkloadConfig::JobKind;
+  const ClusterRun runs[] = {
+      {"inference-seed11", 11, Kind::kInference, FaultChoice::kNone},
+      {"inference-seed12", 12, Kind::kInference, FaultChoice::kNone},
+      {"inference-seed13", 13, Kind::kInference, FaultChoice::kNone},
+      {"training-seed21", 21, Kind::kTraining, FaultChoice::kNone},
+      {"training-seed22", 22, Kind::kTraining, FaultChoice::kNone},
+      {"daemon-restart-seed31", 31, Kind::kInference,
+       FaultChoice::kTokenDaemonRestart},
+      {"daemon-restart-seed32", 32, Kind::kInference,
+       FaultChoice::kTokenDaemonRestart},
+      {"devmgr-crash-seed41", 41, Kind::kTraining, FaultChoice::kDevMgrCrash},
+  };
+  for (const ClusterRun& run : runs) {
+    ExpectGolden(std::string("cluster/") + run.key, RunCluster(run));
+  }
+}
+
+}  // namespace
+}  // namespace ks::vgpu
