@@ -328,28 +328,22 @@ TokenClusterResult TokenClusterScenario() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-heavy cluster scenario: how many engine events a full KubeShare
-// workload costs under each device execution engine. Training jobs issue
-// their steps as one back-to-back kernel stream each, so the per-kernel
-// reference engine pays one event per step while the fused engine retires a
-// token-interval's worth of identical steps per event. Token renewals,
-// sampling and the control plane are identical across modes, so the event
-// delta is purely the device engine's.
+// Kernel-heavy cluster scenario: how many engine events and how much wall
+// time a full KubeShare training workload costs. Training jobs issue their
+// steps as one back-to-back kernel stream each, and the device retires
+// every step on its own engine event.
 
 struct KernelClusterResult {
-  std::string mode;
   std::uint64_t total_events = 0;
   std::size_t completed = 0;
   double wall_s = 0.0;
 };
 
-KernelClusterResult KernelClusterScenario(const std::string& mode_name,
-                                          ks::gpu::GpuExecMode exec) {
+KernelClusterResult KernelClusterScenario() {
   using namespace ks;
   bench::RunOptions opt;
   opt.cluster.nodes = 4;
   opt.cluster.gpus_per_node = 2;
-  opt.cluster.exec = exec;
   opt.workload.total_jobs = 32;
   opt.workload.mean_interarrival = Seconds(0.5);
   opt.workload.demand_mean = 0.5;
@@ -363,7 +357,6 @@ KernelClusterResult KernelClusterScenario(const std::string& mode_name,
   const double t0 = NowSec();
   const bench::RunResult r = bench::RunWorkload(opt);
   KernelClusterResult result;
-  result.mode = mode_name;
   result.total_events = r.total_events;
   result.completed = r.completed;
   result.wall_s = NowSec() - t0;
@@ -448,35 +441,19 @@ int main() {
                       Cell(token.events_per_sec / 1e6, 2)});
   token_table.Print(std::cout);
 
-  // Kernel-heavy cluster scenario: scheduled-event counts per device
-  // execution engine on a full KubeShare training workload.
+  // Kernel-heavy cluster scenario: scheduled events and wall time of a
+  // full KubeShare training workload.
   std::printf(
       "\nKernel-cluster scenario: 8 GPUs, 32 training jobs issuing their "
       "steps as\nback-to-back 5 ms kernel streams. 'total events' counts "
-      "every event the\nwhole run scheduled; the fused engine retires a "
-      "token-interval of identical\nsteps per event, the reference engine "
-      "pays one event per step.\n\n");
-  std::vector<KernelClusterResult> kernel_rows;
-  kernel_rows.push_back(
-      KernelClusterScenario("reference", gpu::GpuExecMode::kReference));
-  kernel_rows.push_back(
-      KernelClusterScenario("fused", gpu::GpuExecMode::kFused));
-  const double kernel_ref_events =
-      static_cast<double>(kernel_rows.front().total_events);
-  Table kernel_table(
-      {"device engine", "total events", "completed", "reduction", "wall (s)"});
-  for (const KernelClusterResult& r : kernel_rows) {
-    kernel_table.AddRow(
-        {r.mode, Cell(static_cast<std::int64_t>(r.total_events)),
-         Cell(static_cast<std::int64_t>(r.completed)),
-         Cell(kernel_ref_events / static_cast<double>(r.total_events), 2),
-         Cell(r.wall_s, 2)});
-  }
+      "every event the\nwhole run scheduled; the device retires each step "
+      "on its own event.\n\n");
+  const KernelClusterResult kernel = KernelClusterScenario();
+  Table kernel_table({"total events", "completed", "wall (s)"});
+  kernel_table.AddRow({Cell(static_cast<std::int64_t>(kernel.total_events)),
+                       Cell(static_cast<std::int64_t>(kernel.completed)),
+                       Cell(kernel.wall_s, 2)});
   kernel_table.Print(std::cout);
-  std::printf(
-      "\nThe differential suite (ctest -L differential) pins both engines "
-      "to\nbyte-equal kernel, NVML and token traces on runs like this one; "
-      "the\nreduction is the event economy that equivalence buys.\n");
 
   JsonValue report = bench::MakeReport("engine");
   for (const PatternResult& r : results) {
@@ -504,16 +481,12 @@ int main() {
   token_row.Set("grants", token.grants);
   token_row.Set("events_per_sec", token.events_per_sec);
   bench::AddRow(report, std::move(token_row));
-  for (const KernelClusterResult& r : kernel_rows) {
-    JsonValue row = JsonValue::Object();
-    row.Set("pattern", "kernel-cluster");
-    row.Set("engine", r.mode);
-    row.Set("total_events", r.total_events);
-    row.Set("completed", r.completed);
-    row.Set("events_reduction_vs_reference",
-            kernel_ref_events / static_cast<double>(r.total_events));
-    bench::AddRow(report, std::move(row));
-  }
+  JsonValue kernel_row = JsonValue::Object();
+  kernel_row.Set("pattern", "kernel-cluster");
+  kernel_row.Set("engine", "current");
+  kernel_row.Set("total_events", kernel.total_events);
+  kernel_row.Set("completed", kernel.completed);
+  bench::AddRow(report, std::move(kernel_row));
   const std::string path = bench::WriteReport(report);
   std::printf("\nwrote %s\n", path.c_str());
   return 0;

@@ -23,17 +23,11 @@ struct TimelineResult {
   std::uint64_t total_events = 0;
 };
 
-TimelineResult RunTimeline(bool use_kubeshare,
-                           ks::gpu::GpuExecMode exec =
-                               ks::gpu::GpuExecMode::kFused,
-                           ks::workload::WorkloadConfig::JobKind kind =
-                               ks::workload::WorkloadConfig::JobKind::
-                                   kInference) {
+TimelineResult RunTimeline(bool use_kubeshare) {
   using namespace ks;
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.gpus_per_node = 4;
-  ccfg.exec = exec;
   k8s::Cluster cluster(ccfg);
   std::unique_ptr<kubeshare::KubeShare> kubeshare;
   if (use_kubeshare) {
@@ -47,7 +41,6 @@ TimelineResult RunTimeline(bool use_kubeshare,
   wcfg.demand_stddev = 0.14;  // the paper's "variance 2" demand spread
   wcfg.gpu_mem = 0.2;
   wcfg.seed = 77;
-  wcfg.job_kind = kind;
   workload::WorkloadDriver driver(
       &cluster, &host,
       use_kubeshare ? workload::WorkloadDriver::Mode::kKubeShare
@@ -133,52 +126,16 @@ int main() {
                "Kubernetes holds all 32 GPUs at low\nutilization for "
                "longer.\n";
 
-  // Device-engine comparison: the same KubeShare timeline on the per-kernel
-  // reference device, and the kernel-heavy variant (the same jobs issuing
-  // their request volume as back-to-back training streams) on both engines.
-  // The differential suite pins the traces byte-equal; this records what
-  // the fused engine's event economy is worth on a full workload.
-  TimelineResult kshare_devref =
-      RunTimeline(true, gpu::GpuExecMode::kReference);
-  TimelineResult train_fused =
-      RunTimeline(true, gpu::GpuExecMode::kFused,
-                  workload::WorkloadConfig::JobKind::kTraining);
-  TimelineResult train_devref =
-      RunTimeline(true, gpu::GpuExecMode::kReference,
-                  workload::WorkloadConfig::JobKind::kTraining);
-  std::cout << "\nDevice-engine events (inference workload): "
-            << kshare_devref.total_events << " per-kernel reference, "
-            << kshare.total_events << " fused ("
-            << Cell(static_cast<double>(kshare_devref.total_events) /
-                        static_cast<double>(kshare.total_events),
-                    2)
-            << "x).\nDevice-engine events (training workload): "
-            << train_devref.total_events << " per-kernel reference, "
-            << train_fused.total_events << " fused ("
-            << Cell(static_cast<double>(train_devref.total_events) /
-                        static_cast<double>(train_fused.total_events),
-                    2)
-            << "x reduction on the kernel-heavy case).\n";
-
   JsonValue report = bench::MakeReport("fig9");
   struct NamedResult {
     const char* system;
-    const char* exec;
-    const char* workload;
     const TimelineResult* r;
   };
-  const NamedResult named[] = {
-      {"native", "fused", "inference", &k8s},
-      {"kubeshare", "fused", "inference", &kshare},
-      {"kubeshare", "reference", "inference", &kshare_devref},
-      {"kubeshare", "fused", "training", &train_fused},
-      {"kubeshare", "reference", "training", &train_devref},
-  };
+  const NamedResult named[] = {{"native", &k8s}, {"kubeshare", &kshare}};
   for (const NamedResult& n : named) {
     JsonValue row = JsonValue::Object();
     row.Set("system", n.system);
-    row.Set("exec", n.exec);
-    row.Set("workload", n.workload);
+    row.Set("workload", "inference");
     row.Set("completed", n.r->completed);
     row.Set("makespan_s", n.r->makespan_s);
     row.Set("total_events", n.r->total_events);

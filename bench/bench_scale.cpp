@@ -141,10 +141,10 @@ int main() {
             static_cast<std::int64_t>(r.snapshot_refreshes));
     row.Set("watch_deliveries",
             static_cast<std::int64_t>(r.watch_deliveries));
-    row.Set("watch_fanout_events",
-            static_cast<std::int64_t>(r.watch_fanout_events));
-    row.Set("watch_fanout_unbatched",
-            static_cast<std::int64_t>(r.watch_fanout_unbatched));
+    row.Set("watch_batched_events",
+            static_cast<std::int64_t>(r.watch_batched_events));
+    row.Set("watch_unbatched_events",
+            static_cast<std::int64_t>(r.watch_unbatched_events));
     row.Set("windows", static_cast<std::int64_t>(r.windows));
     row.Set("cross_shard_sends",
             static_cast<std::int64_t>(r.cross_shard_sends));
@@ -163,7 +163,7 @@ int main() {
                   std::to_string(static_cast<long long>(r.events_per_sec)),
                   buf, std::to_string(r.engine_events),
                   ks::Cell(r.sched_p99_ms, 3),
-                  std::to_string(r.watch_fanout_events)});
+                  std::to_string(r.watch_batched_events)});
   }
   table.Print(std::cout);
   const std::string path = ks::bench::WriteReport(report);

@@ -33,7 +33,7 @@ RunResult RunWorkload(const RunOptions& options) {
 
   // GPUs-held probe: vGPU pool size under KubeShare; GPU-consuming bound
   // pods under native Kubernetes. Rides the cluster's shared sampler tick
-  // (with the NVML poll) when one is configured; push mode otherwise.
+  // with the NVML poll.
   auto held_probe = [&]() -> double {
     if (kubeshare != nullptr) {
       return static_cast<double>(kubeshare->pool().size());
@@ -46,15 +46,9 @@ RunResult RunWorkload(const RunOptions& options) {
     }
     return held;
   };
-  std::unique_ptr<metrics::PeriodicSampler> gpus_held;
-  if (cluster.tick_hub() != nullptr) {
-    gpus_held = std::make_unique<metrics::PeriodicSampler>(
-        cluster.tick_hub(), Seconds(1), held_probe);
-  } else {
-    gpus_held = std::make_unique<metrics::PeriodicSampler>(
-        &cluster.sim(), Seconds(1), held_probe);
-  }
-  gpus_held->Start();
+  metrics::PeriodicSampler gpus_held(cluster.tick_hub(), Seconds(1),
+                                     held_probe);
+  gpus_held.Start();
   cluster.nvml().Start();
 
   if (options.on_start) options.on_start(cluster, kubeshare.get());
@@ -66,7 +60,7 @@ RunResult RunWorkload(const RunOptions& options) {
   while (!driver.AllDone() && cluster.sim().Now() < deadline) {
     cluster.sim().RunUntil(cluster.sim().Now() + slice);
   }
-  gpus_held->Stop();
+  gpus_held.Stop();
   cluster.nvml().Stop();
 
   RunResult result;
@@ -74,8 +68,8 @@ RunResult RunWorkload(const RunOptions& options) {
   result.failed = host.failed();
   result.makespan = driver.Makespan();
   result.jobs_per_minute = driver.JobsPerMinute();
-  result.mean_gpus_held = gpus_held->MeanValue();
-  result.peak_gpus_held = gpus_held->MaxValue();
+  result.mean_gpus_held = gpus_held.MeanValue();
+  result.peak_gpus_held = gpus_held.MaxValue();
   result.recovery = metrics::CollectRecoveryMetrics(cluster, kubeshare.get());
   result.job_restarts = host.restarts();
   result.total_events = cluster.sim().lifetime_events();

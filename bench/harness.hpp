@@ -47,9 +47,9 @@ struct RunResult {
   /// Jobs whose container was relaunched after an infrastructure kill.
   std::size_t job_restarts = 0;
   /// Engine events scheduled over the whole run (Simulation::
-  /// lifetime_events()) — the quantity the fused device engine and the
-  /// shared sampler tick exist to shrink. Deterministic for a given
-  /// configuration, so reports can compare it across engine modes.
+  /// lifetime_events()) — the quantity the shared sampler tick exists to
+  /// shrink. Deterministic for a given configuration, so reports can
+  /// compare it across runs.
   std::uint64_t total_events = 0;
 };
 

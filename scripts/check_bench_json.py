@@ -16,10 +16,9 @@ Checks, per file:
     tooling can treat the rows as a table;
   * studies whose rows come from full cluster runs (study_chaos,
     ablation_placement, fig9) report a positive integer "total_events"
-    in every row, so event-count regressions across engine modes stay
-    visible in the archived reports;
-  * fig9 rows carry non-empty "exec" and "workload" discriminators (the
-    device-engine comparison must stay in the archived report);
+    in every row, so event-count regressions stay visible in the
+    archived reports;
+  * fig9 rows carry a non-empty "workload" discriminator;
   * spatial rows carry a non-empty "mix" and a "mode" of "temporal" or
     "spatial", plus finite non-negative "goodput", "goodput_gain" and
     "fragmentation_ratio" (in [0, 1]) and a non-negative integer
@@ -27,8 +26,8 @@ Checks, per file:
     the study's reason to exist and must not silently drop out;
   * the engine study's cluster-scenario rows ("pattern" of
     "token-cluster" or "kernel-cluster") report a positive integer
-    "total_events", so the per-mode event counts the fused device
-    engine is benchmarked on cannot silently vanish;
+    "total_events", so the whole-cluster event counts cannot silently
+    vanish;
   * isolation rows carry a "mode" of baseline|unenforced|enforced, a
     non-empty "tenant", a boolean "hostile", finite non-negative "usage"
     and "ratio_vs_baseline", and non-negative integer enforcement
@@ -284,14 +283,13 @@ def check_file(path):
                     f"integer: {events!r}",
                 )
         if study == "fig9":
-            for field in ("exec", "workload"):
-                value = row.get(field)
-                if not isinstance(value, str) or not value:
-                    ok = fail(
-                        path,
-                        f"row {i} {field!r} missing or not a non-empty "
-                        f"string: {value!r}",
-                    )
+            value = row.get("workload")
+            if not isinstance(value, str) or not value:
+                ok = fail(
+                    path,
+                    f"row {i} \"workload\" missing or not a non-empty "
+                    f"string: {value!r}",
+                )
         if study == "spatial":
             mix = row.get("mix")
             if not isinstance(mix, str) or not mix:

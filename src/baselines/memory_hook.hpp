@@ -58,26 +58,15 @@ class MemoryOnlyHook final : public cuda::CudaApi {
   cuda::CudaResult StreamDestroy(cuda::StreamId stream) override {
     return inner_->StreamDestroy(stream);
   }
-  cuda::CudaResult LaunchKernel(const gpu::KernelDesc& desc,
-                                cuda::StreamId stream,
-                                cuda::HostFn on_complete) override {
-    // No token, no throttling: the Aliyun baseline cannot bound compute.
-    return inner_->LaunchKernel(desc, stream, std::move(on_complete));
-  }
   cuda::CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
                                       cuda::StreamId stream,
-                                      gpu::UnitDoneFn on_unit) override {
+                                      cuda::HostFn on_unit) override {
+    // No token, no throttling: the Aliyun baseline cannot bound compute.
     return inner_->LaunchKernelStream(desc, count, stream,
                                       std::move(on_unit));
   }
   std::size_t CancelPending(cuda::StreamId stream) override {
     return inner_->CancelPending(stream);
-  }
-  std::size_t RetiredUnits(cuda::StreamId stream) const override {
-    return inner_->RetiredUnits(stream);
-  }
-  Duration ExclusiveKernelTime(const gpu::KernelDesc& desc) const override {
-    return inner_->ExclusiveKernelTime(desc);
   }
   Time Now() const override { return inner_->Now(); }
   cuda::CudaResult Synchronize(cuda::HostFn fn) override {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "gpu/device.hpp"
 
@@ -72,36 +73,26 @@ class CudaApi {
   virtual CudaResult StreamDestroy(StreamId stream) = 0;
 
   // --- Execution (cuLaunchKernel / cuLaunchGrid) -------------------------
-  /// Launches a kernel on `stream`. Kernels on the same stream run in FIFO
-  /// order; kernels on distinct streams may overlap on the device.
-  /// `on_complete` fires when the kernel retires.
-  virtual CudaResult LaunchKernel(const gpu::KernelDesc& desc, StreamId stream,
-                                  HostFn on_complete) = 0;
-
-  /// Declares `count` identical kernels enqueued back to back on `stream`
-  /// (a steady kernel stream: train steps, fixed-cost inference requests).
-  /// `on_unit` fires once per unit in FIFO order with the unit's exact
-  /// finish time; delivery may be batched in arrears onto a single engine
-  /// event (the fused-stream fast path), so callbacks must use the
-  /// `finish` argument rather than the current simulation time. Semantics
-  /// are otherwise identical to `count` LaunchKernel calls.
+  /// Enqueues `count` identical kernels back to back on `stream` (a steady
+  /// kernel stream: train steps) as one counted queue entry. Kernels on the
+  /// same stream run in FIFO order; kernels on distinct streams may overlap
+  /// on the device. `on_unit` fires once per unit, in FIFO order, as each
+  /// unit retires.
   virtual CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
-                                        StreamId stream,
-                                        gpu::UnitDoneFn on_unit) = 0;
+                                        StreamId stream, HostFn on_unit) = 0;
+
+  /// Launches one kernel on `stream`: a one-unit LaunchKernelStream, so a
+  /// decorator intercepts both through LaunchKernelStream. `on_complete`
+  /// fires when the kernel retires.
+  CudaResult LaunchKernel(const gpu::KernelDesc& desc, StreamId stream,
+                          HostFn on_complete) {
+    return LaunchKernelStream(desc, 1, stream, std::move(on_complete));
+  }
 
   /// Cancels every not-yet-started kernel queued on `stream` (the in-flight
-  /// one always retires — kernels are non-preemptive). Units already due
-  /// under fusion are delivered first. Returns the number cancelled.
+  /// one always retires — kernels are non-preemptive). Returns the number
+  /// cancelled.
   virtual std::size_t CancelPending(StreamId stream) = 0;
-
-  /// Kernels launched on `stream` (either entry point) that have finished
-  /// by now, including due-but-undelivered fused units — the analytic
-  /// progress probe jobs poll mid-run.
-  virtual std::size_t RetiredUnits(StreamId stream) const = 0;
-
-  /// Exact wall time one instance of `desc` takes with the device to
-  /// itself. The vGPU frontend uses this to size token-interval batches.
-  virtual Duration ExclusiveKernelTime(const gpu::KernelDesc& desc) const = 0;
 
   /// Current simulation time, so jobs schedule against the same clock the
   /// device retires against.

@@ -50,11 +50,7 @@ CudaResult CudaContext::ArrayCreate(gpu::DevicePtr* out, std::uint64_t width,
 
 CudaResult CudaContext::MemPrefetch(std::uint64_t bytes, Duration duration,
                                     HostFn on_complete) {
-  gpu::UnitDoneFn done;
-  if (on_complete) {
-    done = [fn = std::move(on_complete)](Time) { fn(); };
-  }
-  device_->ChargeMigration(owner_, bytes, duration, std::move(done));
+  device_->ChargeMigration(owner_, bytes, duration, std::move(on_complete));
   return CudaResult::kSuccess;
 }
 
@@ -77,28 +73,23 @@ CudaResult CudaContext::StreamDestroy(StreamId stream) {
   return CudaResult::kSuccess;
 }
 
-CudaResult CudaContext::LaunchKernel(const gpu::KernelDesc& desc,
-                                     StreamId stream, HostFn on_complete) {
+CudaResult CudaContext::LaunchKernelStream(const gpu::KernelDesc& desc,
+                                           int count, StreamId stream,
+                                           HostFn on_unit) {
   auto it = streams_.find(stream);
   if (it == streams_.end()) return CudaResult::kErrorInvalidHandle;
-  if (desc.nominal_duration.count() <= 0) {
+  if (desc.nominal_duration.count() <= 0 || count <= 0) {
     return CudaResult::kErrorInvalidValue;
   }
-  ++pending_kernels_;
+  pending_kernels_ += static_cast<std::size_t>(count);
   Entry entry;
+  entry.count = count;
   entry.desc = desc;
-  entry.fn = std::move(on_complete);
+  entry.fn = std::move(on_unit);
   it->second.queue.push_back(std::move(entry));
   if (!it->second.in_flight) SubmitNext(stream);
   return CudaResult::kSuccess;
 }
-
-namespace {
-bool SameKernel(const gpu::KernelDesc& a, const gpu::KernelDesc& b) {
-  return a.nominal_duration == b.nominal_duration &&
-         a.bandwidth_demand == b.bandwidth_demand && a.name == b.name;
-}
-}  // namespace
 
 void CudaContext::SubmitNext(StreamId stream_id) {
   // Loops so a run of device-rejected (token-fenced) submits drains the
@@ -116,126 +107,40 @@ void CudaContext::SubmitNext(StreamId stream_id) {
       CompleteEvent(event);
     }
     if (stream.in_flight || stream.queue.empty()) return;
-    if (stream.queue.front().is_repeat) {
-      // Coalesce the head run of identical-desc repeat entries into one
-      // device-level repeat batch; `segs` remembers each entry's callback.
-      const gpu::KernelDesc desc = stream.queue.front().desc;
-      int total = 0;
-      stream.segs.clear();
-      stream.seg_idx = 0;
-      stream.seg_fired = 0;
-      while (!stream.queue.empty() && stream.queue.front().is_repeat &&
-             SameKernel(stream.queue.front().desc, desc)) {
-        Entry entry = std::move(stream.queue.front());
-        stream.queue.pop_front();
-        total += entry.count;
-        stream.segs.emplace_back(entry.count, std::move(entry.unit_fn));
-      }
-      stream.in_flight = true;
-      stream.batch_size = static_cast<std::size_t>(total);
-      stream.batch_delivered = 0;
-      stream.batch = device_->SubmitRepeat(
-          owner_, desc, total,
-          [this, stream_id](Time finish) { OnUnitRetired(stream_id, finish); });
-      if (stream.batch == 0) {
-        // The device fenced the batch (expired/revoked token epoch): the
-        // units are dropped without callbacks, and the stream keeps
-        // draining so queued work behind the fence cannot wedge it.
-        stream.in_flight = false;
-        stream.batch_size = 0;
-        stream.segs.clear();
-        pending_kernels_ -= static_cast<std::size_t>(total);
-        MaybeFireSync();
-        continue;
-      }
-      return;
-    }
-    Entry entry = std::move(stream.queue.front());
-    stream.queue.pop_front();
-    stream.in_flight = true;
+    Entry& head = stream.queue.front();
     const gpu::KernelId id = device_->Submit(
-        owner_, entry.desc,
-        [this, stream_id, user_fn = std::move(entry.fn)]() mutable {
-          OnKernelRetired(stream_id, std::move(user_fn));
-        });
+        owner_, head.desc, [this, stream_id] { OnKernelRetired(stream_id); });
     if (id == 0) {
-      stream.in_flight = false;
-      --pending_kernels_;
+      // The device fenced the submit (expired/revoked token epoch): the
+      // entry's kernels are dropped without callbacks, and the stream keeps
+      // draining so queued work behind the fence cannot wedge it.
+      pending_kernels_ -= static_cast<std::size_t>(head.count);
+      stream.queue.pop_front();
       MaybeFireSync();
       continue;
     }
+    stream.in_flight = true;
+    if (--head.count == 0) {
+      stream.fn = std::move(head.fn);
+      stream.queue.pop_front();
+    } else {
+      stream.fn = head.fn;  // more units of this entry follow
+    }
     return;
   }
 }
 
-void CudaContext::OnKernelRetired(StreamId stream_id, HostFn user_fn) {
+void CudaContext::OnKernelRetired(StreamId stream_id) {
+  HostFn fn;
   auto it = streams_.find(stream_id);
   if (it != streams_.end()) {
     it->second.in_flight = false;
-    ++it->second.retired_units;
+    fn = std::move(it->second.fn);
   }
   --pending_kernels_;
-  if (user_fn) user_fn();
-  if (it != streams_.end()) SubmitNext(stream_id);
+  if (fn) fn();
+  SubmitNext(stream_id);
   MaybeFireSync();
-}
-
-void CudaContext::OnUnitRetired(StreamId stream_id, Time finish) {
-  auto it = streams_.find(stream_id);
-  if (it == streams_.end()) {
-    --pending_kernels_;
-    MaybeFireSync();
-    return;
-  }
-  Stream& stream = it->second;
-  ++stream.retired_units;
-  ++stream.batch_delivered;
-  --pending_kernels_;
-  // Map this unit back to its entry's callback. CancelPending may have
-  // shrunk batch_size below the segment total; tail segments past the
-  // final delivered unit are simply never reached.
-  gpu::UnitDoneFn user_fn;
-  while (stream.seg_idx < stream.segs.size() &&
-         stream.seg_fired >= stream.segs[stream.seg_idx].first) {
-    ++stream.seg_idx;
-    stream.seg_fired = 0;
-  }
-  if (stream.seg_idx < stream.segs.size()) {
-    user_fn = stream.segs[stream.seg_idx].second;
-    ++stream.seg_fired;
-  }
-  const bool last = stream.batch_delivered >= stream.batch_size;
-  if (last) {
-    stream.in_flight = false;
-    stream.batch = 0;
-    stream.batch_size = 0;
-    stream.batch_delivered = 0;
-    stream.segs.clear();
-    stream.seg_idx = 0;
-    stream.seg_fired = 0;
-  }
-  if (user_fn) user_fn(finish);
-  if (last && streams_.count(stream_id) > 0) SubmitNext(stream_id);
-  MaybeFireSync();
-}
-
-CudaResult CudaContext::LaunchKernelStream(const gpu::KernelDesc& desc,
-                                           int count, StreamId stream,
-                                           gpu::UnitDoneFn on_unit) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return CudaResult::kErrorInvalidHandle;
-  if (desc.nominal_duration.count() <= 0 || count <= 0) {
-    return CudaResult::kErrorInvalidValue;
-  }
-  pending_kernels_ += static_cast<std::size_t>(count);
-  Entry entry;
-  entry.is_repeat = true;
-  entry.count = count;
-  entry.desc = desc;
-  entry.unit_fn = std::move(on_unit);
-  it->second.queue.push_back(std::move(entry));
-  if (!it->second.in_flight) SubmitNext(stream);
-  return CudaResult::kSuccess;
 }
 
 std::size_t CudaContext::CancelPending(StreamId stream) {
@@ -243,24 +148,12 @@ std::size_t CudaContext::CancelPending(StreamId stream) {
   if (it == streams_.end()) return 0;
   Stream& s = it->second;
   std::size_t cancelled = 0;
-  if (s.batch != 0) {
-    // Due fused units deliver synchronously (through OnUnitRetired) before
-    // the unstarted tail is cancelled; the in-flight unit still retires
-    // later and closes the batch.
-    const std::size_t tail = device_->CancelRepeatTail(s.batch);
-    if (tail > 0) {
-      cancelled += tail;
-      pending_kernels_ -= tail;
-      s.batch_size -= tail;
-    }
-  }
   for (auto qit = s.queue.begin(); qit != s.queue.end();) {
     if (qit->is_event) {
       ++qit;
       continue;
     }
-    const auto units =
-        static_cast<std::size_t>(qit->is_repeat ? qit->count : 1);
+    const auto units = static_cast<std::size_t>(qit->count);
     pending_kernels_ -= units;
     cancelled += units;
     qit = s.queue.erase(qit);
@@ -269,26 +162,6 @@ std::size_t CudaContext::CancelPending(StreamId stream) {
   if (!s.in_flight) SubmitNext(stream);
   MaybeFireSync();
   return cancelled;
-}
-
-std::size_t CudaContext::RetiredUnits(StreamId stream) const {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return 0;
-  const Stream& s = it->second;
-  std::size_t total = s.retired_units;
-  if (s.batch != 0) {
-    // Due-but-undelivered units of the in-flight fused batch count: the
-    // analytic probe keeps mid-run progress exact across device modes.
-    const std::size_t due = device_->RepeatUnitsFinished(s.batch);
-    if (due > s.batch_delivered) total += due - s.batch_delivered;
-  }
-  return total;
-}
-
-Duration CudaContext::ExclusiveKernelTime(const gpu::KernelDesc& desc) const {
-  // Owner-aware: a container pinned to a spatial slice sizes its token
-  // batches with the slice-stretched unit wall time.
-  return device_->ExclusiveWallTimeFor(owner_, desc);
 }
 
 Time CudaContext::Now() const { return device_->sim()->Now(); }

@@ -3,7 +3,6 @@
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -18,9 +17,10 @@ namespace ks::cuda {
 /// Stream ordering is enforced here (the device itself executes whatever it
 /// is given): each stream is a FIFO — at most one kernel of a stream is in
 /// flight on the device; the next is submitted when the previous retires.
-/// Kernels of different streams (or different contexts) overlap on the
-/// device, which is what makes the no-compute-isolation baselines
-/// measurably interfere.
+/// A LaunchKernelStream is one counted queue entry whose units go to the
+/// device one at a time the same way. Kernels of different streams (or
+/// different contexts) overlap on the device, which is what makes the
+/// no-compute-isolation baselines measurably interfere.
 class CudaContext final : public CudaApi {
  public:
   CudaContext(gpu::GpuDevice* device, ContainerId owner);
@@ -43,14 +43,9 @@ class CudaContext final : public CudaApi {
   CudaResult StreamCreate(StreamId* out) override;
   CudaResult StreamDestroy(StreamId stream) override;
 
-  CudaResult LaunchKernel(const gpu::KernelDesc& desc, StreamId stream,
-                          HostFn on_complete) override;
   CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
-                                StreamId stream,
-                                gpu::UnitDoneFn on_unit) override;
+                                StreamId stream, HostFn on_unit) override;
   std::size_t CancelPending(StreamId stream) override;
-  std::size_t RetiredUnits(StreamId stream) const override;
-  Duration ExclusiveKernelTime(const gpu::KernelDesc& desc) const override;
   Time Now() const override;
   CudaResult Synchronize(HostFn fn) override;
 
@@ -66,32 +61,21 @@ class CudaContext final : public CudaApi {
   std::size_t PendingKernels() const override { return pending_kernels_; }
 
  private:
-  /// A stream queue entry: a kernel, a declared repeat run (fused-stream
-  /// path), or an event marker that completes the event once every earlier
-  /// kernel on the stream has retired.
+  /// A stream queue entry: the `count` not-yet-submitted units of a
+  /// launch and their per-unit callback, or an event marker that completes
+  /// the event once every earlier kernel on the stream has retired.
   struct Entry {
     bool is_event = false;
-    bool is_repeat = false;
-    int count = 1;  // units, for repeat entries
+    int count = 1;
     gpu::KernelDesc desc;
     HostFn fn;
-    gpu::UnitDoneFn unit_fn;
     EventId event = 0;
   };
   struct Stream {
     std::deque<Entry> queue;
+    /// The kernel on the device and its callback (taken from its entry).
     bool in_flight = false;
-    /// Kernels of this stream retired so far (both entry points).
-    std::size_t retired_units = 0;
-    /// In-flight repeat batch forwarded to the device as one SubmitRepeat:
-    /// adjacent identical-desc repeat entries coalesce, and `segs` maps
-    /// delivered units back to each entry's callback.
-    gpu::RepeatId batch = 0;
-    std::size_t batch_size = 0;
-    std::size_t batch_delivered = 0;
-    std::vector<std::pair<int, gpu::UnitDoneFn>> segs;
-    std::size_t seg_idx = 0;
-    int seg_fired = 0;
+    HostFn fn;
   };
   struct EventState {
     bool recorded = false;
@@ -101,8 +85,7 @@ class CudaContext final : public CudaApi {
   };
 
   void SubmitNext(StreamId stream_id);
-  void OnKernelRetired(StreamId stream_id, HostFn user_fn);
-  void OnUnitRetired(StreamId stream_id, Time finish);
+  void OnKernelRetired(StreamId stream_id);
   void CompleteEvent(EventId event);
   void MaybeFireSync();
 

@@ -20,21 +20,21 @@ namespace ks::k8s {
 /// emphasizes (§4.6).
 class ApiServer {
  public:
-  /// `fanout` selects the watch delivery path for every store on this
-  /// apiserver (kBatched coalesces same-time deliveries into one engine
-  /// event via the shared hub; watcher-visible order and timing are
-  /// identical across modes — see WatchFanout). Extension stores that can
-  /// interleave deliveries with the built-in kinds (KubeShare's sharePod
-  /// store) must join the same hub via watch_hub().
-  ApiServer(sim::Simulation* sim, LatencyModel latency = {},
-            WatchFanout fanout = WatchFanout::kBatched)
+  /// Every store on this apiserver delivers watch events through one shared
+  /// hub, which coalesces same-time deliveries into one engine event (see
+  /// WatchFanout). Extension stores that can interleave deliveries with the
+  /// built-in kinds (KubeShare's sharePod store) must join the same hub via
+  /// watch_hub().
+  explicit ApiServer(sim::Simulation* sim, LatencyModel latency = {})
       : sim_(sim),
         latency_(latency),
-        fanout_(fanout),
         watch_hub_(sim),
-        pods_(sim, latency.watch_propagation, fanout, &watch_hub_),
-        nodes_(sim, latency.watch_propagation, fanout, &watch_hub_),
-        leases_(sim, latency.watch_propagation, fanout, &watch_hub_),
+        pods_(sim, latency.watch_propagation, WatchFanout::kBatched,
+              &watch_hub_),
+        nodes_(sim, latency.watch_propagation, WatchFanout::kBatched,
+               &watch_hub_),
+        leases_(sim, latency.watch_propagation, WatchFanout::kBatched,
+                &watch_hub_),
         events_(sim) {}
 
   ObjectStore<Pod>& pods() { return pods_; }
@@ -49,7 +49,6 @@ class ApiServer {
   sim::Simulation* sim() { return sim_; }
   const LatencyModel& latency() const { return latency_; }
 
-  WatchFanout watch_fanout() const { return fanout_; }
   /// The delivery hub shared by every store on this apiserver. Extension
   /// stores pass this to their ObjectStore constructor so cross-store
   /// same-time deliveries keep the unbatched path's exact order.
@@ -106,7 +105,6 @@ class ApiServer {
  private:
   sim::Simulation* sim_;
   LatencyModel latency_;
-  WatchFanout fanout_;
   WatchHub watch_hub_;
   ObjectStore<Pod> pods_;
   ObjectStore<Node> nodes_;

@@ -5,17 +5,11 @@
 namespace ks::k8s {
 
 Cluster::Cluster(ClusterConfig config) : config_(config) {
-  api_ = std::make_unique<ApiServer>(&sim_, config_.latency,
-                                     config_.watch_fanout);
+  api_ = std::make_unique<ApiServer>(&sim_, config_.latency);
   scheduler_ = std::make_unique<KubeScheduler>(api_.get());
   node_controller_ = std::make_unique<NodeLifecycleController>(
       api_.get(), config_.node_detection, config_.pod_eviction_timeout);
-  if (config_.sampler_granularity.count() > 0) {
-    tick_hub_ = std::make_unique<sim::TickHub>(&sim_,
-                                               config_.sampler_granularity);
-  }
-  nvml_ = std::make_unique<gpu::NvmlMonitor>(&sim_, Seconds(1),
-                                             tick_hub_.get());
+  nvml_ = std::make_unique<gpu::NvmlMonitor>(&sim_, Seconds(1), &tick_hub_);
 
   for (int n = 0; n < config_.nodes; ++n) {
     auto handle = std::make_unique<NodeHandle>();
@@ -25,13 +19,8 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
     for (int g = 0; g < config_.gpus_per_node; ++g) {
       const GpuUuid uuid("GPU-" + std::to_string(n) + "-" +
                          std::to_string(g));
-      std::unique_ptr<gpu::GpuDevice> dev;
-      if (config_.exec == gpu::GpuExecMode::kReference) {
-        dev = std::make_unique<gpu::GpuDeviceReference>(&sim_, uuid,
-                                                        config_.gpu_spec);
-      } else {
-        dev = std::make_unique<gpu::GpuDevice>(&sim_, uuid, config_.gpu_spec);
-      }
+      auto dev =
+          std::make_unique<gpu::GpuDevice>(&sim_, uuid, config_.gpu_spec);
       nvml_->Register(dev.get());
       raw_gpus.push_back(dev.get());
       handle->gpus.push_back(std::move(dev));

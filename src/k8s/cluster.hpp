@@ -6,7 +6,6 @@
 
 #include "common/status.hpp"
 #include "gpu/device.hpp"
-#include "gpu/device_reference.hpp"
 #include "gpu/nvml.hpp"
 #include "k8s/apiserver.hpp"
 #include "k8s/device_plugin.hpp"
@@ -44,20 +43,6 @@ struct ClusterConfig {
   /// anti-thrashing rotation. Disabled by default: the cluster behaves
   /// byte-identically to the strict-quota system.
   vgpu::OversubscriptionConfig oversub;
-  /// Which device execution engine the GPUs use: the virtual-time core
-  /// with fused kernel streams (default) or the per-kernel reference
-  /// engine kept as the differential-test oracle.
-  gpu::GpuExecMode exec = gpu::GpuExecMode::kFused;
-  /// Grid for the shared sampler tick (NVML poll and any pull-mode
-  /// PeriodicSampler ride one sim::TickHub instead of keeping private
-  /// self-rescheduling events). Zero keeps monitors in push mode.
-  Duration sampler_granularity = Millis(1);
-  /// Watch fan-out delivery path for every store on the apiserver (and
-  /// KubeShare's sharePod store, which joins the same hub). kBatched — the
-  /// default — coalesces same-time deliveries into one engine event;
-  /// watcher-visible ordering and timing are byte-identical to kUnbatched,
-  /// which stays available as the differential comparison path.
-  WatchFanout watch_fanout = WatchFanout::kBatched;
   /// Use the scaling-factor device plugin (the §3.1 trick) instead of the
   /// stock whole-GPU plugin. Used by the fragmentation baselines.
   bool scaled_plugin = false;
@@ -97,9 +82,9 @@ class Cluster {
   ApiServer& api() { return *api_; }
   KubeScheduler& scheduler() { return *scheduler_; }
   gpu::NvmlMonitor& nvml() { return *nvml_; }
-  /// Shared sampler tick all pull-mode instruments multiplex onto.
-  /// Null when ClusterConfig::sampler_granularity is zero (push mode).
-  sim::TickHub* tick_hub() { return tick_hub_.get(); }
+  /// Shared 1 ms sampler tick the NVML poll and every pull-mode instrument
+  /// multiplex onto.
+  sim::TickHub* tick_hub() { return &tick_hub_; }
   const ClusterConfig& config() const { return config_; }
 
   struct NodeHandle {
@@ -154,7 +139,7 @@ class Cluster {
 
   ClusterConfig config_;
   sim::Simulation sim_;
-  std::unique_ptr<sim::TickHub> tick_hub_;
+  sim::TickHub tick_hub_{&sim_, Millis(1)};
   std::unique_ptr<ApiServer> api_;
   std::unique_ptr<KubeScheduler> scheduler_;
   std::unique_ptr<NodeLifecycleController> node_controller_;

@@ -15,8 +15,7 @@ KubeShare::KubeShare(k8s::Cluster* cluster, KubeShareConfig config)
       // and sharing the hub is what keeps that order byte-identical to the
       // unbatched path.
       sharepods_(&cluster->sim(), cluster->api().latency().watch_propagation,
-                 cluster->api().watch_fanout(),
-                 &cluster->api().watch_hub()) {
+                 k8s::WatchFanout::kBatched, &cluster->api().watch_hub()) {
   pool_.set_memory_overcommit(config_.allow_memory_overcommit,
                               config_.memory_overcommit_factor);
   if (cluster_->config().spatial.enabled) {

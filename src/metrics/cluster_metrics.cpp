@@ -37,14 +37,12 @@ void ExportClusterMetrics(k8s::Cluster& cluster,
   exporter.Gauge("ks_sim_pending_events",
                  "Engine events currently scheduled", {},
                  static_cast<double>(cluster.sim().pending()));
-  if (cluster.tick_hub() != nullptr) {
-    exporter.Gauge("ks_sampler_hub_fires",
-                   "Instrument callbacks delivered by the shared tick", {},
-                   static_cast<double>(cluster.tick_hub()->fires()));
-    exporter.Gauge("ks_sampler_hub_ticks",
-                   "Engine events the shared tick consumed", {},
-                   static_cast<double>(cluster.tick_hub()->ticks()));
-  }
+  exporter.Gauge("ks_sampler_hub_fires",
+                 "Instrument callbacks delivered by the shared tick", {},
+                 static_cast<double>(cluster.tick_hub()->fires()));
+  exporter.Gauge("ks_sampler_hub_ticks",
+                 "Engine events the shared tick consumed", {},
+                 static_cast<double>(cluster.tick_hub()->ticks()));
   for (std::size_t n = 0; n < cluster.node_count(); ++n) {
     auto& node = cluster.node(n);
     exporter.Gauge("ks_token_timers_pending",

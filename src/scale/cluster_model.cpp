@@ -341,8 +341,8 @@ class ClusterModel {
     out.failed = failed_;
     out.watch_events = watch_events_;
     out.watch_deliveries = watch_deliveries_;
-    out.watch_fanout_events = watch_fanout_events_;
-    out.watch_fanout_unbatched = watch_deliveries_;
+    out.watch_batched_events = watch_batched_events_;
+    out.watch_unbatched_events = watch_deliveries_;
     out.devmgr_missed_deliveries = devmgr_missed_;
     out.devmgr_resyncs = devmgr_resyncs_;
     out.devmgr_stale_skips = devmgr_stale_skips_;
@@ -574,12 +574,12 @@ class ClusterModel {
         auto [it, fresh] = watch_pending_[sub].try_emplace(at);
         it->second.push_back(ev);
         if (fresh) {
-          ++watch_fanout_events_;
+          ++watch_batched_events_;
           engine_->At(ShardedSimulation::kGlobalShard, at,
                       [this, sub, at] { DeliverBatch(sub, at); });
         }
       } else {
-        ++watch_fanout_events_;
+        ++watch_batched_events_;
         engine_->At(ShardedSimulation::kGlobalShard, at,
                     [this, sub, ev] { DeliverOne(sub, ev); });
       }
@@ -753,7 +753,7 @@ class ClusterModel {
   std::uint64_t sched_failures_ = 0;
   std::uint64_t watch_events_ = 0;
   std::uint64_t watch_deliveries_ = 0;
-  std::uint64_t watch_fanout_events_ = 0;
+  std::uint64_t watch_batched_events_ = 0;
   std::uint64_t watch_order_violations_ = 0;
   std::uint64_t devmgr_missed_ = 0;
   std::uint64_t devmgr_resyncs_ = 0;

@@ -117,8 +117,8 @@ struct ScaleResult {
   // Watch fan-out economy.
   std::uint64_t watch_events = 0;            // store mutations notified
   std::uint64_t watch_deliveries = 0;        // (event, subscriber) pairs
-  std::uint64_t watch_fanout_events = 0;     // engine events actually armed
-  std::uint64_t watch_fanout_unbatched = 0;  // what unbatched would have armed
+  std::uint64_t watch_batched_events = 0;    // engine events actually armed
+  std::uint64_t watch_unbatched_events = 0;  // what unbatched would have armed
   std::uint64_t devmgr_missed_deliveries = 0;
   std::uint64_t devmgr_resyncs = 0;
   std::uint64_t devmgr_stale_skips = 0;  // resync replays already applied

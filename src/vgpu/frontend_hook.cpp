@@ -1,6 +1,5 @@
 #include "vgpu/frontend_hook.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -209,32 +208,10 @@ cuda::CudaResult FrontendHook::StreamDestroy(cuda::StreamId stream) {
   return r;
 }
 
-cuda::CudaResult FrontendHook::LaunchKernel(const gpu::KernelDesc& desc,
-                                            cuda::StreamId stream,
-                                            cuda::HostFn on_complete) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return cuda::CudaResult::kErrorInvalidHandle;
-  if (desc.nominal_duration.count() <= 0) {
-    return cuda::CudaResult::kErrorInvalidValue;
-  }
-  ++pending_kernels_;
-  PendingEntry entry;
-  entry.desc = desc;
-  entry.fn = std::move(on_complete);
-  it->second.pending.push_back(std::move(entry));
-  if (token_valid_) {
-    Drain();
-  } else if (!token_held_ && !token_requested_) {
-    token_requested_ = true;
-    (void)backend_->RequestToken(container_);
-  }
-  return cuda::CudaResult::kSuccess;
-}
-
 cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
                                                   int count,
                                                   cuda::StreamId stream,
-                                                  gpu::UnitDoneFn on_unit) {
+                                                  cuda::HostFn on_unit) {
   auto it = streams_.find(stream);
   if (it == streams_.end()) return cuda::CudaResult::kErrorInvalidHandle;
   if (desc.nominal_duration.count() <= 0 || count <= 0) {
@@ -242,10 +219,9 @@ cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
   }
   pending_kernels_ += static_cast<std::size_t>(count);
   PendingEntry entry;
-  entry.is_repeat = true;
   entry.count = count;
   entry.desc = desc;
-  entry.unit_fn = std::move(on_unit);
+  entry.fn = std::move(on_unit);
   it->second.pending.push_back(std::move(entry));
   if (token_valid_) {
     Drain();
@@ -261,24 +237,12 @@ std::size_t FrontendHook::CancelPending(cuda::StreamId stream) {
   if (it == streams_.end()) return 0;
   StreamQueue& q = it->second;
   std::size_t cancelled = 0;
-  if (q.fwd_size > 0) {
-    // Units already due under fusion deliver synchronously during the inner
-    // cancel; the in-flight unit retires later and closes the batch.
-    const std::size_t tail = inner_->CancelPending(stream);
-    if (tail > 0) {
-      cancelled += tail;
-      q.fwd_size -= tail;
-      in_flight_ -= tail;
-      pending_kernels_ -= tail;
-    }
-  }
   for (auto qit = q.pending.begin(); qit != q.pending.end();) {
     if (qit->is_event) {
       ++qit;
       continue;
     }
-    const auto units =
-        static_cast<std::size_t>(qit->is_repeat ? qit->count : 1);
+    const auto units = static_cast<std::size_t>(qit->count);
     pending_kernels_ -= units;
     cancelled += units;
     qit = q.pending.erase(qit);
@@ -287,17 +251,6 @@ std::size_t FrontendHook::CancelPending(cuda::StreamId stream) {
   MaybeReleaseOrRerequest();
   MaybeFireSync();
   return cancelled;
-}
-
-std::size_t FrontendHook::RetiredUnits(cuda::StreamId stream) const {
-  // Stream ids pass through this hook unchanged, and every retired unit
-  // retired through the inner driver; its analytic count (including
-  // due-but-undelivered fused units) is exactly the progress jobs poll.
-  return inner_->RetiredUnits(stream);
-}
-
-Duration FrontendHook::ExclusiveKernelTime(const gpu::KernelDesc& desc) const {
-  return inner_->ExclusiveKernelTime(desc);
 }
 
 Time FrontendHook::Now() const { return inner_->Now(); }
@@ -322,192 +275,51 @@ void FrontendHook::FlushMarkers() {
   }
 }
 
-namespace {
-bool SameKernel(const gpu::KernelDesc& a, const gpu::KernelDesc& b) {
-  return a.nominal_duration == b.nominal_duration &&
-         a.bandwidth_demand == b.bandwidth_demand && a.name == b.name;
-}
-}  // namespace
-
 void FrontendHook::Drain() {
   FlushMarkers();
   if (!token_valid_ || swap_pending_) return;
   for (auto& [stream_id, q] : streams_) {
     if (q.in_flight || q.pending.empty()) continue;
-    if (q.pending.front().is_event) continue;  // handled by FlushMarkers
+    PendingEntry& head = q.pending.front();
+    if (head.is_event) continue;  // handled by FlushMarkers
     const cuda::StreamId sid = stream_id;
-    if (q.pending.front().is_repeat) {
-      // Token-interval batching: forward as many units of the head run of
-      // identical repeat entries as finish strictly inside the current
-      // grant, minus one — the final in-quota unit goes alone so the event
-      // landing nearest the expiry is a singleton, exactly as unbatched
-      // forwarding would arm it.
-      const gpu::KernelDesc desc = q.pending.front().desc;
-      const Duration unit_wall = inner_->ExclusiveKernelTime(desc);
-      std::size_t avail = 0;
-      for (const PendingEntry& e : q.pending) {
-        if (e.is_event || !e.is_repeat || !SameKernel(e.desc, desc)) break;
-        avail += static_cast<std::size_t>(e.count);
-      }
-      std::size_t batch = 1;
-      if (unit_wall.count() > 0 && expiry_ > Now()) {
-        const std::int64_t fit = (expiry_ - Now()).count() / unit_wall.count();
-        if (fit - 1 >= 2) {
-          batch = std::min(avail, static_cast<std::size_t>(fit - 1));
-        }
-      }
-      q.segs.clear();
-      q.seg_idx = 0;
-      q.seg_fired = 0;
-      std::size_t taken = 0;
-      while (taken < batch) {
-        PendingEntry& head = q.pending.front();
-        const int take = static_cast<int>(
-            std::min(static_cast<std::size_t>(head.count), batch - taken));
-        if (take == head.count) {
-          q.segs.emplace_back(take, std::move(head.unit_fn));
-          q.pending.pop_front();
-        } else {
-          // Partial take: the entry keeps its callback for the remainder.
-          q.segs.emplace_back(take, head.unit_fn);
-          head.count -= take;
-        }
-        taken += static_cast<std::size_t>(take);
-      }
-      q.in_flight = true;
-      q.fwd_desc = desc;
-      q.fwd_size = batch;
-      q.fwd_delivered = 0;
-      in_flight_ += batch;
-      const cuda::CudaResult r = inner_->LaunchKernelStream(
-          desc, static_cast<int>(batch), sid,
-          [this, sid](Time finish) { OnUnitRetired(sid, finish); });
-      if (r != cuda::CudaResult::kSuccess) {
-        KS_LOG(kError) << "inner stream launch failed: "
-                       << cuda::CudaResultName(r);
-        q.in_flight = false;
-        q.fwd_size = 0;
-        q.segs.clear();
-        in_flight_ -= batch;
-        pending_kernels_ -= batch;
-      }
-      continue;
-    }
-    PendingEntry entry = std::move(q.pending.front());
-    q.pending.pop_front();
     q.in_flight = true;
     ++in_flight_;
     const cuda::CudaResult r = inner_->LaunchKernel(
-        entry.desc, sid, [this, sid, user_fn = std::move(entry.fn)]() mutable {
-          OnKernelRetired(sid, std::move(user_fn));
-        });
+        head.desc, sid, [this, sid] { OnKernelRetired(sid); });
     if (r != cuda::CudaResult::kSuccess) {
       KS_LOG(kError) << "inner launch failed: " << cuda::CudaResultName(r);
       q.in_flight = false;
       --in_flight_;
-      --pending_kernels_;
+      pending_kernels_ -= static_cast<std::size_t>(head.count);
+      q.pending.pop_front();
+      continue;
+    }
+    if (--head.count == 0) {
+      q.fn = std::move(head.fn);
+      q.pending.pop_front();
+    } else {
+      q.fn = head.fn;  // more units of this entry follow
     }
   }
 }
 
-void FrontendHook::OnKernelRetired(cuda::StreamId stream,
-                                   cuda::HostFn user_fn) {
+void FrontendHook::OnKernelRetired(cuda::StreamId stream) {
+  cuda::HostFn fn;
   auto it = streams_.find(stream);
-  if (it != streams_.end()) it->second.in_flight = false;
+  if (it != streams_.end()) {
+    it->second.in_flight = false;
+    fn = std::move(it->second.fn);
+  }
   --in_flight_;
   --pending_kernels_;
-  if (user_fn) user_fn();
+  if (fn) fn();
   FlushMarkers();  // events behind the retired kernel are now orderable
   if (token_valid_) {
     Drain();
   }
   MaybeReleaseOrRerequest();
   MaybeFireSync();
-}
-
-void FrontendHook::OnUnitRetired(cuda::StreamId stream, Time finish) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) {
-    --in_flight_;
-    --pending_kernels_;
-    MaybeFireSync();
-    return;
-  }
-  StreamQueue& q = it->second;
-  ++q.fwd_delivered;
-  --in_flight_;
-  --pending_kernels_;
-  // Map the unit back to its source entry's callback. Recall may have
-  // truncated segments; exhausted ones are skipped.
-  gpu::UnitDoneFn user_fn;
-  while (q.seg_idx < q.segs.size() &&
-         q.seg_fired >= q.segs[q.seg_idx].first) {
-    ++q.seg_idx;
-    q.seg_fired = 0;
-  }
-  if (q.seg_idx < q.segs.size()) {
-    user_fn = q.segs[q.seg_idx].second;
-    ++q.seg_fired;
-  }
-  const bool last = q.fwd_delivered >= q.fwd_size;
-  if (last) {
-    q.in_flight = false;
-    q.fwd_size = 0;
-    q.fwd_delivered = 0;
-    q.segs.clear();
-    q.seg_idx = 0;
-    q.seg_fired = 0;
-  }
-  if (user_fn) user_fn(finish);
-  if (last) {
-    FlushMarkers();
-    if (token_valid_) Drain();
-    MaybeReleaseOrRerequest();
-  }
-  MaybeFireSync();
-}
-
-void FrontendHook::RecallForwardedTails() {
-  for (auto& [stream_id, q] : streams_) {
-    if (q.fwd_size == 0) continue;
-    // Due fused units deliver synchronously during the cancel (through
-    // OnUnitRetired above) before the unstarted tail comes back.
-    const std::size_t cancelled = inner_->CancelPending(stream_id);
-    if (cancelled == 0) continue;
-    q.fwd_size -= cancelled;
-    in_flight_ -= cancelled;
-    // The last `cancelled` undelivered units return to the queue front in
-    // their original order; the first `keep` stay with the driver (the
-    // in-flight one retires and closes the batch). pending_kernels_ is
-    // unchanged — recalled units are still pending, just queued here again.
-    const std::size_t keep = q.fwd_size - q.fwd_delivered;
-    std::vector<PendingEntry> recalled;
-    std::size_t skip = keep;
-    std::size_t idx = q.seg_idx;
-    int fired = q.seg_fired;
-    for (; idx < q.segs.size(); ++idx) {
-      int remaining = q.segs[idx].first - fired;
-      fired = 0;
-      if (remaining <= 0) continue;
-      if (skip >= static_cast<std::size_t>(remaining)) {
-        skip -= static_cast<std::size_t>(remaining);
-        continue;
-      }
-      const int take = remaining - static_cast<int>(skip);
-      skip = 0;
-      PendingEntry entry;
-      entry.is_repeat = true;
-      entry.count = take;
-      entry.desc = q.fwd_desc;
-      entry.unit_fn = q.segs[idx].second;
-      recalled.push_back(std::move(entry));
-      // Truncate the segment so deliveries stop at the keep boundary.
-      q.segs[idx].first -= take;
-    }
-    for (auto rit = recalled.rbegin(); rit != recalled.rend(); ++rit) {
-      q.pending.push_front(std::move(*rit));
-    }
-  }
 }
 
 bool FrontendHook::HasQueuedWork() const {
@@ -591,17 +403,12 @@ void FrontendHook::OnTokenExpired() {
     // Hostile: pretend the expiry never arrived and keep submitting. The
     // zombie grant lives until the device fences the token epoch at the
     // backend's fence deadline (expiry + fence_grace), after which every
-    // forwarded unit is dropped on the floor — this hook's in-flight
+    // forwarded kernel is dropped on the floor — this hook's in-flight
     // accounting wedges by design; recovery is clamp-down/eviction, not
     // forgiveness.
     return;
   }
   token_valid_ = false;
-  // A forwarded batch was sized to finish inside the grant; if the quota
-  // still lapsed under it (extension paths, bursty sharing), pull the
-  // unstarted tail back under token control. The in-flight unit retires on
-  // its own — same overrun a single unbatched kernel would have.
-  RecallForwardedTails();
   MaybeReleaseOrRerequest();
 }
 
@@ -612,7 +419,6 @@ void FrontendHook::OnBackendRestart() {
   token_valid_ = false;
   token_held_ = false;
   token_requested_ = false;
-  RecallForwardedTails();
   if (HasQueuedWork()) {
     token_requested_ = true;
     (void)backend_->RequestToken(container_);

@@ -4,7 +4,6 @@
 #include <deque>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -81,21 +80,12 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
                                cuda::HostFn on_complete) override;
   cuda::CudaResult StreamCreate(cuda::StreamId* out) override;
   cuda::CudaResult StreamDestroy(cuda::StreamId stream) override;
-  cuda::CudaResult LaunchKernel(const gpu::KernelDesc& desc,
-                                cuda::StreamId stream,
-                                cuda::HostFn on_complete) override;
-  /// Declared kernel streams are the frontend's batching unit: while the
-  /// token is valid, up to a token-interval's worth of units (sized from
-  /// ExclusiveKernelTime against the grant's expiry) is forwarded as one
-  /// inner launch, so the device can fuse them onto a single engine event.
-  /// The final in-quota unit is always forwarded alone, keeping
-  /// expiry-boundary event ordering identical to unbatched forwarding.
+  /// A launch waits in its stream's queue as one counted entry; its units
+  /// are forwarded to the driver one at a time while the token is valid.
   cuda::CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
                                       cuda::StreamId stream,
-                                      gpu::UnitDoneFn on_unit) override;
+                                      cuda::HostFn on_unit) override;
   std::size_t CancelPending(cuda::StreamId stream) override;
-  std::size_t RetiredUnits(cuda::StreamId stream) const override;
-  Duration ExclusiveKernelTime(const gpu::KernelDesc& desc) const override;
   Time Now() const override;
   cuda::CudaResult Synchronize(cuda::HostFn fn) override;
 
@@ -160,28 +150,21 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   std::uint64_t oom_rejections() const { return oom_rejections_; }
 
  private:
+  /// A queued launch (`count` not-yet-forwarded units and their per-unit
+  /// callback) or an event marker.
   struct PendingEntry {
     bool is_event = false;
-    bool is_repeat = false;
-    int count = 1;  // units, for repeat entries
+    int count = 1;
     gpu::KernelDesc desc;
     cuda::HostFn fn;
-    gpu::UnitDoneFn unit_fn;
     cuda::EventId event = 0;
   };
   struct StreamQueue {
     std::deque<PendingEntry> pending;
+    /// The kernel forwarded to the driver and its callback (taken from its
+    /// entry); at most one per stream.
     bool in_flight = false;
-    /// Forwarded batch (token-interval fast path): units handed to the
-    /// inner driver as one LaunchKernelStream call. `segs` maps delivered
-    /// units back to each source entry's callback, and lets a backend
-    /// restart recall the unstarted tail into `pending`.
-    gpu::KernelDesc fwd_desc;
-    std::size_t fwd_size = 0;
-    std::size_t fwd_delivered = 0;
-    std::vector<std::pair<int, gpu::UnitDoneFn>> segs;
-    std::size_t seg_idx = 0;
-    int seg_fired = 0;
+    cuda::HostFn fn;
   };
 
   /// Forwards the next kernel of every stream that has one, while the token
@@ -189,13 +172,7 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   void Drain();
   /// Forwards event markers at queue heads (token-independent).
   void FlushMarkers();
-  void OnKernelRetired(cuda::StreamId stream, cuda::HostFn user_fn);
-  void OnUnitRetired(cuda::StreamId stream, Time finish);
-  /// Pulls every not-yet-started unit of forwarded batches back into the
-  /// frontend queues (token died under them: expiry or backend restart).
-  /// The in-flight unit always retires on its own — kernels are
-  /// non-preemptive.
-  void RecallForwardedTails();
+  void OnKernelRetired(cuda::StreamId stream);
   void MaybeReleaseOrRerequest();
   void MaybeFireSync();
   bool HasQueuedWork() const;
@@ -223,9 +200,8 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   bool token_valid_ = false;
   bool token_held_ = false;  // holder (valid or overrun) per backend
   bool token_requested_ = false;
-  /// Expiry of the current grant — the token-interval hint that sizes
-  /// forwarded batches. Stale once the token lapses (guarded by
-  /// token_valid_).
+  /// Expiry of the current grant; an overstaying hook keeps running past
+  /// it. Stale once the token lapses (guarded by token_valid_).
   Time expiry_{0};
 
   SwapManager* swap_ = nullptr;

@@ -38,7 +38,7 @@ struct WorkloadConfig {
   /// Job flavor the generator emits: Poisson inference services (the
   /// paper's §5.3 mix) or continuous training jobs — the same compute
   /// volume issued as one back-to-back kernel stream per job, the
-  /// kernel-heavy case that exercises the fused device path.
+  /// kernel-heavy case for the device engine.
   enum class JobKind { kInference, kTraining };
   JobKind job_kind = JobKind::kInference;
 };

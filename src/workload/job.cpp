@@ -30,29 +30,18 @@ void TrainingJob::Start(cuda::CudaApi* api, sim::Simulation* /*sim*/,
   kernel.bandwidth_demand = spec_.bandwidth_demand;
   kernel.sm_demand = spec_.sm_demand;
   kernel.name = "train-step";
-  // The whole run is one declared kernel stream: the steps are identical
-  // and back to back, which is what lets the device retire them fused.
+  // The whole run is one kernel stream: the steps are identical and back
+  // to back.
   const cuda::CudaResult r = api_->LaunchKernelStream(
-      kernel, spec_.steps, cuda::kDefaultStream, [this](Time /*finish*/) {
+      kernel, spec_.steps, cuda::kDefaultStream, [this] {
         if (stopped_) return;
-        ++completed_steps_;
-        if (completed_steps_ >= spec_.steps) {
-          finished_ = true;
-          if (done_) done_(true);
-        }
+        if (++completed_steps_ >= spec_.steps && done_) done_(true);
       });
   if (r != cuda::CudaResult::kSuccess && done_) done_(false);
 }
 
 void TrainingJob::Stop() {
-  if (!stopped_ && !finished_ && api_ != nullptr) {
-    // Freeze the step count at the analytic value before the probe's API
-    // goes away with the container.
-    completed_steps_ =
-        static_cast<int>(api_->RetiredUnits(cuda::kDefaultStream));
-  }
   stopped_ = true;
-  finished_ = true;
   if (api_ != nullptr) (void)api_->CancelPending(cuda::kDefaultStream);
 }
 
@@ -93,11 +82,10 @@ void PhasedTrainingJob::NextEpoch() {
   kernel.bandwidth_demand = spec_.bandwidth_demand;
   kernel.sm_demand = spec_.sm_demand;
   kernel.name = "phased-step";
-  // Each compute burst is one declared stream; the off-GPU phase between
-  // epochs is the membership boundary that naturally ends a fused run.
+  // Each compute burst is one kernel stream; the off-GPU phase follows the
+  // burst's last step.
   const cuda::CudaResult r = api_->LaunchKernelStream(
-      kernel, spec_.steps_per_epoch, cuda::kDefaultStream,
-      [this](Time /*finish*/) {
+      kernel, spec_.steps_per_epoch, cuda::kDefaultStream, [this] {
         if (stopped_) return;
         if (++steps_in_epoch_ >= spec_.steps_per_epoch) FinishEpoch();
       });
@@ -177,12 +165,10 @@ void InferenceJob::OnArrival() {
   kernel.sm_demand = spec_.sm_demand;
   kernel.name = "inference";
   const Time arrival = sim_->Now();
-  // A declared single-unit stream: a backlog of queued requests presents
-  // as a run of identical units the driver can coalesce and the device can
-  // fuse. The unit's finish time is exact even when delivered in arrears.
-  const cuda::CudaResult r = api_->LaunchKernelStream(
-      kernel, 1, cuda::kDefaultStream,
-      [this, arrival](Time finish) { OnServed(arrival, finish); });
+  // One forward-propagation kernel; its callback runs when it retires.
+  const cuda::CudaResult r = api_->LaunchKernel(
+      kernel, cuda::kDefaultStream,
+      [this, arrival] { OnServed(arrival, sim_->Now()); });
   if (r != cuda::CudaResult::kSuccess) {
     if (done_) done_(false);
     return;
@@ -237,16 +223,14 @@ bool RequestServerJob::Submit(Time arrival, ServedFn on_served) {
   kernel.sm_demand = spec_.sm_demand;
   kernel.name = "serve";
   ++inflight_;
-  // Same single-unit declared stream as InferenceJob: a backlog presents
-  // as a run of identical units the device can fuse, and the unit callback
-  // carries the exact finish time even when delivered in arrears.
-  const cuda::CudaResult r = api_->LaunchKernelStream(
-      kernel, 1, cuda::kDefaultStream,
-      [this, arrival, fn = std::move(on_served)](Time finish) {
+  // One kernel per request, as in InferenceJob.
+  const cuda::CudaResult r = api_->LaunchKernel(
+      kernel, cuda::kDefaultStream,
+      [this, arrival, fn = std::move(on_served)] {
         if (stopped_) return;
         --inflight_;
         ++served_;
-        if (fn) fn(arrival, finish);
+        if (fn) fn(arrival, api_->Now());
       });
   if (r != cuda::CudaResult::kSuccess) {
     --inflight_;

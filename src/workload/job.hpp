@@ -53,15 +53,8 @@ class TrainingJob final : public Job {
   void Start(cuda::CudaApi* api, sim::Simulation* sim, DoneFn done) override;
   void Stop() override;
 
-  /// Steps finished so far. While running this is the driver's analytic
-  /// count, which stays exact mid-batch when the device has fused the
-  /// stream and unit callbacks are delivered in arrears.
-  int completed_steps() const {
-    if (api_ != nullptr && !finished_) {
-      return static_cast<int>(api_->RetiredUnits(cuda::kDefaultStream));
-    }
-    return completed_steps_;
-  }
+  /// Steps finished so far.
+  int completed_steps() const { return completed_steps_; }
 
  private:
   TrainingSpec spec_;
@@ -69,7 +62,6 @@ class TrainingJob final : public Job {
   DoneFn done_;
   int completed_steps_ = 0;
   bool stopped_ = false;
-  bool finished_ = false;
 };
 
 /// Phased training job: epochs of back-to-back GPU steps separated by
@@ -210,8 +202,7 @@ class RequestServerJob final : public Job {
  public:
   /// Fires when a submitted request's kernel retires. `arrival` is the
   /// client-side arrival time the latency is measured from; `finish` is
-  /// the kernel's exact retire time (may be delivered in arrears under
-  /// fusion — use it, not the current simulation time).
+  /// the kernel's retire time (the current simulation time).
   using ServedFn = std::function<void(Time arrival, Time finish)>;
   /// Replica lifecycle: up=true once the model is resident and the replica
   /// can take requests; up=false when the container is being torn down

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
 namespace ks::cuda {
 namespace {
 
@@ -200,6 +205,132 @@ TEST_F(CudaContextTest, CompletionCallbackCanLaunchAgain) {
   ctx_.LaunchKernel({Millis(5), 0.0, "chain"}, kDefaultStream, next);
   sim_.Run();
   EXPECT_EQ(chain, 3);
+}
+
+// ---- Counted kernel streams (LaunchKernelStream) ---------------------------
+
+TEST_F(CudaContextTest, StreamUnitsRetireInOrderAtTheirFinish) {
+  std::vector<Time> retired;  // device-side finish of each unit
+  dev_.SetKernelTraceFn(
+      [&](const gpu::KernelTraceEvent& e) { retired.push_back(e.finish); });
+  std::vector<Time> fired;  // when each unit callback ran
+  ASSERT_EQ(ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 5, kDefaultStream,
+                                    [&] { fired.push_back(sim_.Now()); }),
+            CudaResult::kSuccess);
+  EXPECT_EQ(ctx_.PendingKernels(), 5u);
+  EXPECT_EQ(dev_.active_kernels(), 1u);  // one unit on the device at a time
+  sim_.Run();
+  ASSERT_EQ(fired.size(), 5u);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i], Millis(10 * static_cast<std::int64_t>(i + 1)));
+  }
+  EXPECT_EQ(fired, retired);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+  EXPECT_EQ(dev_.completed_kernels(), 5u);
+}
+
+TEST_F(CudaContextTest, StreamRejectsBadArgs) {
+  EXPECT_EQ(ctx_.LaunchKernelStream({Millis(1), 0.0, "s"}, 0, kDefaultStream,
+                                    nullptr),
+            CudaResult::kErrorInvalidValue);
+  EXPECT_EQ(ctx_.LaunchKernelStream({Duration{0}, 0.0, "s"}, 2,
+                                    kDefaultStream, nullptr),
+            CudaResult::kErrorInvalidValue);
+  EXPECT_EQ(ctx_.LaunchKernelStream({Millis(1), 0.0, "s"}, 2, 999, nullptr),
+            CudaResult::kErrorInvalidHandle);
+}
+
+TEST_F(CudaContextTest, CancelPendingMidStreamLetsInFlightUnitRetire) {
+  std::vector<Time> finishes;
+  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 10, kDefaultStream,
+                          [&] { finishes.push_back(sim_.Now()); });
+  bool queued_fired = false;
+  ctx_.LaunchKernel({Millis(10), 0.0, "k"}, kDefaultStream,
+                    [&] { queued_fired = true; });
+  std::size_t cancelled = 0;
+  sim_.ScheduleAt(Millis(35), [&] {
+    cancelled = ctx_.CancelPending(kDefaultStream);
+  });
+  sim_.Run();
+  // Unit 4 was in flight and retires at its finish; units 5..10 and the
+  // queued kernel behind them never start.
+  EXPECT_EQ(cancelled, 7u);
+  ASSERT_EQ(finishes.size(), 4u);
+  EXPECT_EQ(finishes.back(), Millis(40));
+  EXPECT_FALSE(queued_fired);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+  EXPECT_EQ(dev_.completed_kernels(), 4u);
+}
+
+TEST_F(CudaContextTest, FencedSubmitDropsEntryWhileStreamKeepsDraining) {
+  const ContainerId owner("job-1");
+  dev_.EnforceTokenGate(owner);
+  dev_.AdmitTokenEpoch(owner, 1);
+  // The first rejection re-admits the owner, as if its token came back.
+  int rejections = 0;
+  dev_.SetViolationFn([&](const ContainerId& who, gpu::DeviceViolation) {
+    ++rejections;
+    dev_.AdmitTokenEpoch(who, 2);
+  });
+  bool first_done = false;
+  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream,
+                    [&] { first_done = true; });
+  int fenced_units = 0;
+  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 3, kDefaultStream,
+                          [&] { ++fenced_units; });
+  Time last_done{0};
+  ctx_.LaunchKernel({Millis(10), 0.0, "c"}, kDefaultStream,
+                    [&] { last_done = sim_.Now(); });
+  bool synced = false;
+  ctx_.Synchronize([&] { synced = true; });
+  sim_.ScheduleAt(Millis(5), [&] { dev_.FenceTokenEpoch(owner); });
+  sim_.Run();
+  EXPECT_TRUE(first_done);  // in flight when the fence landed
+  // The whole stream entry went with one rejected submit, no callbacks...
+  EXPECT_EQ(fenced_units, 0);
+  EXPECT_EQ(rejections, 1);
+  EXPECT_EQ(dev_.fenced_kernel_rejections(), 1u);
+  // ...and the kernel behind it still ran, straight after.
+  EXPECT_EQ(last_done, Millis(20));
+  EXPECT_TRUE(synced);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
+TEST_F(CudaContextTest, SynchronizeFiresAfterStream) {
+  int units = 0;
+  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 4, kDefaultStream,
+                          [&] { ++units; });
+  Time synced_at{0};
+  int units_at_sync = -1;
+  ctx_.Synchronize([&] {
+    synced_at = sim_.Now();
+    units_at_sync = units;
+  });
+  sim_.Run();
+  EXPECT_EQ(synced_at, Millis(40));
+  EXPECT_EQ(units_at_sync, 4);
+}
+
+TEST(CudaContextTeardown, DestroyMidStreamRetiresOnlyTheInFlightUnit) {
+  sim::Simulation sim;
+  gpu::GpuDevice dev(&sim, GpuUuid("GPU-X"));
+  int units = 0;
+  auto ctx = std::make_unique<CudaContext>(&dev, ContainerId("job-1"));
+  gpu::DevicePtr p = 0;
+  ASSERT_EQ(ctx->MemAlloc(&p, 1 << 20), CudaResult::kSuccess);
+  ctx->LaunchKernelStream({Millis(10), 0.0, "s"}, 10, kDefaultStream,
+                          [&] { ++units; });
+  sim.RunUntil(Millis(25));  // units 1 and 2 retired, unit 3 in flight
+  ctx.reset();               // container teardown
+  sim.Run();
+  // The in-flight unit still runs to its finish and is counted, but its
+  // callback is dropped; the rest of the stream never reaches the device.
+  EXPECT_EQ(units, 2);
+  EXPECT_EQ(dev.completed_kernels(), 3u);
+  EXPECT_EQ(sim.Now(), Millis(30));
+  EXPECT_FALSE(dev.busy());
+  EXPECT_EQ(dev.used_memory(), 0u);
+  EXPECT_EQ(dev.utilization().TotalBusy(), Millis(30));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+
 namespace ks::gpu {
 namespace {
 
@@ -163,6 +166,52 @@ TEST_F(GpuDeviceTest, ManyKernelsAllComplete) {
   sim_.Run();
   EXPECT_EQ(done, 64);
   EXPECT_FALSE(dev_.busy());
+}
+
+// Soak: drive the per-kernel path against the 2^40 lifetime-event-id cap.
+// A long steady kernel stream consumes one id per kernel; when the id
+// space runs out the engine must latch (CapacityStatus turns
+// kResourceExhausted, schedules return kInvalidEvent) and the device must
+// stall — never abort or corrupt its state.
+TEST(DeviceSoak, EventIdExhaustionLatchesInsteadOfAborting) {
+  sim::Simulation sim;
+  GpuDevice dev(&sim, GpuUuid("GPU-soak"));
+  const ContainerId c1("c1");
+
+  // Self-resubmitting stream: each 1 ms kernel's completion launches the
+  // next.
+  std::uint64_t units = 0;
+  std::function<void()> launch = [&] {
+    dev.Submit(c1, {Millis(1), 0.0, "step"}, [&] {
+      ++units;
+      launch();
+    });
+  };
+  launch();
+  sim.RunUntil(Seconds(60));  // long horizon: 60000 kernels
+  EXPECT_GE(units, 59900u);
+  EXPECT_TRUE(sim.CapacityStatus().ok());
+
+  // Pretend the preceding months of soak consumed nearly the whole id
+  // space: a handful of ids remain, then the engine latches.
+  sim.InjectLifetimeEventCountForTest((1ull << 40) - 4);
+  sim.Run();
+
+  EXPECT_TRUE(sim.exhausted());
+  EXPECT_FALSE(sim.CapacityStatus().ok());
+  // The device is stalled, not corrupted: the kernel submitted when the
+  // engine refused its completion event stays resident, and introspection
+  // still works.
+  EXPECT_NO_FATAL_FAILURE({
+    (void)dev.completed_kernels();
+    (void)dev.active_kernels();
+  });
+  EXPECT_TRUE(dev.busy());
+  // A post-latch submit is accepted into device state but can never arm an
+  // event — the documented stall — and must not crash.
+  dev.Submit(c1, {Millis(1), 0.0, "step"}, [] {});
+  sim.Run();
+  EXPECT_TRUE(dev.busy());
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ TEST(ShardedEquivalenceDetail, EventEconomyIsReal) {
       RunScaleModel(config, EngineKind::kSingleBatched);
   EXPECT_EQ(batched.useful_events, baseline.useful_events);
   EXPECT_LT(batched.engine_events, baseline.engine_events / 2);
-  EXPECT_LT(batched.watch_fanout_events, batched.watch_fanout_unbatched);
+  EXPECT_LT(batched.watch_batched_events, batched.watch_unbatched_events);
 }
 
 // Adversarial tenants in the churn soak: every 7th pod overstays its token

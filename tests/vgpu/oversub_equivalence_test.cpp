@@ -13,42 +13,39 @@
 //      byte-equal to tq disabled: GrantQuotaFor substitutes the
 //      exclusive quantum only on devices the thrash detector engaged,
 //      and with zero swap traffic it must never engage.
-//   3. On a swap-heavy cluster (factor 2.0, every hand-off migrates
-//      pages over the shared link) the fused virtual-time device engine
-//      and the per-kernel reference engine must stay byte-equal: the
-//      migration lane lives in the GpuDevice base class and both
-//      engines charge it verbatim.
+//   3. A swap-heavy cluster (factor 2.0, every hand-off migrates pages
+//      over the shared link) must reproduce the traces, migration count
+//      and pool state recorded in tests/golden/device.golden from the
+//      per-kernel reference engine.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "common/rng.hpp"
 #include "chaos/injector.hpp"
-#include "gpu/device.hpp"
+#include "common/rng.hpp"
 #include "gpu/nvml.hpp"
 #include "k8s/cluster.hpp"
 #include "kubeshare/kubeshare.hpp"
 #include "metrics/swap.hpp"
+#include "support/golden.hpp"
 #include "workload/host.hpp"
 #include "workload/job.hpp"
 
 namespace ks::vgpu {
 namespace {
 
-struct OversubTraces {
-  std::map<std::string, std::vector<std::string>> kernels;  // by device uuid
-  std::map<std::string, std::vector<std::string>> tokens;   // by node
-  std::map<std::string, std::vector<std::string>> nvml_util;  // at + gpu_util
-  std::map<std::string, std::vector<std::string>> nvml_mem;   // at + mem_used
+struct OversubRun {
+  /// Kernel, token and NVML gpu_util digests plus completions.
+  std::string traces;
+  /// NVML mem_used digest, kept apart (see file header).
+  std::string nvml_mem;
   std::string pool_dump;
   std::size_t completed = 0;
-  std::size_t failed = 0;
+  std::uint64_t events = 0;
   std::uint64_t migrations = 0;
   std::uint64_t tq_engagements = 0;
 };
@@ -57,7 +54,6 @@ struct RunOptions {
   bool oversub = false;
   double factor = 1.0;
   bool tq = false;
-  gpu::GpuExecMode exec = gpu::GpuExecMode::kFused;
   std::uint64_t seed = 1;
   /// Scripted kTokenDaemonRestart + kDevMgrCrash mid-run.
   bool chaos = false;
@@ -70,15 +66,15 @@ struct RunOptions {
   Time horizon = Seconds(60);
 };
 
-OversubTraces RunOversubCluster(const RunOptions& opt) {
-  // Heap-owned collector, as in the device equivalence suite: trace
-  // callbacks keep firing during cluster teardown.
-  auto out = std::make_unique<OversubTraces>();
+OversubRun RunOversubCluster(const RunOptions& opt) {
+  OversubRun run;
+  golden::ClusterDigests traces;
+  golden::TraceDigest nvml_util;
+  golden::TraceDigest nvml_mem;
   {
     k8s::ClusterConfig ccfg;
     ccfg.nodes = opt.nodes;
     ccfg.gpus_per_node = opt.gpus_per_node;
-    ccfg.exec = opt.exec;
     ccfg.oversub.enabled = opt.oversub;
     ccfg.oversub.swap.oversubscription_factor = opt.factor;
     ccfg.backend.tq.enabled = opt.tq;
@@ -88,30 +84,7 @@ OversubTraces RunOversubCluster(const RunOptions& opt) {
     kcfg.memory_overcommit_factor = opt.oversub ? opt.factor : 0.0;
     kubeshare::KubeShare kubeshare(&cluster, kcfg);
     workload::WorkloadHost host(&cluster);
-
-    OversubTraces* sink = out.get();
-    for (std::size_t n = 0; n < cluster.node_count(); ++n) {
-      k8s::Cluster::NodeHandle& node = cluster.node(n);
-      for (auto& dev : node.gpus) {
-        const std::string uuid = dev->uuid().value();
-        sink->kernels[uuid];
-        dev->SetKernelTraceFn([sink, uuid](const gpu::KernelTraceEvent& e) {
-          sink->kernels[uuid].push_back(
-              std::to_string(e.id) + " " + e.owner.value() + " " + e.name +
-              " " + std::to_string(e.start.count()) + " " +
-              std::to_string(e.finish.count()));
-        });
-      }
-      const std::string node_name = node.name;
-      sink->tokens[node_name];
-      node.token_backend->SetGrantTraceFn(
-          [sink, node_name](const char* what, const ContainerId& container,
-                            Time when) {
-            sink->tokens[node_name].push_back(
-                std::string(what) + " " + container.value() + " " +
-                std::to_string(when.count()));
-          });
-    }
+    traces.Attach(cluster);
 
     EXPECT_TRUE(cluster.Start().ok());
     EXPECT_TRUE(kubeshare.Start().ok());
@@ -166,62 +139,36 @@ OversubTraces RunOversubCluster(const RunOptions& opt) {
     for (std::size_t n = 0; n < cluster.node_count(); ++n) {
       for (auto& dev : cluster.node(n).gpus) {
         const std::string uuid = dev->uuid().value();
-        for (const gpu::NvmlSample& s : cluster.nvml().SamplesFor(
-                 dev->uuid())) {
-          sink->nvml_util[uuid].push_back(std::to_string(s.at.count()) +
-                                          " " + std::to_string(s.gpu_util));
-          sink->nvml_mem[uuid].push_back(std::to_string(s.at.count()) +
-                                         " " + std::to_string(s.mem_used));
+        for (const gpu::NvmlSample& s :
+             cluster.nvml().SamplesFor(dev->uuid())) {
+          const std::string at = uuid + " " + std::to_string(s.at.count());
+          nvml_util.Add(at + " " + std::to_string(s.gpu_util));
+          nvml_mem.Add(at + " " + std::to_string(s.mem_used));
         }
       }
     }
     const metrics::SwapMetrics swap = metrics::CollectSwapMetrics(
         cluster, [&host](const GpuUuid& uuid) { return host.SwapFor(uuid); });
-    sink->migrations = swap.migrations_total;
-    sink->tq_engagements = swap.tq_engagements_total;
-    sink->pool_dump = kubeshare.pool().DebugString();
-    sink->completed = host.completed();
-    sink->failed = host.failed();
+    run.migrations = swap.migrations_total;
+    run.tq_engagements = swap.tq_engagements_total;
+    run.pool_dump = kubeshare.pool().DebugString();
+    run.completed = host.completed();
+    run.events = cluster.sim().lifetime_events();
+    run.traces = " nvml_util=" + nvml_util.str() +
+                 " completed=" + std::to_string(host.completed()) +
+                 " failed=" + std::to_string(host.failed());
     EXPECT_TRUE(kubeshare.pool().CheckIndexInvariants().ok());
   }
-  return std::move(*out);
+  run.traces = traces.str() + run.traces;
+  run.nvml_mem = nvml_mem.str();
+  return run;
 }
 
-void ExpectLinesEqual(const std::vector<std::string>& a,
-                      const std::vector<std::string>& b,
-                      const std::string& what) {
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] == b[i]) continue;
-    ADD_FAILURE() << what << " diverged at line " << i << ": \"" << a[i]
-                  << "\" vs \"" << b[i] << "\"";
-    return;
-  }
-  EXPECT_EQ(a.size(), b.size()) << what << " lengths differ";
-}
-
-void ExpectMapsEqual(
-    const std::map<std::string, std::vector<std::string>>& a,
-    const std::map<std::string, std::vector<std::string>>& b,
-    const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (const auto& [key, lines] : a) {
-    auto it = b.find(key);
-    ASSERT_NE(it, b.end()) << what << " " << key;
-    ExpectLinesEqual(lines, it->second, what + " on " + key);
-  }
-}
-
-void ExpectTracesEqual(const OversubTraces& a, const OversubTraces& b,
-                       const std::string& label, bool include_mem = true) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.failed, b.failed);
-  ExpectMapsEqual(a.kernels, b.kernels, "kernel trace");
-  ExpectMapsEqual(a.tokens, b.tokens, "token trace");
-  ExpectMapsEqual(a.nvml_util, b.nvml_util, "nvml gpu_util");
+void ExpectRunsEqual(const OversubRun& a, const OversubRun& b,
+                     const std::string& label, bool include_mem = true) {
+  EXPECT_EQ(a.traces, b.traces) << label;
   if (include_mem) {
-    ExpectMapsEqual(a.nvml_mem, b.nvml_mem, "nvml mem_used");
+    EXPECT_EQ(a.nvml_mem, b.nvml_mem) << label;
   }
 }
 
@@ -234,12 +181,12 @@ TEST(OversubEquivalence, FactorOneByteEqualToFeatureOffUnderChaos) {
     on.seed = seed;
     RunOptions off = on;
     off.oversub = false;
-    const OversubTraces a = RunOversubCluster(on);
-    const OversubTraces b = RunOversubCluster(off);
+    const OversubRun a = RunOversubCluster(on);
+    const OversubRun b = RunOversubCluster(off);
     // mem_used excluded: over-commitment host-backs allocations (see
     // file header); every scheduling-visible trace must still match.
-    ExpectTracesEqual(a, b, "factor-1.0 seed " + std::to_string(seed),
-                      /*include_mem=*/false);
+    ExpectRunsEqual(a, b, "factor-1.0 seed " + std::to_string(seed),
+                    /*include_mem=*/false);
     EXPECT_EQ(a.migrations, 0u) << "factor 1.0 must never migrate";
     EXPECT_GT(a.completed, 0u);
   }
@@ -255,36 +202,15 @@ TEST(OversubEquivalence, TqEnabledNoPressureByteEqualUnderChaos) {
     tq_on.seed = seed;
     RunOptions tq_off = tq_on;
     tq_off.tq = false;
-    const OversubTraces a = RunOversubCluster(tq_on);
-    const OversubTraces b = RunOversubCluster(tq_off);
-    ExpectTracesEqual(a, b, "tq-idle seed " + std::to_string(seed));
+    const OversubRun a = RunOversubCluster(tq_on);
+    const OversubRun b = RunOversubCluster(tq_off);
+    ExpectRunsEqual(a, b, "tq-idle seed " + std::to_string(seed));
     EXPECT_EQ(a.tq_engagements, 0u)
         << "thrash detector engaged without swap traffic";
   }
 }
 
-TEST(OversubEquivalence, SwapHeavyFusedMatchesReferenceEngine) {
-  RunOptions fused;
-  fused.oversub = true;
-  fused.factor = 2.0;
-  fused.tq = true;
-  fused.nodes = 1;
-  fused.gpus_per_node = 1;
-  fused.tenants = 3;
-  fused.model_frac = 0.55;  // aggregate 1.65x capacity: every hand-off swaps
-  fused.gpu_mem = 0.6;
-  fused.horizon = Seconds(120);
-  fused.exec = gpu::GpuExecMode::kFused;
-  RunOptions reference = fused;
-  reference.exec = gpu::GpuExecMode::kReference;
-  const OversubTraces a = RunOversubCluster(fused);
-  const OversubTraces b = RunOversubCluster(reference);
-  ExpectTracesEqual(a, b, "swap-heavy engines");
-  EXPECT_EQ(a.pool_dump, b.pool_dump);
-  EXPECT_GT(a.migrations, 0u) << "working set above capacity never swapped";
-}
-
-TEST(OversubEquivalence, SwapHeavyRunIsDeterministic) {
+RunOptions SwapHeavy() {
   RunOptions opt;
   opt.oversub = true;
   opt.factor = 2.0;
@@ -292,12 +218,29 @@ TEST(OversubEquivalence, SwapHeavyRunIsDeterministic) {
   opt.nodes = 1;
   opt.gpus_per_node = 1;
   opt.tenants = 3;
-  opt.model_frac = 0.55;
+  opt.model_frac = 0.55;  // aggregate 1.65x capacity: every hand-off swaps
   opt.gpu_mem = 0.6;
   opt.horizon = Seconds(120);
-  const OversubTraces a = RunOversubCluster(opt);
-  const OversubTraces b = RunOversubCluster(opt);
-  ExpectTracesEqual(a, b, "determinism");
+  return opt;
+}
+
+TEST(OversubEquivalence, SwapHeavyMatchesReferenceGolden) {
+  const OversubRun run = RunOversubCluster(SwapHeavy());
+  golden::TraceDigest pool;
+  pool.Add(run.pool_dump);
+  golden::ExpectDeviceGolden(
+      "oversub/swap-heavy",
+      run.traces + " nvml_mem=" + run.nvml_mem +
+          " events=" + std::to_string(run.events) +
+          " migrations=" + std::to_string(run.migrations) +
+          " tq=" + std::to_string(run.tq_engagements) + " pool=" + pool.str());
+  EXPECT_GT(run.migrations, 0u) << "working set above capacity never swapped";
+}
+
+TEST(OversubEquivalence, SwapHeavyRunIsDeterministic) {
+  const OversubRun a = RunOversubCluster(SwapHeavy());
+  const OversubRun b = RunOversubCluster(SwapHeavy());
+  ExpectRunsEqual(a, b, "determinism");
   EXPECT_EQ(a.pool_dump, b.pool_dump);
   EXPECT_EQ(a.migrations, b.migrations);
 }

@@ -12,15 +12,13 @@
 //   - whole-cluster KubeShare runs (inference, training, across a
 //     token-daemon restart and a DevMgr crash) from the oracle — kernel,
 //     NVML and token traces plus completions and engine-event count.
-// Each trace is stored as its line count and FNV-1a digest. After an
-// intentional behaviour change, re-record by running the test binary
-// directly with KS_UPDATE_GOLDEN=1 and review the diff of the golden file.
+// Each trace is stored as its line count and FNV-1a digest
+// (tests/support/golden.hpp has the digest, the collector and how to
+// re-record).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -28,23 +26,16 @@
 #include <utility>
 #include <vector>
 
-#include "chaos/fault_plan.hpp"
-#include "chaos/injector.hpp"
 #include "common/rng.hpp"
-#include "gpu/nvml.hpp"
-#include "k8s/cluster.hpp"
-#include "kubeshare/kubeshare.hpp"
 #include "sim/simulation.hpp"
+#include "support/golden.hpp"
 #include "vgpu/token_backend.hpp"
 #include "workload/generator.hpp"
-#include "workload/host.hpp"
 
 namespace ks::vgpu {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Golden file: one "key summary" line per pinned run.
-
+constexpr const char* kGoldenFile = "token_daemon.golden";
 constexpr const char* kGoldenHeader =
     "# Token-daemon golden traces: <run> <line counts + FNV-1a digests>.\n"
     "# churn/seed* and cluster/* were recorded from the one-event-per-\n"
@@ -52,59 +43,9 @@ constexpr const char* kGoldenHeader =
     "# timer-wheel daemon at an exact 1 us tick; see\n"
     "# tests/vgpu/token_golden_test.cpp for how each run is built.\n";
 
-std::string GoldenPath() {
-  return std::string(KS_SOURCE_DIR) + "/tests/golden/token_daemon.golden";
-}
-
-std::map<std::string, std::string> LoadGolden() {
-  std::map<std::string, std::string> golden;
-  std::ifstream in(GoldenPath());
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos) continue;
-    golden[line.substr(0, space)] = line.substr(space + 1);
-  }
-  return golden;
-}
-
 void ExpectGolden(const std::string& key, const std::string& actual) {
-  std::map<std::string, std::string> golden = LoadGolden();
-  if (std::getenv("KS_UPDATE_GOLDEN") != nullptr) {
-    golden[key] = actual;
-    std::ofstream out(GoldenPath());
-    out << kGoldenHeader;
-    for (const auto& [k, v] : golden) out << k << " " << v << "\n";
-    return;
-  }
-  const auto it = golden.find(key);
-  ASSERT_NE(it, golden.end()) << "no golden entry for " << key;
-  EXPECT_EQ(it->second, actual) << key;
+  golden::ExpectGolden(kGoldenFile, kGoldenHeader, key, actual);
 }
-
-/// Line count plus FNV-1a 64 over the lines (each newline-terminated).
-class TraceDigest {
- public:
-  void Add(const std::string& line) {
-    for (const char c : line) Mix(static_cast<unsigned char>(c));
-    Mix('\n');
-    ++lines_;
-  }
-  std::string str() const {
-    std::ostringstream out;
-    out << lines_ << ":" << std::hex << hash_;
-    return out.str();
-  }
-
- private:
-  void Mix(unsigned char c) {
-    hash_ ^= c;
-    hash_ *= 1099511628211ull;
-  }
-  std::uint64_t hash_ = 14695981039346656037ull;
-  std::uint64_t lines_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Churn plan against a lone daemon.
@@ -185,7 +126,7 @@ ChurnPlan MakePlan(std::uint64_t seed, Variant variant) {
 class GreedyClient : public TokenClient {
  public:
   GreedyClient(sim::Simulation* sim, TokenBackend* backend, ContainerId id,
-               bool stubborn, TraceDigest* trace)
+               bool stubborn, golden::TraceDigest* trace)
       : sim_(sim),
         backend_(backend),
         id_(std::move(id)),
@@ -220,7 +161,7 @@ class GreedyClient : public TokenClient {
   TokenBackend* backend_;
   ContainerId id_;
   bool stubborn_;
-  TraceDigest* trace_;
+  golden::TraceDigest* trace_;
   bool live_ = true;
 };
 
@@ -233,7 +174,7 @@ std::string RunChurnPlan(const ChurnPlan& plan, Variant variant) {
   const GpuUuid gpu("GPU-EQ");
   backend->RegisterDevice(gpu);
 
-  TraceDigest trace;
+  golden::TraceDigest trace;
   if (variant != Variant::kTemporal) {
     // The feature runs also fold in the daemon's own transitions
     // (concurrent holds, fences).
@@ -381,109 +322,15 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Whole-cluster KubeShare runs.
 
-enum class FaultChoice { kNone, kTokenDaemonRestart, kDevMgrCrash };
-
-struct ClusterRun {
-  const char* key;
-  std::uint64_t seed;
-  workload::WorkloadConfig::JobKind kind;
-  FaultChoice fault;
-};
-
-std::string RunCluster(const ClusterRun& run) {
-  // Heap-owned collectors: trace callbacks keep firing during cluster
-  // teardown, so they must outlive the cluster scope.
-  auto kernels = std::make_unique<std::map<std::string, TraceDigest>>();
-  auto tokens = std::make_unique<std::map<std::string, TraceDigest>>();
-  TraceDigest nvml;
-  std::ostringstream out;
-  {
-    k8s::ClusterConfig ccfg;
-    ccfg.nodes = 3;
-    ccfg.gpus_per_node = 2;
-    k8s::Cluster cluster(ccfg);
-    for (std::size_t n = 0; n < cluster.node_count(); ++n) {
-      k8s::Cluster::NodeHandle& node = cluster.node(n);
-      for (auto& dev : node.gpus) {
-        TraceDigest* sink = &(*kernels)[dev->uuid().value()];
-        dev->SetKernelTraceFn([sink](const gpu::KernelTraceEvent& e) {
-          sink->Add(std::to_string(e.id) + " " + e.owner.value() + " " +
-                    e.name + " " + std::to_string(e.start.count()) + " " +
-                    std::to_string(e.finish.count()));
-        });
-      }
-      TraceDigest* sink = &(*tokens)[node.name];
-      node.token_backend->SetGrantTraceFn(
-          [sink](const char* what, const ContainerId& container, Time when) {
-            sink->Add(std::string(what) + " " + container.value() + " " +
-                      std::to_string(when.count()));
-          });
-    }
-
-    kubeshare::KubeShare kubeshare(&cluster);
-    workload::WorkloadHost host(&cluster);
-    workload::WorkloadConfig wcfg;
-    wcfg.total_jobs = 12;
-    wcfg.mean_interarrival = Seconds(1.0);
-    wcfg.demand_mean = 0.4;
-    wcfg.demand_stddev = 0.15;
-    wcfg.job_duration = Seconds(6);
-    wcfg.seed = run.seed;
-    wcfg.job_kind = run.kind;
-    workload::WorkloadDriver driver(&cluster, &host,
-                                    workload::WorkloadDriver::Mode::kKubeShare,
-                                    &kubeshare, wcfg);
-
-    chaos::FaultPlan plan;
-    if (run.fault != FaultChoice::kNone) {
-      chaos::Fault f;
-      f.at = Seconds(8);
-      if (run.fault == FaultChoice::kTokenDaemonRestart) {
-        f.kind = chaos::FaultKind::kTokenDaemonRestart;
-        f.node = "node-0";
-      } else {
-        f.kind = chaos::FaultKind::kDevMgrCrash;
-        f.duration = Seconds(2);
-      }
-      plan.faults.push_back(f);
-    }
-    chaos::FaultInjector injector(&cluster, plan);
-    injector.SetKubeShare(&kubeshare);
-
-    EXPECT_TRUE(cluster.Start().ok());
-    EXPECT_TRUE(kubeshare.Start().ok());
-    EXPECT_TRUE(injector.Arm().ok());
-    cluster.nvml().Start();
-    driver.Start();
-    cluster.sim().RunUntil(Seconds(35));
-    cluster.nvml().Stop();
-
-    for (std::size_t n = 0; n < cluster.node_count(); ++n) {
-      for (auto& dev : cluster.node(n).gpus) {
-        const GpuUuid& uuid = dev->uuid();
-        for (const gpu::NvmlSample& s : cluster.nvml().SamplesFor(uuid)) {
-          std::ostringstream line;
-          line << uuid.value() << " " << s.at.count() << " " << std::hexfloat
-               << s.gpu_util << " " << s.mem_used;
-          nvml.Add(line.str());
-        }
-      }
-    }
-    out << " completed=" << host.completed() << " failed=" << host.failed()
-        << " events=" << cluster.sim().lifetime_events();
-  }
-  // Devices and nodes fold in name order; each trace keeps its own order.
-  TraceDigest kernel_all;
-  for (const auto& [uuid, d] : *kernels) kernel_all.Add(uuid + " " + d.str());
-  TraceDigest token_all;
-  for (const auto& [node, d] : *tokens) token_all.Add(node + " " + d.str());
-  return "kernels=" + kernel_all.str() + " tokens=" + token_all.str() +
-         " nvml=" + nvml.str() + out.str();
-}
-
 TEST(TokenGolden, ClusterRunsMatchRecordedTraces) {
   using Kind = workload::WorkloadConfig::JobKind;
-  const ClusterRun runs[] = {
+  using golden::FaultChoice;
+  const struct {
+    const char* key;
+    std::uint64_t seed;
+    Kind kind;
+    FaultChoice fault;
+  } runs[] = {
       {"inference-seed11", 11, Kind::kInference, FaultChoice::kNone},
       {"inference-seed12", 12, Kind::kInference, FaultChoice::kNone},
       {"inference-seed13", 13, Kind::kInference, FaultChoice::kNone},
@@ -495,8 +342,9 @@ TEST(TokenGolden, ClusterRunsMatchRecordedTraces) {
        FaultChoice::kTokenDaemonRestart},
       {"devmgr-crash-seed41", 41, Kind::kTraining, FaultChoice::kDevMgrCrash},
   };
-  for (const ClusterRun& run : runs) {
-    ExpectGolden(std::string("cluster/") + run.key, RunCluster(run));
+  for (const auto& run : runs) {
+    ExpectGolden(std::string("cluster/") + run.key,
+                 golden::RunWorkloadCluster(run.seed, run.kind, run.fault));
   }
 }
 
