@@ -17,9 +17,9 @@ NvmlMonitor::NvmlMonitor(sim::Simulation* sim, Duration period,
 
 void NvmlMonitor::Register(GpuDevice* device) {
   assert(device != nullptr);
-  devices_.push_back(device);
-  samples_.try_emplace(device->uuid());
-  busy_at_last_tick_[device->uuid()] = device->utilization().TotalBusy();
+  assert(samples_.count(device->uuid()) == 0 && "device registered twice");
+  slots_.push_back({device, &samples_[device->uuid()],
+                    device->utilization().TotalBusy()});
 }
 
 void NvmlMonitor::Start() {
@@ -48,11 +48,12 @@ void NvmlMonitor::Stop() {
 void NvmlMonitor::Tick() {
   const Time now = sim_->Now();
   const auto elapsed = now - last_tick_;
-  for (GpuDevice* dev : devices_) {
+  for (Slot& slot : slots_) {
+    GpuDevice* dev = slot.device;
     dev->utilization().Flush(now);
     const Duration busy_total = dev->utilization().TotalBusy();
-    const Duration busy_delta = busy_total - busy_at_last_tick_[dev->uuid()];
-    busy_at_last_tick_[dev->uuid()] = busy_total;
+    const Duration busy_delta = busy_total - slot.busy_at_last_tick;
+    slot.busy_at_last_tick = busy_total;
     NvmlSample s;
     s.at = now;
     s.gpu_util = elapsed.count() > 0
@@ -61,7 +62,7 @@ void NvmlMonitor::Tick() {
                      : 0.0;
     s.mem_used = static_cast<double>(dev->used_memory()) /
                  static_cast<double>(dev->spec().memory_bytes);
-    samples_[dev->uuid()].push_back(s);
+    slot.samples->push_back(s);
   }
   last_tick_ = now;
   if (hub_ == nullptr && running_) {

@@ -35,6 +35,8 @@ class NvmlMonitor {
   NvmlMonitor(sim::Simulation* sim, Duration period = Seconds(1.0),
               sim::TickHub* hub = nullptr);
 
+  /// Adds a device to the poll, once per UUID; ticks sample devices in
+  /// registration order.
   void Register(GpuDevice* device);
 
   void Start();
@@ -61,9 +63,17 @@ class NvmlMonitor {
   sim::TickHub::SubId sub_ = 0;
   Time last_tick_{0};
 
-  std::vector<GpuDevice*> devices_;
+  /// One registered device, polled in registration order: its sample
+  /// series (a stable pointer into samples_) and its busy total at the
+  /// previous tick.
+  struct Slot {
+    GpuDevice* device;
+    std::vector<NvmlSample>* samples;
+    Duration busy_at_last_tick;
+  };
+
+  std::vector<Slot> slots_;
   std::unordered_map<GpuUuid, std::vector<NvmlSample>> samples_;
-  std::unordered_map<GpuUuid, Duration> busy_at_last_tick_;
 };
 
 }  // namespace ks::gpu

@@ -45,14 +45,17 @@ Status Kubelet::Start() {
     FinishPod(pod_name, ok, reason);
   });
 
-  api_->pods().Watch([this](const WatchEvent<Pod>& ev) { OnPodEvent(ev); });
+  // Node-scoped watch (the spec.nodeName field selector): pods bound to
+  // other nodes never reach this kubelet.
+  api_->pods().Watch(
+      [this](const WatchEvent<Pod>& ev) { OnPodEvent(ev); },
+      [this](const Pod& pod) { return pod.status.node_name == node_name_; });
   return Status::Ok();
 }
 
 void Kubelet::OnPodEvent(const WatchEvent<Pod>& event) {
   if (crashed_) return;  // a dead agent sees nothing
   const Pod& pod = event.object;
-  if (pod.status.node_name != node_name_) return;
 
   if (event.type == WatchEventType::kDeleted) {
     auto it = pods_.find(pod.meta.name);

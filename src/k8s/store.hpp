@@ -124,6 +124,9 @@ template <typename T>
 class ObjectStore {
  public:
   using WatchFn = std::function<void(const WatchEvent<T>&)>;
+  /// Server-side watch filter (a field or label selector): a watcher only
+  /// receives events whose object matches.
+  using WatchSelector = std::function<bool(const T&)>;
 
   /// `fanout` selects the delivery path; kBatched coalesces same-time
   /// deliveries through `hub`. Stores whose deliveries can interleave at
@@ -164,6 +167,13 @@ class ObjectStore {
     auto it = objects_.find(name);
     if (it == objects_.end()) return NotFoundError("no object: " + name);
     return it->second;
+  }
+
+  /// Zero-copy lookup: the stored object, or null. The pointer is valid
+  /// until the next mutation of this store; read what you need first.
+  const T* Find(const std::string& name) const {
+    auto it = objects_.find(name);
+    return it == objects_.end() ? nullptr : &it->second;
   }
 
   bool Contains(const std::string& name) const {
@@ -246,11 +256,20 @@ class ObjectStore {
   /// Registers a watcher. Watchers receive all subsequent events; existing
   /// objects are replayed as kAdded events (the informer "list" phase) so a
   /// controller starting late still converges.
-  WatchId Watch(WatchFn fn) {
+  ///
+  /// A `selector` scopes the watch server-side, as a field selector such as
+  /// spec.nodeName does: it is evaluated once per event on the event's
+  /// object, and an event it rejects costs this watcher nothing — no
+  /// delivery, no copy, no engine or hub slot.
+  WatchId Watch(WatchFn fn, WatchSelector selector = nullptr) {
     const WatchId id = next_watch_++;
-    watchers_.emplace(id, std::move(fn));
+    auto& watcher = watchers_[id];
+    watcher.fn = std::move(fn);
+    watcher.selector = std::move(selector);
     for (const auto& [name, obj] : objects_) {
-      Deliver(id, WatchEvent<T>{WatchEventType::kAdded, obj});
+      if (watcher.Selects(obj)) {
+        Deliver(id, WatchEvent<T>{WatchEventType::kAdded, obj});
+      }
     }
     return id;
   }
@@ -282,8 +301,8 @@ class ObjectStore {
   /// unbatched). Shared hubs aggregate across every store wired to them.
   WatchHub* watch_hub() { return hub_; }
 
-  /// Individual (event, watcher) deliveries issued by this store — the
-  /// engine-event count the unbatched path would have spent. Counted in
+  /// Individual (event, selected watcher) deliveries issued by this store —
+  /// the engine-event count the unbatched path would have spent. Counted in
   /// both modes, so batched-vs-unbatched comparisons share a denominator.
   std::uint64_t watch_deliveries() const { return watch_deliveries_; }
   /// Engine events this store actually armed for fan-out (unbatched mode
@@ -310,11 +329,14 @@ class ObjectStore {
       ++dropped_events_;
       return;
     }
-    // Snapshot the watcher ids; a watcher registered during delivery must
-    // not observe this event twice (it replays current state instead).
+    // Snapshot the selected watcher ids; a watcher registered during
+    // delivery must not observe this event twice (it replays current state
+    // instead).
     std::vector<WatchId> ids;
     ids.reserve(watchers_.size());
-    for (const auto& [id, fn] : watchers_) ids.push_back(id);
+    for (const auto& [id, watcher] : watchers_) {
+      if (watcher.Selects(event.object)) ids.push_back(id);
+    }
     for (const WatchId id : ids) Deliver(id, event);
   }
 
@@ -329,7 +351,7 @@ class ObjectStore {
     auto closure = [this, id, event = std::move(event)] {
       auto it = watchers_.find(id);
       if (it == watchers_.end()) return;
-      it->second(event);
+      it->second.fn(event);
     };
     if (fanout_ == WatchFanout::kBatched) {
       hub_->Enqueue(at, std::move(closure));
@@ -346,8 +368,17 @@ class ObjectStore {
   std::unique_ptr<WatchHub> owned_hub_;
   std::uint64_t watch_deliveries_ = 0;
   std::uint64_t unbatched_fanout_events_ = 0;
+
+  struct Watcher {
+    WatchFn fn;
+    WatchSelector selector;  // null: every event
+    bool Selects(const T& object) const {
+      return !selector || selector(object);
+    }
+  };
+
   std::map<std::string, T> objects_;
-  std::map<WatchId, WatchFn> watchers_;
+  std::map<WatchId, Watcher> watchers_;
   std::uint64_t next_uid_ = 1;
   std::uint64_t version_ = 0;
   WatchId next_watch_ = 1;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <iterator>
 
 #include "common/log.hpp"
 #include "k8s/resources.hpp"
@@ -110,37 +109,35 @@ void KubeShareSched::OnSharePodEvent(const k8s::WatchEvent<SharePod>& event) {
   const SharePod& pod = event.object;
   if (pod.terminal()) return;
   if (pod.scheduled()) return;  // already has a GPUID
-  Enqueue(pod.meta.name);
+  if (Enqueue(pod.meta.name, pod.spec.priority)) Pump();
 }
 
-void KubeShareSched::Enqueue(const std::string& name) {
-  if (queued_.count(name) > 0) return;
-  queued_.insert(name);
-  queue_.push_back(name);
-  Pump();
+bool KubeShareSched::Enqueue(const std::string& name, int priority) {
+  if (!queued_.insert(name).second) return false;
+  queue_.insert({priority, next_seq_++, name});
+  return true;
 }
 
 void KubeShareSched::Pump() {
   if (cycle_active_ || queue_.empty()) return;
   cycle_active_ = true;
-  // Highest priority first; FIFO among equals (queue_ is in arrival
-  // order). Unresolvable names fall back to priority 0 and get cleaned up
-  // by ScheduleOne.
-  auto pick = queue_.begin();
-  int best_priority = 0;
-  if (auto sp = sharepods_->Get(*pick); sp.ok()) {
-    best_priority = sp->spec.priority;
+  // Highest priority first; FIFO among equals. Keys are read at enqueue
+  // and priority is fixed at creation, so a key goes stale only when its
+  // sharePod is gone: the name then ranks as priority 0 at its arrival
+  // position (ScheduleOne cleans it up). Keys only fall, so once the head
+  // is re-keyed to its current priority, every key behind it bounds its
+  // own sharePod's priority from above and the head is the pick.
+  for (;;) {
+    const QueueEntry& head = *queue_.begin();
+    const SharePod* sp = sharepods_->Find(head.name);
+    const int priority = sp != nullptr ? sp->spec.priority : 0;
+    if (priority == head.priority) break;
+    auto node = queue_.extract(queue_.begin());
+    node.value().priority = priority;
+    queue_.insert(std::move(node));
   }
-  for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-    int priority = 0;
-    if (auto sp = sharepods_->Get(*it); sp.ok()) priority = sp->spec.priority;
-    if (priority > best_priority) {
-      best_priority = priority;
-      pick = it;
-    }
-  }
-  const std::string name = *pick;
-  queue_.erase(pick);
+  const std::string name = queue_.begin()->name;
+  queue_.erase(queue_.begin());
   queued_.erase(name);
   // The O(N) term counts *live* sharePods (Fig 11): each cycle re-reads
   // the status of every non-terminal sharePod through the apiserver.
@@ -163,8 +160,8 @@ void KubeShareSched::Pump() {
 }
 
 void KubeShareSched::ScheduleOne(const std::string& name) {
-  auto pod = sharepods_->Get(name);
-  if (!pod.ok() || pod->terminal()) return;
+  const SharePod* pod = sharepods_->Find(name);
+  if (pod == nullptr || pod->terminal()) return;
   if (pod->scheduled()) return;
 
   ScheduleRequest request;
@@ -198,9 +195,9 @@ void KubeShareSched::ScheduleOne(const std::string& name) {
           // Batch: everyone joins the queue before the next cycle starts,
           // so the priority pick sees the whole group.
           for (const std::string& waiter : parked) {
-            auto p = sharepods_->Get(waiter);
-            if (!p.ok() || p->terminal() || p->scheduled()) continue;
-            if (queued_.insert(waiter).second) queue_.push_back(waiter);
+            const SharePod* p = sharepods_->Find(waiter);
+            if (p == nullptr || p->terminal() || p->scheduled()) continue;
+            Enqueue(waiter, p->spec.priority);
           }
           Pump();
         });

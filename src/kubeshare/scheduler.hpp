@@ -1,7 +1,8 @@
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <unordered_set>
 
@@ -71,11 +72,23 @@ class KubeShareSched {
   const RunningStats& decision_stats() const { return decision_stats_; }
 
  private:
+  /// A queued sharePod: its priority as read at enqueue and its arrival
+  /// sequence. The queue runs highest priority first, FIFO among equals.
+  struct QueueEntry {
+    int priority;
+    std::uint64_t seq;
+    std::string name;
+    bool operator<(const QueueEntry& other) const {
+      if (priority != other.priority) return priority > other.priority;
+      return seq < other.seq;
+    }
+  };
+
   void OnSharePodEvent(const k8s::WatchEvent<SharePod>& event);
-  void Enqueue(const std::string& name);
+  /// Queues `name` unless it is already queued; false if it was.
+  bool Enqueue(const std::string& name, int priority);
   void Pump();
   void ScheduleOne(const std::string& name);
-  void HandlePinned(SharePod pod);
   std::uint64_t Token() const;
 
   k8s::Cluster* cluster_;
@@ -84,8 +97,9 @@ class KubeShareSched {
   KubeShareConfig config_;
   std::function<std::uint64_t()> token_provider_;
 
-  std::deque<std::string> queue_;
+  std::set<QueueEntry> queue_;
   std::unordered_set<std::string> queued_;
+  std::uint64_t next_seq_ = 0;
   /// Unschedulable sharePods parked until the next flush. Flushing them
   /// back as a group (rather than per-pod timers) lets priority reorder
   /// the contenders every time capacity might have freed up.

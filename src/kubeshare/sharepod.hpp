@@ -67,7 +67,9 @@ struct SharePodSpec {
   int slice_offset = -1;
   /// Scheduling priority: higher-priority sharePods leave the queue first
   /// (ties break FIFO). No preemption — priority orders admission only,
-  /// like Kubernetes PriorityClass without the eviction half.
+  /// like Kubernetes PriorityClass without the eviction half. Fixed at
+  /// creation, as PodSpec.priority is in Kubernetes: KubeShare-Sched reads
+  /// it once, when the sharePod joins its queue.
   int priority = 0;
 };
 

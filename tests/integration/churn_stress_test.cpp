@@ -1,16 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "kubeshare/kubeshare.hpp"
+#include "support/churn.hpp"
 #include "workload/host.hpp"
-#include "workload/job.hpp"
 
 namespace ks {
 namespace {
 
-/// Cluster-level churn: random sharePod submissions (mixed training and
-/// inference, random locality labels) interleaved with random deletions,
-/// while global invariants are checked continuously:
+/// Cluster-level churn (support/churn.hpp's plan): random sharePod
+/// submissions interleaved with random deletions, while global invariants
+/// are checked after every round:
 ///  - no vGPU is ever over-committed by requests;
 ///  - the vGPU count never exceeds the physical supply;
 ///  - kubelet CPU accounting never exceeds capacity;
@@ -22,7 +21,6 @@ struct ChurnParam {
 class ClusterChurnStress : public ::testing::TestWithParam<ChurnParam> {};
 
 TEST_P(ClusterChurnStress, InvariantsHoldUnderRandomChurn) {
-  Rng rng(GetParam().seed);
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 4;
   ccfg.gpus_per_node = 2;
@@ -33,46 +31,7 @@ TEST_P(ClusterChurnStress, InvariantsHoldUnderRandomChurn) {
   ASSERT_TRUE(kubeshare.Start().ok());
 
   const int physical_gpus = ccfg.nodes * ccfg.gpus_per_node;
-  std::vector<std::string> live;
-  int next_id = 0;
-
-  auto submit = [&] {
-    const std::string name = "churn-" + std::to_string(next_id++);
-    kubeshare::SharePod sp;
-    sp.meta.name = name;
-    sp.spec.gpu.gpu_request = rng.Uniform(0.1, 0.6);
-    sp.spec.gpu.gpu_limit =
-        std::min(1.0, sp.spec.gpu.gpu_request + rng.Uniform(0.0, 0.4));
-    sp.spec.gpu.gpu_mem = rng.Uniform(0.1, 0.4);
-    sp.spec.priority = static_cast<int>(rng.UniformInt(0, 3));
-    if (rng.Chance(0.2)) {
-      sp.spec.locality.anti_affinity =
-          Label("anti-" + std::to_string(rng.UniformInt(0, 1)));
-    }
-    if (rng.Chance(0.1)) {
-      sp.spec.locality.exclusion =
-          Label("excl-" + std::to_string(rng.UniformInt(0, 1)));
-    }
-    if (rng.Chance(0.5)) {
-      workload::InferenceSpec spec = workload::InferenceSpec::ForDemand(
-          rng.Uniform(0.1, 0.5), static_cast<int>(rng.UniformInt(50, 400)),
-          Millis(20));
-      spec.seed = rng.UniformInt(1, 1 << 20);
-      host.ExpectJob(name, [spec] {
-        return std::make_unique<workload::InferenceJob>(spec);
-      });
-    } else {
-      workload::TrainingSpec spec;
-      spec.steps = static_cast<int>(rng.UniformInt(100, 2000));
-      spec.step_kernel = Millis(10);
-      spec.model_bytes = 1ull << 30;
-      host.ExpectJob(name, [spec] {
-        return std::make_unique<workload::TrainingJob>(spec);
-      });
-    }
-    ASSERT_TRUE(kubeshare.CreateSharePod(sp).ok());
-    live.push_back(name);
-  };
+  churn::ChurnPlan plan(GetParam().seed, &cluster, &kubeshare, &host);
 
   auto check_invariants = [&] {
     for (const kubeshare::VgpuInfo* dev : kubeshare.pool().List()) {
@@ -88,25 +47,10 @@ TEST_P(ClusterChurnStress, InvariantsHoldUnderRandomChurn) {
     }
   };
 
-  for (int round = 0; round < 80; ++round) {
-    if (live.size() < 12 && rng.Chance(0.7)) submit();
-    if (!live.empty() && rng.Chance(0.3)) {
-      const auto idx = static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-      // Deleting a sharePod that may be pending, acquiring, launching,
-      // running, or already finished — all paths must be safe.
-      (void)kubeshare.sharepods().Delete(live[idx]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-    cluster.sim().RunUntil(cluster.sim().Now() +
-                           Millis(rng.UniformInt(200, 3000)));
-    check_invariants();
-  }
+  plan.Run(check_invariants);
 
   // Drain: delete the survivors and let everything settle.
-  for (const std::string& name : live) {
-    (void)kubeshare.sharepods().Delete(name);
-  }
+  plan.DeleteSurvivors();
   cluster.sim().RunUntil(cluster.sim().Now() + Minutes(3));
   check_invariants();
   EXPECT_EQ(kubeshare.pool().size(), 0u);  // on-demand: all GPUs returned

@@ -67,8 +67,9 @@ TEST_F(KubeletTest, RunsBoundPodAndInjectsDeviceEnv) {
   BoundPod("p", 1000, 1);
   sim_.RunUntil(Seconds(5));
   EXPECT_EQ(PhaseOf("p"), PodPhase::kRunning);
-  const auto& env = api_->pods().Get("p")->status.effective_env;
-  EXPECT_EQ(env.at(kNvidiaVisibleDevices), "GPU-0");
+  const auto pod = api_->pods().Get("p");
+  ASSERT_TRUE(pod.ok());
+  EXPECT_EQ(pod->status.effective_env.at(kNvidiaVisibleDevices), "GPU-0");
   EXPECT_EQ(kubelet_->FreeDeviceUnits(), 1u);
   EXPECT_EQ(kubelet_->UnitsOf("p").size(), 1u);
 }
@@ -142,6 +143,28 @@ TEST_F(KubeletTest, IgnoresPodsBoundElsewhere) {
   sim_.RunUntil(Seconds(5));
   EXPECT_EQ(PhaseOf("foreign"), PodPhase::kPending);
   EXPECT_EQ(runtime_->running_containers(), 0u);
+}
+
+TEST_F(KubeletTest, PodsBoundElsewhereAreNeverDelivered) {
+  // The kubelet is the bare apiserver's only pod watcher, and its watch is
+  // node-scoped: a foreign pod's whole life (create, update, delete)
+  // costs it zero deliveries, while its own pod still reaches it.
+  Pod foreign;
+  foreign.meta.name = "foreign";
+  foreign.status.node_name = "node-9";
+  ASSERT_TRUE(api_->pods().Create(foreign).ok());
+  auto stored = api_->pods().Get("foreign");
+  ASSERT_TRUE(stored.ok());
+  stored->status.phase = PodPhase::kRunning;
+  ASSERT_TRUE(api_->pods().Update(*stored).ok());
+  ASSERT_TRUE(api_->pods().Delete("foreign").ok());
+  sim_.RunUntil(Seconds(1));
+  EXPECT_EQ(api_->pods().watch_deliveries(), 0u);
+
+  BoundPod("local", 100, 0);
+  sim_.RunUntil(Seconds(5));
+  EXPECT_GT(api_->pods().watch_deliveries(), 0u);
+  EXPECT_EQ(PhaseOf("local"), PodPhase::kRunning);
 }
 
 TEST_F(KubeletTest, DoubleStartRejected) {

@@ -43,24 +43,32 @@ struct ScriptResult {
   std::string trace;
   std::uint64_t engine_events = 0;  // fan-out events actually armed
   std::uint64_t deliveries = 0;
+  std::string selected_trace;  // the selector watcher's stream, if any
 };
 
-ScriptResult RunScript(WatchFanout fanout) {
+ScriptResult RunScript(WatchFanout fanout, bool selector_watcher = false) {
   sim::Simulation sim;
   ObjectStore<Pod> store(&sim, Millis(1), fanout);
   ScriptResult out;
 
-  auto watcher = [&](const char* tag) {
-    return [&, tag](const WatchEvent<Pod>& ev) {
-      out.trace += tag;
-      out.trace += TypeName(ev.type);
-      out.trace += " " + ev.object.meta.name + " v" +
-                   std::to_string(ev.object.meta.resource_version) + " @" +
-                   std::to_string(sim.Now().count()) + "\n";
+  auto watcher = [&](const char* tag, std::string* trace) {
+    return [&, tag, trace](const WatchEvent<Pod>& ev) {
+      *trace += tag;
+      *trace += TypeName(ev.type);
+      *trace += " " + ev.object.meta.name + " v" +
+                std::to_string(ev.object.meta.resource_version) + " @" +
+                std::to_string(sim.Now().count()) + "\n";
     };
   };
-  store.Watch(watcher("w1:"));
-  store.Watch(watcher("w2:"));
+  store.Watch(watcher("w1:", &out.trace));
+  if (selector_watcher) {
+    // Registered between the two plain watchers, so its deliveries would
+    // interleave with theirs in every batch it joins.
+    store.Watch(watcher("sel:", &out.selected_trace), [](const Pod& pod) {
+      return pod.meta.name == "pod-3" || pod.meta.name == "pod-5";
+    });
+  }
+  store.Watch(watcher("w2:", &out.trace));
 
   // Burst of same-time mutations (the fan-out hot case), then spread-out
   // ones, then deletes — all three event types, two watchers.
@@ -99,6 +107,27 @@ TEST(StoreBatch, WatcherStreamByteEqualToUnbatched) {
   // instead of one per (event, watcher) pair.
   EXPECT_EQ(unbatched.engine_events, unbatched.deliveries);
   EXPECT_LT(batched.engine_events, batched.deliveries);
+}
+
+TEST(StoreBatch, SelectorWatcherIsInvisibleToOtherWatchers) {
+  for (const WatchFanout fanout :
+       {WatchFanout::kUnbatched, WatchFanout::kBatched}) {
+    const ScriptResult plain = RunScript(fanout);
+    const ScriptResult scoped = RunScript(fanout, /*selector_watcher=*/true);
+    // The selector watcher gets exactly its objects' Added, Modified and
+    // Deleted events...
+    EXPECT_EQ(scoped.selected_trace,
+              "sel:A pod-3 v4 @6000\n"
+              "sel:A pod-5 v6 @6000\n"
+              "sel:M pod-3 v9 @10000\n"
+              "sel:D pod-5 v10 @10000\n");
+    EXPECT_EQ(scoped.deliveries, plain.deliveries + 4);
+    // ...and the plain watchers cannot tell it is there.
+    EXPECT_EQ(scoped.trace, plain.trace);
+    if (fanout == WatchFanout::kBatched) {
+      EXPECT_EQ(scoped.engine_events, plain.engine_events);
+    }
+  }
 }
 
 TEST(StoreBatch, ResourceVersionsOrderedWithinBatch) {

@@ -97,6 +97,59 @@ TEST_F(StoreTest, LateWatcherReplaysExistingObjects) {
   EXPECT_EQ(seen.size(), 2u);
 }
 
+TEST_F(StoreTest, SelectorWatchSeesOnlyMatchingEventsAndReplay) {
+  // A node-scoped watch (spec.nodeName field selector): the selector runs
+  // on each event's object, so a pod enters the stream when it is bound
+  // to the node and its deletion still reaches the watcher.
+  Pod bound = MakePod("bound");
+  bound.status.node_name = "n1";
+  store_.Create(bound);
+  store_.Create(MakePod("unbound"));
+  std::vector<std::string> seen;
+  store_.Watch(
+      [&](const WatchEvent<Pod>& ev) {
+        const char* type = ev.type == WatchEventType::kAdded      ? "A"
+                           : ev.type == WatchEventType::kModified ? "M"
+                                                                  : "D";
+        seen.push_back(std::string(type) + " " + ev.object.meta.name);
+      },
+      [](const Pod& pod) { return pod.status.node_name == "n1"; });
+  sim_.Run();
+  EXPECT_EQ(seen, std::vector<std::string>{"A bound"});  // replay
+
+  auto pod = store_.Get("unbound");
+  store_.Update(*pod);  // still unbound: filtered
+  pod = store_.Get("unbound");
+  pod->status.node_name = "n2";
+  store_.Update(*pod);  // bound elsewhere: filtered
+  store_.Create(MakePod("other"));
+  store_.Delete("other");
+  pod = store_.Get("bound");
+  pod->status.phase = PodPhase::kRunning;
+  store_.Update(*pod);
+  Pod late = MakePod("late");
+  store_.Create(late);
+  pod = store_.Get("late");
+  pod->status.node_name = "n1";
+  store_.Update(*pod);  // the bind is the first event it sees
+  store_.Delete("bound");
+  sim_.Run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"A bound", "M bound", "M late",
+                                            "D bound"}));
+  EXPECT_EQ(store_.watch_deliveries(), 4u);
+}
+
+TEST_F(StoreTest, FindIsZeroCopyLookup) {
+  store_.Create(MakePod("a"));
+  const Pod* found = store_.Find("a");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->meta.name, "a");
+  EXPECT_EQ(found->meta.resource_version, 1u);
+  EXPECT_EQ(store_.Find("nope"), nullptr);
+  store_.Delete("a");
+  EXPECT_EQ(store_.Find("a"), nullptr);
+}
+
 TEST_F(StoreTest, UnwatchStopsDelivery) {
   int events = 0;
   const WatchId id = store_.Watch([&](const WatchEvent<Pod>&) { ++events; });

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "kubeshare/kubeshare.hpp"
 
 namespace ks::kubeshare {
@@ -72,6 +76,50 @@ TEST_F(PriorityTest, PriorityGetsCapacityWhenContended) {
             SharePodPhase::kRunning);
   EXPECT_EQ(kubeshare_.sharepods().Get("low")->status.phase,
             SharePodPhase::kPending);
+}
+
+// "busy" takes the scheduler's first cycle while "a", "doomed" and "b"
+// queue behind it in that order; "doomed" is deleted mid-cycle. Returns
+// the scheduled times of busy, a and b.
+std::vector<Time> RunDeletedWhileQueued(int doomed_priority) {
+  k8s::ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.gpus_per_node = 1;
+  k8s::Cluster cluster(cfg);
+  KubeShare kubeshare(&cluster);
+  EXPECT_TRUE(cluster.Start().ok());
+  EXPECT_TRUE(kubeshare.Start().ok());
+  for (const auto& [name, priority] :
+       std::vector<std::pair<std::string, int>>{
+           {"busy", 0}, {"a", 0}, {"doomed", doomed_priority}, {"b", 0}}) {
+    EXPECT_TRUE(
+        kubeshare.CreateSharePod(MakeSharePod(name, 0.2, priority)).ok());
+  }
+  cluster.sim().RunUntil(Millis(5));
+  EXPECT_TRUE(kubeshare.sharepods().Delete("doomed").ok());
+  cluster.sim().RunUntil(Seconds(5));
+  std::vector<Time> times;
+  for (const char* name : {"busy", "a", "b"}) {
+    auto sp = kubeshare.sharepods().Get(name);
+    EXPECT_TRUE(sp.ok() && sp->status.scheduled_time.has_value()) << name;
+    times.push_back(sp.ok() ? sp->status.scheduled_time.value_or(kTimeZero)
+                            : kTimeZero);
+  }
+  return times;
+}
+
+TEST(PriorityQueue, DeletedWhileQueuedRanksAsZeroAtArrivalPosition) {
+  // A deleted sharePod's priority is unresolvable, so it ranks as 0 in its
+  // arrival slot: it neither jumps ahead of "a" (as its stale priority 10
+  // would) nor vanishes, since the cycle that finds it gone is still paid
+  // between "a" and "b". Every cycle after busy's sees three live
+  // sharePods.
+  const std::vector<Time> high = RunDeletedWhileQueued(10);
+  const KubeShareConfig config;
+  const Duration cycle = config.sched_fixed + config.sched_per_sharepod * 3;
+  EXPECT_EQ(high[1] - high[0], cycle);      // a right after busy
+  EXPECT_EQ(high[2] - high[1], 2 * cycle);  // doomed's cycle, then b
+  EXPECT_EQ(RunDeletedWhileQueued(0), high);
 }
 
 }  // namespace
