@@ -1,8 +1,10 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -14,22 +16,60 @@ namespace ks {
 /// expected — the confusion between the two is exactly the bug class the
 /// paper's DevMgr design is careful about (GPUID is virtual, UUID is the
 /// physical device identity).
+///
+/// Ids are built once (a container id when the runtime starts it, a UUID
+/// when the device is discovered) and then copied into every map, closure
+/// and trace that names the entity, many times per kernel. All copies share
+/// one immutable representation that caches the string's hash: copying is a
+/// reference-count bump and equal ids built from one original compare by
+/// pointer. Ordering is the string's lexicographic order and std::hash is
+/// std::hash<std::string> of the value, exactly as for a plain string, so
+/// every ordered and unordered container iterates as it would over strings.
+/// Copies may be made and dropped on any thread.
 template <typename Tag>
 class StringId {
  public:
   StringId() = default;
-  explicit StringId(std::string value) : value_(std::move(value)) {}
+  explicit StringId(std::string value)
+      : rep_(std::make_shared<const Rep>(std::move(value))) {}
 
-  const std::string& value() const { return value_; }
-  bool empty() const { return value_.empty(); }
+  const std::string& value() const { return rep().value; }
+  bool empty() const { return value().empty(); }
+  /// std::hash<std::string> of value(), computed once at construction.
+  std::size_t hash() const { return rep().hash; }
 
-  friend auto operator<=>(const StringId&, const StringId&) = default;
+  friend bool operator==(const StringId& a, const StringId& b) {
+    const Rep& x = a.rep();
+    const Rep& y = b.rep();
+    return &x == &y || (x.hash == y.hash && x.value == y.value);
+  }
+  friend std::strong_ordering operator<=>(const StringId& a,
+                                          const StringId& b) {
+    const Rep& x = a.rep();
+    const Rep& y = b.rep();
+    if (&x == &y) return std::strong_ordering::equal;
+    return x.value.compare(y.value) <=> 0;
+  }
   friend std::ostream& operator<<(std::ostream& os, const StringId& id) {
-    return os << id.value_;
+    return os << id.value();
   }
 
  private:
-  std::string value_;
+  struct Rep {
+    explicit Rep(std::string v)
+        : value(std::move(v)), hash(std::hash<std::string>{}(value)) {}
+    std::string value;
+    std::size_t hash;
+  };
+
+  /// A default-constructed id holds no representation and reads as the
+  /// shared empty one.
+  const Rep& rep() const {
+    static const Rep kEmpty{std::string()};
+    return rep_ ? *rep_ : kEmpty;
+  }
+
+  std::shared_ptr<const Rep> rep_;
 };
 
 struct GpuIdTag {};
@@ -64,7 +104,7 @@ namespace std {
 template <typename Tag>
 struct hash<ks::StringId<Tag>> {
   size_t operator()(const ks::StringId<Tag>& id) const noexcept {
-    return hash<string>{}(id.value());
+    return id.hash();
   }
 };
 }  // namespace std

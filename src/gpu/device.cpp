@@ -231,7 +231,6 @@ void GpuDevice::OnCompletionEvent() {
   // Retire every kernel that has (numerically) finished. Callbacks run
   // after the running set is updated so re-entrant Submit() calls from a
   // callback see a consistent device state.
-  std::vector<std::function<void()>> done;
   for (auto it = running_.begin(); it != running_.end();) {
     // 1 us tolerance absorbs the floor/ceil rounding between Progress()
     // and the completion-event timing; without it a kernel could hover at
@@ -239,16 +238,19 @@ void GpuDevice::OnCompletionEvent() {
     if (it->remaining <= Duration{1}) {
       ++completed_;
       RecordTrace(it->id, it->owner, it->name, it->start, now);
-      done.push_back(std::move(it->on_done));
+      retired_.push_back(std::move(it->on_done));
       it = running_.erase(it);
     } else {
       ++it;
     }
   }
   Reschedule();
-  for (auto& fn : done) {
+  // A callback may submit, detach or tear its container down, but only the
+  // next completion event, never a callback, writes this buffer.
+  for (auto& fn : retired_) {
     if (fn) fn();
   }
+  retired_.clear();
 }
 
 Duration GpuDevice::SlicedWallTime(const ContainerId& owner,

@@ -285,6 +285,9 @@ class GpuDevice {
   std::vector<Running> running_;  // submission order
   Time last_update_{0};
   sim::EventId completion_event_ = sim::kInvalidEvent;
+  /// Callbacks of the kernels one completion event retires; empty between
+  /// events, kept to reuse its capacity.
+  std::vector<std::function<void()>> retired_;
 
   std::map<ContainerId, SliceAssign> slice_assign_;
   std::uint64_t next_slice_seq_ = 1;

@@ -260,7 +260,10 @@ class ObjectStore {
   /// A `selector` scopes the watch server-side, as a field selector such as
   /// spec.nodeName does: it is evaluated once per event on the event's
   /// object, and an event it rejects costs this watcher nothing — no
-  /// delivery, no copy, no engine or hub slot.
+  /// delivery, no engine or hub slot.
+  ///
+  /// Every watcher a write selects is handed the same immutable event; a
+  /// watcher that keeps the object past its callback copies it.
   WatchId Watch(WatchFn fn, WatchSelector selector = nullptr) {
     const WatchId id = next_watch_++;
     auto& watcher = watchers_[id];
@@ -268,7 +271,8 @@ class ObjectStore {
     watcher.selector = std::move(selector);
     for (const auto& [name, obj] : objects_) {
       if (watcher.Selects(obj)) {
-        Deliver(id, WatchEvent<T>{WatchEventType::kAdded, obj});
+        Deliver(id, std::make_shared<const WatchEvent<T>>(
+                        WatchEvent<T>{WatchEventType::kAdded, obj}));
       }
     }
     return id;
@@ -337,7 +341,10 @@ class ObjectStore {
     for (const auto& [id, watcher] : watchers_) {
       if (watcher.Selects(event.object)) ids.push_back(id);
     }
-    for (const WatchId id : ids) Deliver(id, event);
+    if (ids.empty()) return;
+    // One immutable event per write, shared by every delivery.
+    const auto shared = std::make_shared<const WatchEvent<T>>(std::move(event));
+    for (const WatchId id : ids) Deliver(id, shared);
   }
 
   /// One (event, watcher) delivery at now + notify_latency. Both fan-out
@@ -345,13 +352,13 @@ class ObjectStore {
   /// in whether the closure gets a private engine event or rides the hub's
   /// per-time batch. Enqueue order equals legacy schedule order, so the
   /// watcher-visible sequence is identical across modes.
-  void Deliver(WatchId id, WatchEvent<T> event) {
+  void Deliver(WatchId id, std::shared_ptr<const WatchEvent<T>> event) {
     ++watch_deliveries_;
     const Time at = sim_->Now() + notify_latency_;
     auto closure = [this, id, event = std::move(event)] {
       auto it = watchers_.find(id);
       if (it == watchers_.end()) return;
-      it->second.fn(event);
+      it->second.fn(*event);
     };
     if (fanout_ == WatchFanout::kBatched) {
       hub_->Enqueue(at, std::move(closure));

@@ -16,7 +16,13 @@ TokenBackend::TokenBackend(sim::Simulation* sim, BackendConfig config)
 }
 
 void TokenBackend::RegisterDevice(const GpuUuid& device) {
-  devices_.try_emplace(device);
+  EnsureDevice(device);
+}
+
+TokenBackend::DeviceState& TokenBackend::EnsureDevice(const GpuUuid& device) {
+  auto [it, inserted] = devices_.try_emplace(device);
+  if (inserted) it->second.id = device;
+  return it->second;
 }
 
 Status TokenBackend::RegisterContainer(const ContainerId& container,
@@ -39,12 +45,13 @@ Status TokenBackend::RegisterContainer(const ContainerId& container,
     pending_reattach_[container] = {device, spec, client};
     return Status::Ok();
   }
-  RegisterDevice(device);
-  ContainerState state{config_.usage_window};
-  state.device = device;
+  ContainerState& state =
+      containers_
+          .try_emplace(container, container, &EnsureDevice(device),
+                       config_.usage_window)
+          .first->second;
   state.spec = spec;
   state.client = client;
-  containers_.emplace(container, std::move(state));
   if (Enforcing()) {
     if (gpu::GpuDevice* d = ResolveDevice(device)) {
       // Gate closed (no admitted epoch) until the first grant; the memory
@@ -71,10 +78,10 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
     if (was_pending) return Status::Ok();
     return NotFoundError("container not registered: " + container.value());
   }
-  const GpuUuid device_id = it->second.device;
-  DeviceState& dev = devices_.at(device_id);
-  dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), container),
-                  dev.queue.end());
+  DeviceState& dev = *it->second.dev;
+  dev.queue.erase(
+      std::remove(dev.queue.begin(), dev.queue.end(), &it->second),
+      dev.queue.end());
   // A reeval poll armed for a queue this unregistration just emptied would
   // otherwise dangle until it fired as a no-op.
   CancelIdleReeval(dev);
@@ -83,7 +90,7 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
     // its gate and quota leave the device with it. Its violation ledger
     // entry stays — unregistering is not absolution, and a requeued
     // successor under the same id inherits the record.
-    if (gpu::GpuDevice* d = ResolveDevice(device_id)) {
+    if (gpu::GpuDevice* d = ResolveDevice(dev.id)) {
       d->LiftTokenGate(container);
       d->ClearMemoryQuota(container);
     }
@@ -92,7 +99,7 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
   const bool held = hit != dev.holds.end();
   if (held) EndHold(dev, hit, nullptr, sim_->Now());
   containers_.erase(it);
-  if (held) TryGrant(device_id);
+  if (held) TryGrant(dev);
   return Status::Ok();
 }
 
@@ -106,7 +113,7 @@ Status TokenBackend::UpdateSpec(const ContainerId& container,
   it->second.spec.gpu_request = spec.gpu_request;
   it->second.spec.gpu_limit = spec.gpu_limit;
   // A raised limit may unblock throttled waiters right away.
-  TryGrant(it->second.device);
+  TryGrant(*it->second.dev);
   return Status::Ok();
 }
 
@@ -116,7 +123,7 @@ Status TokenBackend::RequestToken(const ContainerId& container) {
     return NotFoundError("container not registered: " + container.value());
   }
   ContainerState& state = it->second;
-  DeviceState& dev = devices_.at(state.device);
+  DeviceState& dev = *state.dev;
   const auto hit = dev.holds.find(container);
   if (hit != dev.holds.end() && (hit->second.valid || hit->second.in_flight)) {
     return Status::Ok();  // already holding (or being granted) a valid token
@@ -129,8 +136,8 @@ Status TokenBackend::RequestToken(const ContainerId& container) {
   if (state.queued) return Status::Ok();
   state.queued = true;
   state.enqueue_seq = next_seq_++;
-  dev.queue.push_back(container);
-  TryGrant(state.device);
+  dev.queue.push_back(&state);
+  TryGrant(dev);
   return Status::Ok();
 }
 
@@ -140,7 +147,7 @@ Status TokenBackend::ReleaseToken(const ContainerId& container) {
     return NotFoundError("container not registered: " + container.value());
   }
   ContainerState& state = it->second;
-  DeviceState& dev = devices_.at(state.device);
+  DeviceState& dev = *state.dev;
   auto hit = dev.holds.find(container);
   if (hit == dev.holds.end()) {
     return FailedPreconditionError("container does not hold the token: " +
@@ -152,12 +159,12 @@ Status TokenBackend::ReleaseToken(const ContainerId& container) {
     // Clean close of the gate: submits between this release and the next
     // grant are rejected (that is the flood containment), without counting
     // an overstay against a polite releaser.
-    if (gpu::GpuDevice* d = ResolveDevice(state.device)) {
+    if (gpu::GpuDevice* d = ResolveDevice(dev.id)) {
       d->FenceTokenEpoch(container);
     }
   }
   Trace("release", container, now);
-  TryGrant(state.device);
+  TryGrant(dev);
   return Status::Ok();
 }
 
@@ -174,7 +181,7 @@ Status TokenBackend::ExtendQuota(const ContainerId& container,
   if (it == containers_.end()) {
     return NotFoundError("container not registered: " + container.value());
   }
-  DeviceState& dev = devices_.at(it->second.device);
+  DeviceState& dev = *it->second.dev;
   auto hit = dev.holds.find(container);
   if (hit == dev.holds.end() || !hit->second.valid) {
     return FailedPreconditionError("container holds no valid token: " +
@@ -182,7 +189,7 @@ Status TokenBackend::ExtendQuota(const ContainerId& container,
   }
   if (extra.count() <= 0) return Status::Ok();
   hit->second.expiry += extra;
-  ArmExpiry(it->second.device, container, hit->second);
+  ArmExpiry(dev, hit->second);
   return Status::Ok();
 }
 
@@ -222,15 +229,13 @@ std::size_t TokenBackend::pending_timers() const {
   return n;
 }
 
-void TokenBackend::ScheduleReeval(DeviceState& dev, const GpuUuid& device_id) {
+void TokenBackend::ScheduleReeval(DeviceState& dev) {
   if (dev.reeval_event != sim::kInvalidEvent) return;
-  dev.reeval_event = sim_->ScheduleAfter(config_.reeval_period, [this,
-                                                                 device_id] {
-    auto it = devices_.find(device_id);
-    if (it == devices_.end()) return;
-    it->second.reeval_event = sim::kInvalidEvent;
-    TryGrant(device_id);
-  });
+  dev.reeval_event =
+      sim_->ScheduleAfter(config_.reeval_period, [this, d = &dev] {
+        d->reeval_event = sim::kInvalidEvent;
+        TryGrant(*d);
+      });
 }
 
 void TokenBackend::CancelIdleReeval(DeviceState& dev) {
@@ -247,8 +252,7 @@ int TokenBackend::ClaimOf(const ContainerState& state) const {
   return std::min(state.spec.slice_groups, config_.sm_groups);
 }
 
-void TokenBackend::TryGrant(const GpuUuid& device_id) {
-  DeviceState& dev = devices_.at(device_id);
+void TokenBackend::TryGrant(DeviceState& dev) {
   // Grants loop until space or eligibility runs out: one release can admit
   // several small-slice waiters in the same decision. With every claim the
   // whole GPU this is the paper's single-token schedule.
@@ -267,108 +271,102 @@ void TokenBackend::TryGrant(const GpuUuid& device_id) {
     // granting it now would stack a second hold on the same entry, so its
     // release re-enters this function and grants it a fresh hold then.
     bool fits = false;
-    const ContainerId* by_deficit = nullptr;
+    ContainerState* by_deficit = nullptr;
     double best_deficit = 0.0;
     std::uint64_t deficit_seq = 0;
-    const ContainerId* by_usage = nullptr;
+    ContainerState* by_usage = nullptr;
     double best_usage = 0.0;
     std::uint64_t usage_seq = 0;
-    for (const ContainerId& c : dev.queue) {
-      if (dev.holds.count(c) > 0) continue;
-      const ContainerState& s = containers_.at(c);
-      if (ClaimOf(s) > free) continue;
+    for (ContainerState* s : dev.queue) {
+      if (dev.holds.count(s->id) > 0) continue;
+      if (ClaimOf(*s) > free) continue;
       fits = true;
-      const double usage = SchedulingUsage(s, now);
-      if (usage >= EffectiveLimit(c, s)) continue;
-      const double deficit = EffectiveRequest(c, s) - usage;
+      const double usage = SchedulingUsage(*s, now);
+      if (usage >= EffectiveLimit(*s)) continue;
+      const double deficit = EffectiveRequest(*s) - usage;
       if (deficit > 0.0 &&
           (by_deficit == nullptr || deficit > best_deficit ||
-           (deficit == best_deficit && s.enqueue_seq < deficit_seq))) {
-        by_deficit = &c;
+           (deficit == best_deficit && s->enqueue_seq < deficit_seq))) {
+        by_deficit = s;
         best_deficit = deficit;
-        deficit_seq = s.enqueue_seq;
+        deficit_seq = s->enqueue_seq;
       }
       if (by_usage == nullptr || usage < best_usage ||
-          (usage == best_usage && s.enqueue_seq < usage_seq)) {
-        by_usage = &c;
+          (usage == best_usage && s->enqueue_seq < usage_seq)) {
+        by_usage = s;
         best_usage = usage;
-        usage_seq = s.enqueue_seq;
+        usage_seq = s->enqueue_seq;
       }
     }
     if (!fits) return;
-    const ContainerId* pick = by_deficit != nullptr ? by_deficit : by_usage;
+    ContainerState* pick = by_deficit != nullptr ? by_deficit : by_usage;
     if (pick == nullptr) {
       // Everyone who fits is throttled; usage decays as the window slides,
       // so check again shortly.
-      ScheduleReeval(dev, device_id);
+      ScheduleReeval(dev);
       return;
     }
-    const ContainerId chosen = *pick;  // GrantTo erases it from the queue
-    GrantTo(dev, device_id, chosen);
+    GrantTo(dev, *pick);
   }
 }
 
-void TokenBackend::GrantTo(DeviceState& dev, const GpuUuid& device_id,
-                           const ContainerId& container) {
-  ContainerState& state = containers_.at(container);
-  dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), container),
+void TokenBackend::GrantTo(DeviceState& dev, ContainerState& state) {
+  dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), &state),
                   dev.queue.end());
   state.queued = false;
-  Hold& hold = dev.holds[container];
+  Hold& hold = dev.holds[state.id];
+  hold.state = &state;
+  hold.serial = ++grants_;
   hold.in_flight = true;
   hold.valid = false;
   hold.groups = ClaimOf(state);
   dev.groups_held += hold.groups;
   peak_holders_ = std::max(peak_holders_, dev.holds.size());
-  ++grants_;
 
   // The hand-off costs one exchange latency, during which the holder's
   // groups sit idle; the token is valid from the end of the exchange for
   // one quota.
-  sim_->ScheduleAfter(config_.exchange_latency, [this, device_id,
-                                                 granted = container,
-                                                 epoch = epoch_] {
-    if (epoch != epoch_) return;  // daemon restarted mid-exchange
-    auto dit = devices_.find(device_id);
-    if (dit == devices_.end()) return;
-    auto hit = dit->second.holds.find(granted);
-    if (hit == dit->second.holds.end()) return;  // released or unregistered
-    auto cit = containers_.find(granted);
-    if (cit == containers_.end()) return;
+  sim_->ScheduleAfter(config_.exchange_latency, [this, d = &dev,
+                                                 granted = state.id,
+                                                 serial = hold.serial] {
+    // The hold may have ended meanwhile (released, unregistered, dropped
+    // by a restart), and a later grant may hold the same id by now.
+    auto hit = d->holds.find(granted);
+    if (hit == d->holds.end() || hit->second.serial != serial) return;
     Hold& h = hit->second;
+    ContainerState& s = *h.state;
     const Time now = sim_->Now();
     h.in_flight = false;
     h.valid = true;
-    h.expiry = now + GrantQuotaFor(device_id, h.groups);
-    cit->second.grant_time = now;
-    ++cit->second.stats.grants;
-    cit->second.usage.Start(now);
+    h.expiry = now + GrantQuotaFor(d->id, h.groups);
+    s.grant_time = now;
+    ++s.stats.grants;
+    s.usage.Start(now);
     if (Enforcing()) {
       // Open the device gate for this grant only: a fresh monotonic epoch
       // is admitted, and the overstay deadline (armed with the expiry) sits
       // one fence_grace past the quota so a polite overrun (one
       // non-preemptive kernel) never trips it.
-      if (gpu::GpuDevice* gd = ResolveDevice(device_id)) {
+      if (gpu::GpuDevice* gd = ResolveDevice(d->id)) {
         gd->AdmitTokenEpoch(granted, ++token_epoch_);
       }
     }
-    ArmExpiry(device_id, granted, h);
+    ArmExpiry(*d, h);
     Trace("grant", granted, h.expiry);
-    cit->second.client->OnTokenGranted(h.expiry);
+    s.client->OnTokenGranted(h.expiry);
   });
 }
 
-void TokenBackend::ArmExpiry(const GpuUuid& device_id,
-                             const ContainerId& container, Hold& hold) {
+void TokenBackend::ArmExpiry(DeviceState& dev, Hold& hold) {
+  const ContainerId& container = hold.state->id;
   sim_->Cancel(hold.expiry_event);
   hold.expiry_event = sim_->ScheduleAt(
-      hold.expiry,
-      [this, device_id, container] { OnExpiry(device_id, container); });
+      hold.expiry, [this, d = &dev, container] { OnExpiry(*d, container); });
   if (!Enforcing()) return;
   sim_->Cancel(hold.fence_event);
   hold.fence_event = sim_->ScheduleAt(
       hold.expiry + config_.enforcement.fence_grace,
-      [this, device_id, container] { OnFenceDeadline(device_id, container); });
+      [this, d = &dev, container] { OnFenceDeadline(*d, container); });
 }
 
 void TokenBackend::EndHold(DeviceState& dev,
@@ -392,20 +390,15 @@ void TokenBackend::EndHold(DeviceState& dev,
   dev.holds.erase(hit);
 }
 
-void TokenBackend::OnExpiry(const GpuUuid& device_id,
-                            const ContainerId& container) {
-  auto dit = devices_.find(device_id);
-  if (dit == devices_.end()) return;
-  auto hit = dit->second.holds.find(container);
-  if (hit == dit->second.holds.end()) return;
+void TokenBackend::OnExpiry(DeviceState& dev, const ContainerId& container) {
+  auto hit = dev.holds.find(container);
+  if (hit == dev.holds.end()) return;
   hit->second.expiry_event = sim::kInvalidEvent;
   hit->second.valid = false;
-  auto it = containers_.find(container);
-  if (it == containers_.end()) return;
   // The holder keeps its groups (and keeps accruing usage) until it
   // releases — its in-flight kernel is non-preemptive.
   Trace("expire", container, sim_->Now());
-  it->second.client->OnTokenExpired();
+  hit->second.state->client->OnTokenExpired();
 }
 
 void TokenBackend::Restart() {
@@ -437,7 +430,7 @@ void TokenBackend::Restart() {
   // reconnect once the daemon is back. Sliding-window usage is lost — the
   // rebuilt daemon starts everyone from a clean slate.
   for (const auto& [container, state] : containers_) {
-    pending_reattach_[container] = {state.device, state.spec, state.client};
+    pending_reattach_[container] = {state.dev->id, state.spec, state.client};
   }
   containers_.clear();
   sim_->ScheduleAfter(config_.restart_downtime, [this, epoch = epoch_] {
@@ -483,19 +476,17 @@ double TokenBackend::SchedulingUsage(const ContainerState& state,
   return measured;
 }
 
-double TokenBackend::EffectiveLimit(const ContainerId& container,
-                                    const ContainerState& state) const {
-  if (Enforcing() && IsClamped(container)) {
+double TokenBackend::EffectiveLimit(const ContainerState& state) const {
+  if (Enforcing() && IsClamped(state.id)) {
     return std::min(state.spec.gpu_limit, config_.enforcement.clamp_limit);
   }
   return state.spec.gpu_limit;
 }
 
-double TokenBackend::EffectiveRequest(const ContainerId& container,
-                                      const ContainerState& state) const {
+double TokenBackend::EffectiveRequest(const ContainerState& state) const {
   // A clamped tenant keeps no guaranteed minimum: it only sees residual
   // capacity, below its clamped limit.
-  if (Enforcing() && IsClamped(container)) return 0.0;
+  if (Enforcing() && IsClamped(state.id)) return 0.0;
   return state.spec.gpu_request;
 }
 
@@ -563,31 +554,26 @@ void TokenBackend::ReportUsage(const ContainerId& container, double claimed) {
   }
 }
 
-void TokenBackend::OnFenceDeadline(const GpuUuid& device_id,
+void TokenBackend::OnFenceDeadline(DeviceState& dev,
                                    const ContainerId& container) {
-  auto dit = devices_.find(device_id);
-  if (dit == devices_.end()) return;
-  DeviceState& dev = dit->second;
   auto hit = dev.holds.find(container);
   if (hit == dev.holds.end()) return;
   hit->second.fence_event = sim::kInvalidEvent;
   // A clean release or an ExtendQuota re-arm cancels this timer, so firing
   // with a valid token means a stale deadline — ignore it.
   if (hit->second.valid || hit->second.in_flight) return;
-  auto cit = containers_.find(container);
-  if (cit == containers_.end()) return;
   // The holder sat on an expired token a full fence_grace past the quota:
   // declare the overstay, fence its epoch at the device (in-flight kernels
   // finish, nothing new is admitted), and reclaim the token so polite
   // waiters stop starving.
   const Time now = sim_->Now();
-  EndHold(dev, hit, &cit->second, now);
-  if (gpu::GpuDevice* d = ResolveDevice(device_id)) {
+  EndHold(dev, hit, hit->second.state, now);
+  if (gpu::GpuDevice* d = ResolveDevice(dev.id)) {
     d->FenceTokenEpoch(container);
   }
   Trace("fence", container, now);
   RecordViolation(container, ViolationKind::kOverstay);
-  TryGrant(device_id);
+  TryGrant(dev);
 }
 
 // --- SLO admission control ------------------------------------------------
@@ -652,7 +638,7 @@ void TokenBackend::ReportSwapBytes(const ContainerId& container,
   if (!config_.tq.enabled || bytes == 0) return;
   auto it = containers_.find(container);
   if (it == containers_.end()) return;
-  tq_.OnSwapBytes(it->second.device, bytes, sim_->Now());
+  tq_.OnSwapBytes(it->second.dev->id, bytes, sim_->Now());
 }
 
 }  // namespace ks::vgpu

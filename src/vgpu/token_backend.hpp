@@ -385,8 +385,15 @@ class TokenBackend {
   void SetGrantTraceFn(GrantTraceFn fn) { grant_trace_ = std::move(fn); }
 
  private:
+  struct DeviceState;
+
   struct ContainerState {
-    GpuUuid device;
+    ContainerState(ContainerId id, DeviceState* dev, Duration window)
+        : id(std::move(id)), dev(dev), usage(window) {}
+    ContainerId id;
+    /// The device the container contends for, resolved once at
+    /// registration. devices_ entries are never erased, so it stays valid.
+    DeviceState* dev;
     ResourceSpec spec;
     TokenClient* client = nullptr;
     SlidingWindowUsage usage;
@@ -397,11 +404,16 @@ class TokenBackend {
     /// Last self-reported usage (ReportUsage). Trusted in grant decisions
     /// only while enforcement is off — the spoofing hole.
     std::optional<double> claimed_usage;
-    explicit ContainerState(Duration window) : usage(window) {}
   };
 
   /// One granted token: the holder's claim on the device's SM groups.
   struct Hold {
+    /// The holder. A hold ends before its container is unregistered, so
+    /// the pointer is valid for the hold's lifetime.
+    ContainerState* state = nullptr;
+    /// Numbers the grant that created the hold: a hand-off completes only
+    /// the hold that scheduled it, never a later hold of the same id.
+    std::uint64_t serial = 0;
     bool valid = false;      // false while mid-exchange or in overrun
     bool in_flight = false;  // exchange latency elapsing
     Time expiry{0};
@@ -412,31 +424,32 @@ class TokenBackend {
   };
 
   struct DeviceState {
-    std::deque<ContainerId> queue;
+    GpuUuid id;
+    std::deque<ContainerState*> queue;
     /// ContainerId-sorted for deterministic iteration.
     std::map<ContainerId, Hold> holds;
     int groups_held = 0;
     sim::EventId reeval_event = sim::kInvalidEvent;
   };
 
+  /// The device's state, created on first use.
+  DeviceState& EnsureDevice(const GpuUuid& device);
   /// SM groups a container's hold occupies: its slice claim when spatial
   /// sharing is on, otherwise (and for slice_groups == 0) the whole GPU.
   int ClaimOf(const ContainerState& state) const;
-  void TryGrant(const GpuUuid& device);
-  void GrantTo(DeviceState& dev, const GpuUuid& device_id,
-               const ContainerId& container);
+  void TryGrant(DeviceState& dev);
+  void GrantTo(DeviceState& dev, ContainerState& state);
   /// Quota attached to a grant of `groups` SM groups on `device_id`: the
   /// TQ quantum while the thrash detector has the device in rotation and
   /// the hold is exclusive, the normal quota otherwise.
   Duration GrantQuotaFor(const GpuUuid& device_id, int groups);
-  void ArmExpiry(const GpuUuid& device_id, const ContainerId& container,
-                 Hold& hold);
-  void OnExpiry(const GpuUuid& device, const ContainerId& container);
+  void ArmExpiry(DeviceState& dev, Hold& hold);
+  void OnExpiry(DeviceState& dev, const ContainerId& container);
   /// Drops a hold: cancels its timers and frees its SM groups. The
   /// container's hold accounting (held / overrun time) is settled first.
   void EndHold(DeviceState& dev, std::map<ContainerId, Hold>::iterator hit,
                ContainerState* state, Time now);
-  void ScheduleReeval(DeviceState& dev, const GpuUuid& device_id);
+  void ScheduleReeval(DeviceState& dev);
   void CancelIdleReeval(DeviceState& dev);
   void Trace(const char* what, const ContainerId& container, Time when) {
     if (grant_trace_) grant_trace_(what, container, when);
@@ -450,11 +463,9 @@ class TokenBackend {
   /// Usage rate grant decisions run on: the daemon's own measured
   /// attribution under enforcement, the (spoofable) self-report otherwise.
   double SchedulingUsage(const ContainerState& state, Time now) const;
-  double EffectiveLimit(const ContainerId& container,
-                        const ContainerState& state) const;
-  double EffectiveRequest(const ContainerId& container,
-                          const ContainerState& state) const;
-  void OnFenceDeadline(const GpuUuid& device, const ContainerId& container);
+  double EffectiveLimit(const ContainerState& state) const;
+  double EffectiveRequest(const ContainerState& state) const;
+  void OnFenceDeadline(DeviceState& dev, const ContainerId& container);
 
   /// What the daemon needs to re-admit a surviving frontend after a
   /// restart. Keyed by a sorted map so reattach order is deterministic.
@@ -466,12 +477,13 @@ class TokenBackend {
 
   sim::Simulation* sim_;
   BackendConfig config_;
+  /// Never erased: containers, holds and timers point at these entries.
   std::unordered_map<GpuUuid, DeviceState> devices_;
   std::unordered_map<ContainerId, ContainerState> containers_;
   std::map<ContainerId, ReattachInfo> pending_reattach_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t grants_ = 0;
-  /// Bumped by Restart(); in-flight grant hand-offs no-op across it.
+  /// Bumped by Restart(); a pending come-back of an earlier restart no-ops.
   std::uint64_t epoch_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t reattached_ = 0;

@@ -139,6 +139,35 @@ TEST_F(StoreTest, SelectorWatchSeesOnlyMatchingEventsAndReplay) {
   EXPECT_EQ(store_.watch_deliveries(), 4u);
 }
 
+TEST_F(StoreTest, WatchersShareOneEventPerWrite) {
+  Pod pod = MakePod("a");
+  pod.status.node_name = "n1";
+  store_.Create(pod);
+  std::vector<const Pod*> all, on_n1;
+  int on_n2 = 0;
+  store_.Watch([&](const WatchEvent<Pod>& ev) { all.push_back(&ev.object); });
+  store_.Watch(
+      [&](const WatchEvent<Pod>& ev) { on_n1.push_back(&ev.object); },
+      [](const Pod& p) { return p.status.node_name == "n1"; });
+  store_.Watch([&](const WatchEvent<Pod>&) { ++on_n2; },
+               [](const Pod& p) { return p.status.node_name == "n2"; });
+  sim_.Run();
+  // Registration replay still delivers to each selected watcher.
+  ASSERT_EQ(all.size(), 1u);
+  ASSERT_EQ(on_n1.size(), 1u);
+  EXPECT_EQ(on_n2, 0);
+
+  auto stored = store_.Get("a");
+  stored->status.phase = PodPhase::kRunning;
+  ASSERT_TRUE(store_.Update(*stored).ok());
+  sim_.Run();
+  ASSERT_EQ(all.size(), 2u);
+  ASSERT_EQ(on_n1.size(), 2u);
+  EXPECT_EQ(all[1], on_n1[1]);  // one event object, not a copy per watcher
+  EXPECT_EQ(on_n2, 0);
+  EXPECT_EQ(store_.watch_deliveries(), 4u);
+}
+
 TEST_F(StoreTest, FindIsZeroCopyLookup) {
   store_.Create(MakePod("a"));
   const Pod* found = store_.Find("a");

@@ -305,6 +305,29 @@ TEST_F(TokenBackendTest, UnregisterDuringExchangeIsSafe) {
   EXPECT_GE(b->grants, 1);
 }
 
+TEST_F(TokenBackendTest, ReRegisteredContainerIgnoresStaleHandOff) {
+  // A hand-off belongs to the hold that scheduled it. The first
+  // registration's grant is due at 1.5 ms; the container leaves at 0.5 ms
+  // and comes back under the same id at 0.6 ms, so its new grant is due at
+  // 2.1 ms and the old hand-off must not complete it early.
+  FakeClient* first = AddContainer("a", 0.3, 1.0);
+  ASSERT_TRUE(backend_->RequestToken(ContainerId("a")).ok());
+  sim_.RunUntil(Micros(500));
+  ASSERT_TRUE(backend_->UnregisterContainer(ContainerId("a")).ok());
+  sim_.RunUntil(Micros(600));
+  FakeClient* second = AddContainer("a", 0.3, 1.0);
+  ASSERT_TRUE(backend_->RequestToken(ContainerId("a")).ok());
+
+  sim_.RunUntil(Micros(2000));
+  EXPECT_EQ(second->grants, 0);
+  sim_.RunUntil(Millis(3));
+  EXPECT_EQ(first->grants, 0);
+  EXPECT_EQ(second->grants, 1);
+  EXPECT_EQ(second->last_expiry, Micros(2100) + Millis(100));
+  EXPECT_EQ(backend_->StatsOf(ContainerId("a")).grants, 1u);
+  EXPECT_EQ(backend_->grants(), 2u);  // both decisions were made
+}
+
 TEST_F(TokenBackendTest, GrantsCounterAdvances) {
   AddContainer("a", 0.3, 1.0);
   ASSERT_TRUE(backend_->RequestToken(ContainerId("a")).ok());
