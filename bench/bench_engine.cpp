@@ -1,15 +1,13 @@
-// Engine microbenchmark: events/sec and schedules/sec for the current
-// ks::sim::Simulation against the pre-change engine, which is embedded
-// below verbatim (std::function events in a lazy-deletion
-// std::priority_queue with an unordered_set tombstone set). Both engines
-// run the same workload patterns in the same process, so the ratio column
-// is a like-for-like measurement on this machine.
+// Engine microbenchmark: events/sec of ks::sim::Simulation on workload
+// patterns shaped like what the cluster simulation does, plus two
+// whole-cluster scenarios that count the engine events a token-heavy and a
+// kernel-heavy run schedule.
 //
-// Patterns, chosen to mirror what the cluster simulation actually does:
+// Patterns:
 //   churn-1k / churn-100k   N periodic timers rescheduling themselves,
 //                           capturing owner pointer + id + name (the
 //                           kubelet-sync / sampler shape)
-//   bulk-1M                 one-shot events scheduled en masse, then
+//   bulk-3M                 one-shot events scheduled en masse, then
 //                           drained (workload arrival generation)
 //   timeout-90pct           batches of request timeouts, 90% cancelled
 //                           before firing (RPC / eviction timeouts)
@@ -17,18 +15,14 @@
 //                           reschedule) on every heartbeat — the node
 //                           failure-detection shape, tombstone-heavy
 //
-// Writes BENCH_engine.json (schema ks-bench/1) with one row per
-// (pattern, engine) holding events/sec, plus a ratio row per pattern.
+// Writes BENCH_engine.json (schema ks-bench/1) with one row per pattern
+// holding events/sec, and one row per cluster scenario.
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <iostream>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/table.hpp"
@@ -37,106 +31,9 @@
 #include "sim/simulation.hpp"
 #include "vgpu/token_backend.hpp"
 
-namespace baseline {
-
-// The pre-change ks::sim::Simulation, kept verbatim as the measurement
-// baseline. Do not modernize: the point is to preserve what the engine
-// looked like before the rework.
-using ks::Duration;
-using ks::Time;
-
-using EventId = std::uint64_t;
-inline constexpr EventId kInvalidEvent = 0;
-
-class Simulation {
- public:
-  Simulation() = default;
-  Simulation(const Simulation&) = delete;
-  Simulation& operator=(const Simulation&) = delete;
-
-  Time Now() const { return now_; }
-
-  EventId ScheduleAt(Time t, std::function<void()> fn) {
-    if (t < now_) t = now_;
-    const EventId id = next_id_++;
-    queue_.push(Event{t, id, std::move(fn)});
-    return id;
-  }
-
-  EventId ScheduleAfter(Duration delay, std::function<void()> fn) {
-    if (delay.count() < 0) delay = Duration{0};
-    return ScheduleAt(now_ + delay, std::move(fn));
-  }
-
-  bool Cancel(EventId id) {
-    if (id == kInvalidEvent || id >= next_id_) return false;
-    return cancelled_.insert(id).second;
-  }
-
-  bool Step() {
-    while (!queue_.empty()) {
-      Event ev = queue_.top();
-      queue_.pop();
-      if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      now_ = ev.at;
-      ++executed_;
-      ev.fn();
-      return true;
-    }
-    return false;
-  }
-
-  void Run(std::uint64_t max_events = UINT64_MAX) {
-    while (max_events-- > 0 && Step()) {
-    }
-  }
-
-  void RunUntil(Time t) {
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      if (cancelled_.count(top.id) > 0) {
-        cancelled_.erase(top.id);
-        queue_.pop();
-        continue;
-      }
-      if (top.at > t) break;
-      Step();
-    }
-    if (now_ < t) now_ = t;
-  }
-
-  std::uint64_t executed() const { return executed_; }
-
- private:
-  struct Event {
-    Time at;
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-
-  Time now_{0};
-  EventId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
-};
-
-}  // namespace baseline
-
 namespace {
 
-using ks::Duration;
 using ks::Seconds;
-using ks::Time;
 
 volatile std::uint64_t g_sink = 0;
 
@@ -155,14 +52,10 @@ struct Payload {
   std::string name;
 };
 
-// Each pattern is a template over the engine type so both engines run
-// byte-for-byte the same workload code.
-
-template <typename Sim>
 double ChurnPattern(std::size_t timers, std::uint64_t total) {
-  Sim sim;
+  ks::sim::Simulation sim;
   struct Timer {
-    Sim* sim;
+    ks::sim::Simulation* sim;
     Payload p;
     void operator()() {
       g_sink = g_sink + p.id + p.name.size();
@@ -182,9 +75,8 @@ double ChurnPattern(std::size_t timers, std::uint64_t total) {
   return static_cast<double>(total) / (NowSec() - t0);
 }
 
-template <typename Sim>
 double BulkPattern(std::uint64_t n) {
-  Sim sim;
+  ks::sim::Simulation sim;
   struct Fire {
     Payload p;
     void operator()() { g_sink = g_sink + p.id + p.name.size(); }
@@ -199,9 +91,8 @@ double BulkPattern(std::uint64_t n) {
   return static_cast<double>(n) / (NowSec() - t0);
 }
 
-template <typename Sim>
 double TimeoutPattern(std::uint64_t n) {
-  Sim sim;
+  ks::sim::Simulation sim;
   struct Fire {
     Payload p;
     void operator()() { g_sink = g_sink + p.id; }
@@ -225,12 +116,11 @@ double TimeoutPattern(std::uint64_t n) {
   return static_cast<double>(n) / (NowSec() - t0);
 }
 
-template <typename Sim>
 double WatchdogPattern(std::size_t nodes, std::uint64_t total) {
-  Sim sim;
+  ks::sim::Simulation sim;
   std::vector<std::uint64_t> detect(nodes, 0);
   struct Heartbeat {
-    Sim* sim;
+    ks::sim::Simulation* sim;
     std::vector<std::uint64_t>* detect;
     std::uint64_t node;
     void operator()() {
@@ -252,9 +142,7 @@ double WatchdogPattern(std::size_t nodes, std::uint64_t total) {
 
 struct PatternResult {
   std::string name;
-  double baseline_eps = 0.0;
-  double current_eps = 0.0;
-  double ratio() const { return current_eps / baseline_eps; }
+  double events_per_sec = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -367,66 +255,24 @@ KernelClusterResult KernelClusterScenario() {
 
 int main() {
   using namespace ks;
-  bench::Banner("bench_engine: event-loop throughput, current vs baseline",
+  bench::Banner("bench_engine: event-loop throughput",
                 "perf microbenchmark (no paper figure)");
-
-  std::printf(
-      "\nBaseline = pre-rework engine (std::function + lazy-deletion "
-      "priority_queue),\nembedded in this binary. Same workload templates "
-      "for both engines.\n\n");
+  std::printf("\n");
 
   const std::uint64_t kEvents = 3000000;
-  std::vector<PatternResult> results;
+  const std::vector<PatternResult> results = {
+      {"churn-1k", ChurnPattern(1000, kEvents)},
+      {"churn-100k", ChurnPattern(100000, kEvents)},
+      {"bulk-3M", BulkPattern(kEvents)},
+      {"timeout-90pct", TimeoutPattern(kEvents)},
+      {"watchdog-100k", WatchdogPattern(100000, kEvents)},
+  };
 
-  {
-    PatternResult r{"churn-1k"};
-    r.baseline_eps = ChurnPattern<baseline::Simulation>(1000, kEvents);
-    r.current_eps = ChurnPattern<sim::Simulation>(1000, kEvents);
-    results.push_back(r);
-  }
-  {
-    PatternResult r{"churn-100k"};
-    r.baseline_eps = ChurnPattern<baseline::Simulation>(100000, kEvents);
-    r.current_eps = ChurnPattern<sim::Simulation>(100000, kEvents);
-    results.push_back(r);
-  }
-  {
-    PatternResult r{"bulk-3M"};
-    r.baseline_eps = BulkPattern<baseline::Simulation>(kEvents);
-    r.current_eps = BulkPattern<sim::Simulation>(kEvents);
-    results.push_back(r);
-  }
-  {
-    PatternResult r{"timeout-90pct"};
-    r.baseline_eps = TimeoutPattern<baseline::Simulation>(kEvents);
-    r.current_eps = TimeoutPattern<sim::Simulation>(kEvents);
-    results.push_back(r);
-  }
-  {
-    PatternResult r{"watchdog-100k"};
-    r.baseline_eps = WatchdogPattern<baseline::Simulation>(100000, kEvents);
-    r.current_eps = WatchdogPattern<sim::Simulation>(100000, kEvents);
-    results.push_back(r);
-  }
-
-  Table table({"pattern", "baseline Mev/s", "current Mev/s", "speedup"});
-  double log_sum = 0.0;
+  Table table({"pattern", "Mev/s"});
   for (const PatternResult& r : results) {
-    log_sum += std::log(r.ratio());
-    table.AddRow({r.name, Cell(r.baseline_eps / 1e6, 2),
-                  Cell(r.current_eps / 1e6, 2), Cell(r.ratio(), 2)});
+    table.AddRow({r.name, Cell(r.events_per_sec / 1e6, 2)});
   }
-  const double geomean =
-      std::exp(log_sum / static_cast<double>(results.size()));
-  table.AddRow({std::string("geomean"), std::string("-"), std::string("-"),
-                Cell(geomean, 2)});
   table.Print(std::cout);
-
-  std::printf(
-      "\nCancel-heavy patterns (timeout, watchdog) gain the most: the "
-      "baseline\nengine keeps a tombstone per cancel and pays an allocation "
-      "per schedule,\nwhile the current engine cancels in place and keeps "
-      "captures inline.\n");
 
   // Token-heavy cluster scenario: one engine event per daemon deadline.
   std::printf(
@@ -459,31 +305,17 @@ int main() {
   for (const PatternResult& r : results) {
     JsonValue row = JsonValue::Object();
     row.Set("pattern", r.name);
-    row.Set("engine", "baseline");
-    row.Set("events_per_sec", r.baseline_eps);
+    row.Set("events_per_sec", r.events_per_sec);
     bench::AddRow(report, std::move(row));
-    JsonValue row2 = JsonValue::Object();
-    row2.Set("pattern", r.name);
-    row2.Set("engine", "current");
-    row2.Set("events_per_sec", r.current_eps);
-    row2.Set("speedup_vs_baseline", r.ratio());
-    bench::AddRow(report, std::move(row2));
   }
-  JsonValue summary = JsonValue::Object();
-  summary.Set("pattern", "geomean");
-  summary.Set("engine", "summary");
-  summary.Set("speedup_vs_baseline", geomean);
-  bench::AddRow(report, std::move(summary));
   JsonValue token_row = JsonValue::Object();
   token_row.Set("pattern", "token-cluster");
-  token_row.Set("engine", "current");
   token_row.Set("total_events", token.total_events);
   token_row.Set("grants", token.grants);
   token_row.Set("events_per_sec", token.events_per_sec);
   bench::AddRow(report, std::move(token_row));
   JsonValue kernel_row = JsonValue::Object();
   kernel_row.Set("pattern", "kernel-cluster");
-  kernel_row.Set("engine", "current");
   kernel_row.Set("total_events", kernel.total_events);
   kernel_row.Set("completed", kernel.completed);
   bench::AddRow(report, std::move(kernel_row));

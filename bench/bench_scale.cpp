@@ -1,172 +1,181 @@
-// Pod-churn soak at scale: 10k nodes x 100k live sharePods, driven by each
-// engine kind in turn (ISSUE: sharded deterministic simulation with batched
-// watch fan-out).
+// Scale on the real stack: KubeShare against native Kubernetes at 32, 128
+// and 512 nodes x 4 GPUs, every row one bench::RunWorkload run (the harness
+// every fig bench uses) at perfbench's scale-128n per-node load:
 //
-//   single-baseline   one engine, per-activity events, unbatched fan-out —
-//                     the byte-equality oracle and the throughput baseline
-//   single-batched    one engine + the scale event economy (work calendars,
-//                     batched watch fan-out) — isolates the economy win
-//   sharded-serial    ShardedSimulation, serial drain
-//   sharded-parallel  ShardedSimulation, KS_SCALE_THREADS workers
+//   total_jobs         2400 * nodes / 128
+//   mean_interarrival  37.5 ms * 128 / nodes
+//   demand             N(0.3, 0.14) truncated to [0.05, 1]
+//   seed 1, 60-minute horizon
 //
-// All four runs must agree on every deterministic field (useful_events,
-// state_digest, trace_digest, scheduler counters); the bench aborts if they
-// diverge, so the published numbers are guaranteed to price identical work.
+// Each row runs in a forked child. The parent reaps it with wait4, so the
+// row's CPU time and peak RSS are that child's alone and rows never share a
+// process high-water mark. Wall time spans fork to reap. The child sends
+// its RunResult back through a pipe.
 //
-// Writes BENCH_scale.json (schema ks-bench/1): one row per engine with
-// total_events, events_per_sec, speedup_vs_single, scheduler p50/p99, and
-// the watch fan-out economy (events armed vs what unbatched would arm).
-//
-// Env knobs (CI uses smaller soaks; defaults are the ISSUE scale):
-//   KS_SCALE_NODES=10000  KS_SCALE_SHAREPODS=100000  KS_SCALE_SHARDS=16
-//   KS_SCALE_THREADS=<hw>  KS_SCALE_DURATION_MS=5000  KS_SCALE_SEED=1
-//   KS_SCALE_CRASH_NODES=8  KS_SCALE_DEVMGR_CRASHES=1
+// Writes BENCH_scale.json (schema ks-bench/1), one row per (nodes, mode):
+// jobs, completed, done ratio, makespan, jobs/min, censored JCT p50/p99,
+// mean GPUs held, engine events, wall, CPU and peak RSS. The binary takes
+// no arguments; the modeled columns are deterministic, the host columns
+// are this machine's.
 
-#include <algorithm>
-#include <cstdint>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
-#include <thread>
-#include <vector>
+#include <type_traits>
 
 #include "common/table.hpp"
+#include "harness.hpp"
 #include "json_report.hpp"
-#include "scale/cluster_model.hpp"
 
 namespace {
 
-std::int64_t EnvInt(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoll(v, nullptr, 10);
+using namespace ks;
+
+constexpr int kSizes[] = {32, 128, 512};
+constexpr int kGpusPerNode = 4;
+
+bench::RunOptions ScaleOptions(int nodes, bool kubeshare) {
+  bench::RunOptions opt;
+  opt.cluster.nodes = nodes;
+  opt.cluster.gpus_per_node = kGpusPerNode;
+  opt.workload.total_jobs = 2400 * nodes / 128;
+  opt.workload.mean_interarrival = Micros(37500 * 128 / nodes);
+  opt.workload.demand_mean = 0.3;
+  opt.workload.demand_stddev = 0.14;
+  opt.workload.demand_min = 0.05;
+  opt.workload.demand_max = 1.0;
+  opt.workload.seed = 1;
+  opt.use_kubeshare = kubeshare;
+  opt.horizon = Minutes(60);
+  return opt;
 }
 
-struct Run {
-  ks::scale::EngineKind kind;
-  ks::scale::ScaleResult result;
+struct Row {
+  bench::RunResult result;
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
+  double peak_rss_mb = 0.0;
 };
+
+static_assert(std::is_trivially_copyable_v<bench::RunResult>,
+              "the child sends its RunResult through a pipe as bytes");
+
+double TimevalSeconds(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) +
+         static_cast<double>(tv.tv_usec) / 1e6;
+}
+
+/// Runs `opt` in a forked child; nullopt if the child fails.
+std::optional<Row> RunInChild(const bench::RunOptions& opt) {
+  int fds[2];
+  if (pipe(fds) != 0) return std::nullopt;
+  std::fflush(stdout);
+  const auto start = std::chrono::steady_clock::now();
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return std::nullopt;
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const bench::RunResult result = bench::RunWorkload(opt);
+    const auto* bytes = reinterpret_cast<const char*>(&result);
+    std::size_t sent = 0;
+    while (sent < sizeof result) {
+      const ssize_t n = write(fds[1], bytes + sent, sizeof result - sent);
+      if (n <= 0) _exit(1);
+      sent += static_cast<std::size_t>(n);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  Row row;
+  auto* bytes = reinterpret_cast<char*>(&row.result);
+  std::size_t got = 0;
+  while (got < sizeof row.result) {
+    const ssize_t n = read(fds[0], bytes + got, sizeof row.result - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  close(fds[0]);
+  int status = 0;
+  rusage usage{};
+  if (wait4(pid, &status, 0, &usage) != pid) return std::nullopt;
+  row.wall_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  if (got != sizeof row.result || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return std::nullopt;
+  }
+  row.cpu_s = TimevalSeconds(usage.ru_utime) + TimevalSeconds(usage.ru_stime);
+  row.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB
+  return row;
+}
 
 }  // namespace
 
 int main() {
-  using ks::scale::EngineKind;
-  using ks::scale::ScaleConfig;
-  using ks::scale::ScaleResult;
+  bench::Banner("bench_scale: KubeShare vs native Kubernetes at 32-512 nodes",
+                "§5.3 workload at scale (no paper figure)");
+  std::cout << "\nscale-128n's per-node load (2400 jobs and 37.5 ms mean "
+               "inter-arrival per 128\nnodes, demand N(0.3, 0.14), seed 1) "
+               "on 4-GPU nodes with a 60-minute horizon.\nEach row runs in "
+               "its own process; wall, CPU and peak RSS are that "
+               "process's.\n\n";
 
-  ScaleConfig config;
-  config.nodes = static_cast<int>(EnvInt("KS_SCALE_NODES", 10000));
-  config.sharepods = static_cast<int>(EnvInt("KS_SCALE_SHAREPODS", 100000));
-  config.node_shards = static_cast<int>(EnvInt("KS_SCALE_SHARDS", 16));
-  config.duration = ks::Millis(EnvInt("KS_SCALE_DURATION_MS", 5000));
-  config.seed = static_cast<std::uint64_t>(EnvInt("KS_SCALE_SEED", 1));
-  config.crash_nodes = static_cast<int>(EnvInt("KS_SCALE_CRASH_NODES", 8));
-  config.devmgr_crashes =
-      static_cast<int>(EnvInt("KS_SCALE_DEVMGR_CRASHES", 1));
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  config.threads = static_cast<int>(
-      EnvInt("KS_SCALE_THREADS", hw > 1 ? std::min(hw, config.node_shards + 1)
-                                        : 2));
+  Table table({"nodes", "mode", "done / jobs", "makespan (s)", "jobs/min",
+               "JCT p50 (s)", "JCT p99 (s)", "GPUs held", "engine events",
+               "wall (s)", "CPU (s)", "peak RSS (MB)"});
+  JsonValue report = bench::MakeReport("scale");
+  for (const int nodes : kSizes) {
+    for (const bool kubeshare : {true, false}) {
+      const bench::RunOptions opt = ScaleOptions(nodes, kubeshare);
+      const char* mode = kubeshare ? "kubeshare" : "native";
+      const std::optional<Row> row = RunInChild(opt);
+      if (!row.has_value()) {
+        std::fprintf(stderr, "%d-node %s run failed\n", nodes, mode);
+        return 1;
+      }
+      const bench::RunResult& r = row->result;
+      const int jobs = opt.workload.total_jobs;
+      table.AddRow({Cell(static_cast<std::int64_t>(nodes)), mode,
+                    std::to_string(r.completed) + " / " + std::to_string(jobs),
+                    Cell(ToSeconds(r.makespan), 1), Cell(r.jobs_per_minute, 1),
+                    Cell(r.jct_p50_s, 1), Cell(r.jct_p99_s, 1),
+                    Cell(r.mean_gpus_held, 1),
+                    Cell(static_cast<std::int64_t>(r.total_events)),
+                    Cell(row->wall_s, 2), Cell(row->cpu_s, 2),
+                    Cell(row->peak_rss_mb, 1)});
 
-  std::printf("scale soak: %d nodes x %d sharePods, %d shards, %d threads, "
-              "%lld ms\n",
-              config.nodes, config.sharepods, config.node_shards,
-              config.threads,
-              static_cast<long long>(config.duration.count() / 1000));
-
-  std::vector<Run> runs;
-  for (EngineKind kind :
-       {EngineKind::kSingleBaseline, EngineKind::kSingleBatched,
-        EngineKind::kShardedSerial, EngineKind::kShardedParallel}) {
-    std::printf("  running %-16s ...", ks::scale::EngineKindName(kind));
-    std::fflush(stdout);
-    Run run{kind, ks::scale::RunScaleModel(config, kind)};
-    std::printf(" %10.0f events/s  (%.2fs wall, %llu engine events)\n",
-                run.result.events_per_sec, run.result.wall_seconds,
-                static_cast<unsigned long long>(run.result.engine_events));
-    runs.push_back(std::move(run));
-  }
-
-  // Differential guard: the bench only publishes numbers for identical
-  // work. Any mismatch here is a correctness bug, not a perf artifact.
-  const ScaleResult& oracle = runs.front().result;
-  bool diverged = false;
-  for (const Run& run : runs) {
-    const ScaleResult& r = run.result;
-    auto check = [&](const char* field, std::uint64_t got,
-                     std::uint64_t want) {
-      if (got == want) return;
-      std::fprintf(stderr, "DIVERGENCE %s: %s=%llu oracle=%llu\n",
-                   r.engine.c_str(), field,
-                   static_cast<unsigned long long>(got),
-                   static_cast<unsigned long long>(want));
-      diverged = true;
-    };
-    check("useful_events", r.useful_events, oracle.useful_events);
-    check("state_digest", r.state_digest, oracle.state_digest);
-    check("trace_digest", r.trace_digest, oracle.trace_digest);
-    check("scheduled", r.scheduled, oracle.scheduled);
-    check("completed", r.completed, oracle.completed);
-    check("mirror_divergence", r.devmgr_mirror_divergence, 0);
-    check("watch_order_violations", r.watch_order_violations, 0);
-    check("lookahead_violations", r.lookahead_violations, 0);
-  }
-  if (diverged) return 1;
-
-  auto report = ks::bench::MakeReport("scale");
-  ks::Table table({"engine", "shards", "threads", "events/s", "speedup",
-                   "engine events", "sched p99 ms", "fanout events"});
-  for (const Run& run : runs) {
-    const ScaleResult& r = run.result;
-    const double speedup =
-        oracle.events_per_sec > 0 ? r.events_per_sec / oracle.events_per_sec
-                                  : 0;
-    auto row = ks::JsonValue::Object();
-    row.Set("engine", r.engine);
-    row.Set("shards", r.shards);
-    row.Set("threads", r.threads);
-    row.Set("nodes", config.nodes);
-    row.Set("sharepods", config.sharepods);
-    row.Set("total_events", static_cast<std::int64_t>(r.useful_events));
-    row.Set("engine_events", static_cast<std::int64_t>(r.engine_events));
-    row.Set("wall_seconds", r.wall_seconds);
-    row.Set("events_per_sec", r.events_per_sec);
-    row.Set("speedup_vs_single", speedup);
-    row.Set("sched_p50_ms", r.sched_p50_ms);
-    row.Set("sched_p99_ms", r.sched_p99_ms);
-    row.Set("scheduled", static_cast<std::int64_t>(r.scheduled));
-    row.Set("occ_conflicts", static_cast<std::int64_t>(r.occ_conflicts));
-    row.Set("snapshot_refreshes",
-            static_cast<std::int64_t>(r.snapshot_refreshes));
-    row.Set("watch_deliveries",
-            static_cast<std::int64_t>(r.watch_deliveries));
-    row.Set("watch_batched_events",
-            static_cast<std::int64_t>(r.watch_batched_events));
-    row.Set("watch_unbatched_events",
-            static_cast<std::int64_t>(r.watch_unbatched_events));
-    row.Set("windows", static_cast<std::int64_t>(r.windows));
-    row.Set("cross_shard_sends",
-            static_cast<std::int64_t>(r.cross_shard_sends));
-    row.Set("lookahead_violations",
-            static_cast<std::int64_t>(r.lookahead_violations));
-    row.Set("mirror_divergence",
-            static_cast<std::int64_t>(r.devmgr_mirror_divergence));
-    row.Set("watch_order_violations",
-            static_cast<std::int64_t>(r.watch_order_violations));
-    ks::bench::AddRow(report, std::move(row));
-
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.2fx", speedup);
-    table.AddRow({r.engine, std::to_string(r.shards),
-                  std::to_string(r.threads),
-                  std::to_string(static_cast<long long>(r.events_per_sec)),
-                  buf, std::to_string(r.engine_events),
-                  ks::Cell(r.sched_p99_ms, 3),
-                  std::to_string(r.watch_batched_events)});
+      JsonValue json = JsonValue::Object();
+      json.Set("nodes", nodes);
+      json.Set("gpus", nodes * kGpusPerNode);
+      json.Set("mode", std::string(mode));
+      json.Set("jobs", jobs);
+      json.Set("completed", r.completed);
+      json.Set("done_ratio",
+               static_cast<double>(r.completed) / static_cast<double>(jobs));
+      json.Set("makespan_s", ToSeconds(r.makespan));
+      json.Set("jobs_per_min", r.jobs_per_minute);
+      json.Set("jct_p50_s", r.jct_p50_s);
+      json.Set("jct_p99_s", r.jct_p99_s);
+      json.Set("mean_gpus_held", r.mean_gpus_held);
+      json.Set("total_events", r.total_events);
+      json.Set("wall_s", row->wall_s);
+      json.Set("cpu_s", row->cpu_s);
+      json.Set("peak_rss_mb", row->peak_rss_mb);
+      bench::AddRow(report, std::move(json));
+    }
   }
   table.Print(std::cout);
-  const std::string path = ks::bench::WriteReport(report);
-  std::printf("wrote %s\n", path.c_str());
+  std::printf("\nwrote %s\n", bench::WriteReport(report).c_str());
   return 0;
 }

@@ -161,23 +161,15 @@ ArrivalResult RunArrivalScaling(std::uint64_t clients, bool batched) {
                                     kRpsPerClient);
   const Time until = Seconds(10.0);
   sim::Simulation sim;
+  // A zero window is per-request generation: one event per arrival.
+  serving::BatchedArrivalStream gen(
+      &sim, env, /*seed=*/3, until, batched ? Millis(10) : Duration{0},
+      [](const std::vector<Time>&) {});
+  gen.Start();
+  sim.RunUntil(Seconds(20.0));
   ArrivalResult r;
-  if (batched) {
-    serving::BatchedArrivalStream gen(
-        &sim, env, /*seed=*/3, until, Millis(10),
-        [](const std::vector<Time>&) {});
-    gen.Start();
-    sim.RunUntil(Seconds(20.0));
-    r.arrivals = gen.arrivals();
-    r.engine_events = gen.engine_events();
-  } else {
-    serving::ReferenceArrivalProcess gen(&sim, env, /*seed=*/3, until,
-                                         [](Time) {});
-    gen.Start();
-    sim.RunUntil(Seconds(20.0));
-    r.arrivals = gen.arrivals();
-    r.engine_events = gen.engine_events();
-  }
+  r.arrivals = gen.arrivals();
+  r.engine_events = gen.engine_events();
   r.events_per_request =
       r.arrivals == 0 ? 0.0
                       : static_cast<double>(r.engine_events) /

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/stats.hpp"
 #include "k8s/resources.hpp"
 
 namespace ks::bench {
@@ -39,11 +40,11 @@ RunResult RunWorkload(const RunOptions& options) {
       return static_cast<double>(kubeshare->pool().size());
     }
     double held = 0;
-    for (const k8s::Pod& p : cluster.api().pods().List()) {
-      if (p.terminal() || !p.scheduled()) continue;
+    cluster.api().pods().ForEach([&held](const k8s::Pod& p) {
+      if (p.terminal() || !p.scheduled()) return;
       held += static_cast<double>(
           p.spec.requests.Get(k8s::kResourceNvidiaGpu));
-    }
+    });
     return held;
   };
   metrics::PeriodicSampler gpus_held(cluster.tick_hub(), Seconds(1),
@@ -73,6 +74,16 @@ RunResult RunWorkload(const RunOptions& options) {
   result.recovery = metrics::CollectRecoveryMetrics(cluster, kubeshare.get());
   result.job_restarts = host.restarts();
   result.total_events = cluster.sim().lifetime_events();
+
+  std::vector<double> jct_s;
+  jct_s.reserve(host.records().size());
+  for (const auto& [name, rec] : host.records()) {
+    jct_s.push_back(
+        ToSeconds((rec.has_finished ? rec.finished : deadline) -
+                  rec.submitted));
+  }
+  result.jct_p50_s = Percentile(jct_s, 50);
+  result.jct_p99_s = Percentile(jct_s, 99);
 
   // Average utilization across active GPUs, averaged over the samples in
   // which at least one GPU was active (incremental "ever active" scan).

@@ -35,6 +35,12 @@ struct RunResult {
   std::size_t failed = 0;
   Duration makespan{0};
   double jobs_per_minute = 0.0;
+  /// Job completion time (submission to finish) percentiles over every
+  /// submitted job. A job still unfinished at the horizon counts as
+  /// finishing at the horizon (censored), so a backlog shows in the tail
+  /// instead of vanishing from it.
+  double jct_p50_s = 0.0;
+  double jct_p99_s = 0.0;
   /// Mean of "average utilization across active GPUs" samples (Fig 9's
   /// y-axis) over the busy part of the run.
   double avg_active_utilization = 0.0;

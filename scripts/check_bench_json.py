@@ -57,17 +57,18 @@ Checks, per file:
     report itself: on the flash crowd the autoscaler+admission run's
     violation rate beats static provisioning's, and at the largest
     client count the batched generator costs >= 5x fewer engine events
-    per request than the per-request reference — a report where either
+    per request than per-request generation — a report where either
     stops holding means the serving subsystem silently stopped earning
     its keep;
-  * scale rows (the 10k-node / 100k-sharePod soak) carry a non-empty
-    "engine", finite positive "events_per_sec", finite non-negative
-    "sched_p99_ms" and "speedup_vs_single", a positive integer
-    "total_events", and zero for the hard invariants
-    ("lookahead_violations", "mirror_divergence",
-    "watch_order_violations") — a nonzero invariant is a correctness
-    bug published as a perf number, which is the one thing this report
-    must never do.
+  * scale rows (KubeShare vs native Kubernetes on the real stack at
+    several cluster sizes) carry a "mode" of kubeshare|native, positive
+    integer "nodes" and "jobs", a non-negative integer "completed" no
+    larger than "jobs", finite non-negative "makespan_s",
+    "jobs_per_min", "mean_gpus_held", "wall_s", "cpu_s" and
+    "peak_rss_mb", a "done_ratio" in [0, 1], and censored completion
+    times with "jct_p50_s" <= "jct_p99_s"; every size has exactly one
+    kubeshare and one native row, so the comparison the study exists
+    for cannot silently lose a side.
 
 Exit status 0 when every file passes, 1 otherwise. Stdlib only.
 """
@@ -174,7 +175,7 @@ def check_serving_gate(path, rows):
     """The serving study's acceptance gates: the autoscaler+admission run
     beats static provisioning on flash-crowd SLO-violation rate, and the
     batched arrival generator costs >= 5x fewer engine events per request
-    than the per-request reference at the largest client count."""
+    than per-request generation at the largest client count."""
     def rate(mode):
         for r in rows:
             if isinstance(r, dict) and r.get("pattern") == "flash-crowd" \
@@ -226,6 +227,21 @@ def check_serving_gate(path, rows):
             f"{batched} events/request vs {per_request} per-request — "
             f"less than the 5x reduction the batching exists to deliver",
         )
+    return ok
+
+
+def check_scale_pairs(path, rows):
+    """The scale study compares KubeShare with native Kubernetes: every
+    cluster size has exactly one row of each mode."""
+    ok = True
+    modes = {}
+    for r in rows:
+        if isinstance(r, dict):
+            modes.setdefault(r.get("nodes"), []).append(r.get("mode"))
+    for nodes, seen in sorted(modes.items(), key=lambda kv: str(kv[0])):
+        if sorted(seen) != ["kubeshare", "native"]:
+            ok = fail(path, f"{nodes!r} nodes has modes {sorted(seen)!r}, "
+                            f"want one kubeshare and one native row")
     return ok
 
 
@@ -487,19 +503,39 @@ def check_file(path):
                         f"positive integer: {peak!r}",
                     )
         if study == "scale":
-            engine = row.get("engine")
-            if not isinstance(engine, str) or not engine:
-                ok = fail(path,
-                          f"row {i} \"engine\" missing or empty: {engine!r}")
-            eps = row.get("events_per_sec")
-            if not isinstance(eps, (int, float)) or isinstance(eps, bool) \
-                    or eps <= 0:
+            if row.get("mode") not in ("kubeshare", "native"):
                 ok = fail(
                     path,
-                    f"row {i} \"events_per_sec\" missing or not a positive "
-                    f"number: {eps!r}",
+                    f"row {i} \"mode\" must be kubeshare|native: "
+                    f"{row.get('mode')!r}",
                 )
-            for field in ("sched_p99_ms", "speedup_vs_single"):
+            for field in ("nodes", "jobs"):
+                value = row.get(field)
+                if not isinstance(value, int) or isinstance(value, bool) \
+                        or value <= 0:
+                    ok = fail(
+                        path,
+                        f"row {i} {field!r} missing or not a positive "
+                        f"integer: {value!r}",
+                    )
+            completed = row.get("completed")
+            if not isinstance(completed, int) or isinstance(completed, bool) \
+                    or completed < 0:
+                ok = fail(
+                    path,
+                    f"row {i} \"completed\" missing or not a non-negative "
+                    f"integer: {completed!r}",
+                )
+            elif isinstance(row.get("jobs"), int) \
+                    and completed > row.get("jobs"):
+                ok = fail(
+                    path,
+                    f"row {i} completed {completed} more jobs than it ran "
+                    f"({row.get('jobs')})",
+                )
+            for field in ("makespan_s", "jobs_per_min", "jct_p50_s",
+                          "jct_p99_s", "mean_gpus_held", "wall_s", "cpu_s",
+                          "peak_rss_mb"):
                 value = row.get(field)
                 if not isinstance(value, (int, float)) \
                         or isinstance(value, bool) or value < 0:
@@ -508,20 +544,24 @@ def check_file(path):
                         f"row {i} {field!r} missing or not a non-negative "
                         f"number: {value!r}",
                     )
-            for field in ("lookahead_violations", "mirror_divergence",
-                          "watch_order_violations"):
-                value = row.get(field)
-                if value != 0 or isinstance(value, bool):
-                    ok = fail(
-                        path,
-                        f"row {i} invariant {field!r} must be 0: {value!r}",
-                    )
+            ratio = row.get("done_ratio")
+            if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) \
+                    or ratio < 0 or ratio > 1:
+                ok = fail(
+                    path,
+                    f"row {i} \"done_ratio\" missing or outside [0, 1]: "
+                    f"{ratio!r}",
+                )
+            p50 = row.get("jct_p50_s")
+            p99 = row.get("jct_p99_s")
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (p50, p99)) and p50 > p99:
+                ok = fail(path, f"row {i} jct_p50_s {p50} > jct_p99_s {p99}")
         # Rows may legitimately differ in shape between row kinds (e.g.
-        # bench_engine's per-engine rows vs its summary row, or its
-        # token-cluster vs kernel-cluster scenario rows); group by the
-        # discriminator fields that are present.
-        kind = (row.get("pattern"), row.get("engine"), row.get("mode"),
-                row.get("policy"))
+        # bench_engine's pattern rows vs its token-cluster and
+        # kernel-cluster scenario rows); group by the discriminator fields
+        # that are present.
+        kind = (row.get("pattern"), row.get("mode"), row.get("policy"))
         keys = frozenset(row.keys())
         if kind in key_sets and key_sets[kind] != keys:
             ok = fail(
@@ -536,6 +576,8 @@ def check_file(path):
         ok = check_oversub_gate(path, rows) and ok
     if study == "serving":
         ok = check_serving_gate(path, rows) and ok
+    if study == "scale":
+        ok = check_scale_pairs(path, rows) and ok
     return ok
 
 

@@ -36,8 +36,9 @@ std::string FormatDouble(double d) {
   // JSON has no NaN/Inf; the benches should never produce them, but a
   // report must stay parseable if one slips through.
   if (std::isnan(d) || std::isinf(d)) return "null";
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::abs(d) < 1e15) {
+  // Range first: casting a double outside int64_t's range is undefined.
+  if (std::abs(d) < 1e15 &&
+      d == static_cast<double>(static_cast<std::int64_t>(d))) {
     return std::to_string(static_cast<std::int64_t>(d)) + ".0";
   }
   char buf[64];

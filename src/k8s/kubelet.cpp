@@ -84,6 +84,13 @@ void Kubelet::AdoptPod(const Pod& pod) {
     if (it == pods_.end()) return;  // deleted while syncing
     auto pod_now = api_->pods().Get(name);
     if (!pod_now.ok()) return;
+    // The adopting event can be a stale snapshot: a container that exits in
+    // the step it started is finished (record gone, phase terminal) before
+    // its Running write is delivered. Nothing is reserved yet; drop it.
+    if (pod_now->terminal()) {
+      pods_.erase(it);
+      return;
+    }
     SyncPod(*pod_now);
   });
 }

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "k8s/resources.hpp"
 #include "metrics/cluster_metrics.hpp"
@@ -41,20 +42,26 @@ Expected<Tokenized> Tokenize(const std::string& line, int lineno) {
   return out;
 }
 
-Expected<double> GetDouble(const Tokenized& t, const std::string& key,
-                           double fallback, int lineno) {
+/// Reads numeric argument `key` (or `fallback` when absent) through the
+/// shared external-input parser: finite, within [min, max], and whole
+/// when T is an integer type.
+template <typename T>
+Expected<T> GetNumber(const Tokenized& t, const std::string& key, T fallback,
+                      T min, T max, int lineno) {
   auto it = t.args.find(key);
   if (it == t.args.end()) return fallback;
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(it->second, &used);
-    if (used != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
-  } catch (const std::exception&) {
-    return InvalidArgumentError("line " + std::to_string(lineno) + ": bad " +
-                                key + "='" + it->second + "'");
+  auto v = ParseNumber<T>(it->second, key, min, max);
+  if (!v.ok()) {
+    return InvalidArgumentError("line " + std::to_string(lineno) + ": " +
+                                v.status().message());
   }
+  return v;
 }
+
+// Ranges of the cluster-shape arguments; job fields share the trace
+// format's ranges (docs/ksim.md lists them all).
+constexpr int kMaxNodes = 10000;
+constexpr int kMaxGpusPerNode = 64;
 
 std::string GetString(const Tokenized& t, const std::string& key,
                       const std::string& fallback = "") {
@@ -91,22 +98,20 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
 
     if (t.command == "cluster") {
       d.kind = Directive::Kind::kCluster;
-      auto nodes = GetDouble(t, "nodes", 1, lineno);
-      auto gpus = GetDouble(t, "gpus", 1, lineno);
-      auto cpu = GetDouble(t, "cpu", 36000, lineno);
-      auto scale = GetDouble(t, "scale", 100, lineno);
-      for (const auto* v : {&nodes, &gpus, &cpu, &scale}) {
-        if (!v->ok()) return v->status();
-      }
-      d.cluster.nodes = static_cast<int>(*nodes);
-      d.cluster.gpus_per_node = static_cast<int>(*gpus);
-      d.cluster.cpu_millicores = static_cast<std::int64_t>(*cpu);
+      auto nodes = GetNumber(t, "nodes", 1, 1, kMaxNodes, lineno);
+      auto gpus = GetNumber(t, "gpus", 1, 1, kMaxGpusPerNode, lineno);
+      auto cpu = GetNumber<std::int64_t>(t, "cpu", 36000, 1, 1000000000,
+                                         lineno);
+      auto scale = GetNumber(t, "scale", 100, 1, 1000, lineno);
+      if (!nodes.ok()) return nodes.status();
+      if (!gpus.ok()) return gpus.status();
+      if (!cpu.ok()) return cpu.status();
+      if (!scale.ok()) return scale.status();
+      d.cluster.nodes = *nodes;
+      d.cluster.gpus_per_node = *gpus;
+      d.cluster.cpu_millicores = *cpu;
       d.cluster.scaled_plugin = GetSwitch(t, "scaled");
-      d.cluster.plugin_scale = static_cast<int>(*scale);
-      if (d.cluster.nodes <= 0 || d.cluster.gpus_per_node <= 0) {
-        return InvalidArgumentError("line " + std::to_string(lineno) +
-                                    ": nodes and gpus must be positive");
-      }
+      d.cluster.plugin_scale = *scale;
       saw_cluster = true;
     } else if (t.command == "kubeshare") {
       d.kind = Directive::Kind::kKubeShare;
@@ -121,9 +126,10 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
         return InvalidArgumentError("line " + std::to_string(lineno) +
                                     ": unknown pool policy '" + pool + "'");
       }
-      auto reserve = GetDouble(t, "reserve", 2, lineno);
+      auto reserve =
+          GetNumber(t, "reserve", 2, 0, kMaxNodes * kMaxGpusPerNode, lineno);
       if (!reserve.ok()) return reserve.status();
-      d.kconfig.hybrid_reserve = static_cast<int>(*reserve);
+      d.kconfig.hybrid_reserve = *reserve;
       d.kconfig.allow_memory_overcommit = GetSwitch(t, "overcommit");
     } else if (t.command == "mode") {
       d.kind = Directive::Kind::kMode;
@@ -160,23 +166,30 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
         return InvalidArgumentError("line " + std::to_string(lineno) +
                                     ": kind inference|training");
       }
-      auto at = GetDouble(t, "at", 0, lineno);
-      auto demand = GetDouble(t, "demand", 0.3, lineno);
-      auto duration = GetDouble(t, "duration", 60, lineno);
-      auto steps = GetDouble(t, "steps", 1000, lineno);
-      auto kernel = GetDouble(t, "kernel_ms", 20, lineno);
-      auto request = GetDouble(t, "request", 0.3, lineno);
-      auto limit = GetDouble(t, "limit", 1.0, lineno);
-      auto mem = GetDouble(t, "mem", 0.2, lineno);
-      auto model = GetDouble(t, "model_gb", 2.0, lineno);
-      for (const auto* v : {&at, &demand, &duration, &steps, &kernel,
-                            &request, &limit, &mem, &model}) {
+      auto at = GetNumber(t, "at", 0.0, 0.0, workload::kMaxTraceSeconds,
+                          lineno);
+      auto demand = GetNumber(t, "demand", 0.3, 0.0, 1.0, lineno);
+      auto duration = GetNumber(t, "duration", 60.0, 0.0,
+                                workload::kMaxTraceSeconds, lineno);
+      auto steps = GetNumber(t, "steps", 1000, 0, workload::kMaxTraceSteps,
+                             lineno);
+      auto kernel =
+          GetNumber(t, "kernel_ms", 20.0, workload::kMinTraceKernelMs,
+                    workload::kMaxTraceKernelMs, lineno);
+      auto request = GetNumber(t, "request", 0.3, 0.0, 1.0, lineno);
+      auto limit = GetNumber(t, "limit", 1.0, 0.0, 1.0, lineno);
+      auto mem = GetNumber(t, "mem", 0.2, 0.0, 1.0, lineno);
+      auto model = GetNumber(t, "model_gb", 2.0, 0.0,
+                             workload::kMaxTraceModelGb, lineno);
+      for (const auto* v : {&at, &demand, &duration, &kernel, &request,
+                            &limit, &mem, &model}) {
         if (!v->ok()) return v->status();
       }
+      if (!steps.ok()) return steps.status();
       job.submit_s = *at;
       job.demand = *demand;
       job.duration_s = *duration;
-      job.steps = static_cast<int>(*steps);
+      job.steps = *steps;
       job.kernel_ms = *kernel;
       job.gpu_request = *request;
       job.gpu_limit = *limit;
@@ -204,12 +217,12 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
       saw_job = true;  // trace jobs pin the mode like inline jobs do
     } else if (t.command == "health") {
       d.kind = Directive::Kind::kHealth;
-      auto node = GetDouble(t, "node", 0, lineno);
-      auto gpu = GetDouble(t, "gpu", 0, lineno);
+      auto node = GetNumber(t, "node", 0, 0, kMaxNodes - 1, lineno);
+      auto gpu = GetNumber(t, "gpu", 0, 0, kMaxGpusPerNode - 1, lineno);
       if (!node.ok()) return node.status();
       if (!gpu.ok()) return gpu.status();
-      d.health_node = static_cast<int>(*node);
-      d.health_gpu = static_cast<int>(*gpu);
+      d.health_node = *node;
+      d.health_gpu = *gpu;
       const std::string state = GetString(t, "state", "unhealthy");
       if (state == "healthy") {
         d.health_state = true;
@@ -226,15 +239,16 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
         return InvalidArgumentError("line " + std::to_string(lineno) +
                                     ": resize needs name=");
       }
-      auto request = GetDouble(t, "request", 0.0, lineno);
-      auto limit = GetDouble(t, "limit", 1.0, lineno);
+      auto request = GetNumber(t, "request", 0.0, 0.0, 1.0, lineno);
+      auto limit = GetNumber(t, "limit", 1.0, 0.0, 1.0, lineno);
       if (!request.ok()) return request.status();
       if (!limit.ok()) return limit.status();
       d.resize_request = *request;
       d.resize_limit = *limit;
     } else if (t.command == "run") {
       d.kind = Directive::Kind::kRun;
-      auto until = GetDouble(t, "until", -1, lineno);
+      auto until = GetNumber(t, "until", -1.0, 0.0,
+                             workload::kMaxTraceSeconds, lineno);
       if (!until.ok()) return until.status();
       if (*until < 0) {
         return InvalidArgumentError("line " + std::to_string(lineno) +
@@ -252,9 +266,10 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
             "line " + std::to_string(lineno) +
             ": report jobs|gpus|pool|sharepods|metrics|events");
       }
-      auto tail = GetDouble(t, "tail", 0, lineno);
+      auto tail = GetNumber<std::size_t>(t, "tail", 0, 0, 1000000000,
+                                         lineno);
       if (!tail.ok()) return tail.status();
-      d.tail = static_cast<std::size_t>(*tail);
+      d.tail = *tail;
     } else {
       return InvalidArgumentError("line " + std::to_string(lineno) +
                                   ": unknown command '" + t.command + "'");

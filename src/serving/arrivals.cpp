@@ -108,44 +108,6 @@ Time ThinningSequence::Next() {
   }
 }
 
-ReferenceArrivalProcess::ReferenceArrivalProcess(sim::Simulation* sim,
-                                                RateEnvelope envelope,
-                                                std::uint64_t seed, Time until,
-                                                ArrivalFn fn)
-    : sim_(sim),
-      seq_(std::move(envelope), seed),
-      until_(until),
-      fn_(std::move(fn)) {
-  assert(sim_ != nullptr);
-}
-
-void ReferenceArrivalProcess::Start() {
-  if (started_) return;
-  started_ = true;
-  next_ = seq_.Next();
-  if (next_ < until_) Arm(next_);
-}
-
-void ReferenceArrivalProcess::Stop() {
-  if (event_ != sim::kInvalidEvent) {
-    sim_->Cancel(event_);
-    event_ = sim::kInvalidEvent;
-  }
-  started_ = false;
-}
-
-void ReferenceArrivalProcess::Arm(Time at) {
-  ++engine_events_;
-  event_ = sim_->ScheduleAt(at, [this] {
-    event_ = sim::kInvalidEvent;
-    const Time arrival = next_;
-    ++arrivals_;
-    next_ = seq_.Next();
-    if (next_ < until_) Arm(next_);
-    if (fn_) fn_(arrival);
-  });
-}
-
 BatchedArrivalStream::BatchedArrivalStream(sim::Simulation* sim,
                                            RateEnvelope envelope,
                                            std::uint64_t seed, Time until,
@@ -176,10 +138,7 @@ void BatchedArrivalStream::Stop() {
 void BatchedArrivalStream::ArmFor(Time arrival) {
   ++engine_events_;
   if (window_.count() <= 0) {
-    // Per-request (batch = 1) mode: the event lands exactly at the arrival
-    // and the callback's call sequence mirrors ReferenceArrivalProcess
-    // call for call, which is what makes the downstream request traces
-    // byte-equal to the oracle.
+    // Per-request (batch = 1) mode: the event lands exactly at the arrival.
     event_ = sim_->ScheduleAt(arrival, [this] {
       event_ = sim::kInvalidEvent;
       batch_.clear();

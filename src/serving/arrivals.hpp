@@ -64,12 +64,12 @@ class RateEnvelope {
 /// Sentinel for "no further arrival".
 inline constexpr Time kNoArrival{std::numeric_limits<std::int64_t>::max()};
 
-/// The shared arrival core both generators consume: Lewis-Shedler thinning
-/// of a homogeneous Poisson process at the envelope's majorant rate. Each
+/// The arrival core every stream consumes: Lewis-Shedler thinning of a
+/// homogeneous Poisson process at the envelope's majorant rate. Each
 /// Next() draws (exponential gap, uniform accept) pairs in a fixed order,
 /// so two sequences built from the same envelope and seed yield identical
-/// arrival timestamps — the batched stream and the per-request reference
-/// are byte-equal at the arrival level BY CONSTRUCTION, not by tuning
+/// arrival timestamps — streams with different batching windows are
+/// byte-equal at the arrival level BY CONSTRUCTION, not by tuning
 /// (tests/serving/arrival_equivalence_test.cpp pins it).
 class ThinningSequence {
  public:
@@ -85,42 +85,6 @@ class ThinningSequence {
   Time cursor_{0};
 };
 
-/// Per-request reference generator: one engine event per arrival, the
-/// differential oracle. This is exactly what "plain Poisson clients" cost
-/// the engine before this subsystem existed — kept so the batched path has
-/// an executable specification to be measured (and pinned) against.
-class ReferenceArrivalProcess {
- public:
-  using ArrivalFn = std::function<void(Time arrival)>;
-
-  ReferenceArrivalProcess(sim::Simulation* sim, RateEnvelope envelope,
-                          std::uint64_t seed, Time until, ArrivalFn fn);
-  ~ReferenceArrivalProcess() { Stop(); }
-
-  ReferenceArrivalProcess(const ReferenceArrivalProcess&) = delete;
-  ReferenceArrivalProcess& operator=(const ReferenceArrivalProcess&) = delete;
-
-  void Start();
-  void Stop();
-
-  std::uint64_t arrivals() const { return arrivals_; }
-  /// Engine events this generator scheduled (== arrivals, by design).
-  std::uint64_t engine_events() const { return engine_events_; }
-
- private:
-  void Arm(Time at);
-
-  sim::Simulation* sim_;
-  ThinningSequence seq_;
-  Time until_;
-  ArrivalFn fn_;
-  Time next_{0};
-  sim::EventId event_ = sim::kInvalidEvent;
-  std::uint64_t arrivals_ = 0;
-  std::uint64_t engine_events_ = 0;
-  bool started_ = false;
-};
-
 /// Batched arrival stream: aggregates every arrival landing inside one
 /// `window` into a single engine event fired at the window's end, so N
 /// simulated clients cost the engine one event per non-empty window
@@ -129,8 +93,9 @@ class ReferenceArrivalProcess {
 /// idle service costs zero events.
 ///
 /// window <= 0 degenerates to per-request mode: one singleton batch per
-/// arrival, delivered at the arrival time — the configuration the
-/// differential suite requires to be byte-equal to the reference.
+/// arrival, delivered at the arrival time — one engine event per request,
+/// what plain Poisson clients cost, and the sequence the batched windows
+/// are checked against.
 class BatchedArrivalStream {
  public:
   /// `arrivals` is non-empty and ascending; every time is <= Now() (the

@@ -29,7 +29,6 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
   std::size_t rr = 0;
 
   std::unique_ptr<BatchedArrivalStream> stream;
-  std::unique_ptr<ReferenceArrivalProcess> reference;
 
   /// Arrivals buffered while no replica is ready (service cold start,
   /// every replica crashed). Dispatched FIFO when one comes up.
@@ -209,15 +208,6 @@ std::function<void(const std::string&)> ServiceFrontend::MakeReplicaHook() {
 
 void ServiceFrontend::Start() {
   std::weak_ptr<Core> weak = core_;
-  if (config_.use_reference_generator) {
-    core_->reference = std::make_unique<ReferenceArrivalProcess>(
-        core_->sim, config_.envelope, config_.seed, config_.until,
-        [weak](Time arrival) {
-          if (auto core = weak.lock()) core->OnArrival(arrival);
-        });
-    core_->reference->Start();
-    return;
-  }
   core_->stream = std::make_unique<BatchedArrivalStream>(
       core_->sim, config_.envelope, config_.seed, config_.until,
       config_.batch_window, [weak](const std::vector<Time>& batch) {
@@ -228,7 +218,6 @@ void ServiceFrontend::Start() {
 
 void ServiceFrontend::Stop() {
   if (core_->stream != nullptr) core_->stream->Stop();
-  if (core_->reference != nullptr) core_->reference->Stop();
 }
 
 std::uint64_t ServiceFrontend::arrived() const { return core_->arrived; }
@@ -252,13 +241,11 @@ bool ServiceFrontend::Drained() const {
 
 std::uint64_t ServiceFrontend::generator_events() const {
   if (core_->stream != nullptr) return core_->stream->engine_events();
-  if (core_->reference != nullptr) return core_->reference->engine_events();
   return 0;
 }
 
 std::uint64_t ServiceFrontend::generator_batches() const {
   if (core_->stream != nullptr) return core_->stream->batches();
-  if (core_->reference != nullptr) return core_->reference->arrivals();
   return 0;
 }
 

@@ -28,11 +28,8 @@ struct ServiceConfig {
   std::uint64_t clients = 0;
   Duration slo_p99 = Millis(250);
   /// Arrival batching window; <= 0 selects per-request generation (one
-  /// engine event per arrival — the differential-oracle configuration).
+  /// engine event per arrival).
   Duration batch_window = Millis(10);
-  /// Use ReferenceArrivalProcess instead of BatchedArrivalStream — the
-  /// per-request oracle path of the differential suite.
-  bool use_reference_generator = false;
   /// Arrivals stop at this simulation time (in-flight work still drains).
   Time until = Seconds(60.0);
   std::uint64_t seed = 1;

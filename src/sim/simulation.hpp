@@ -116,8 +116,8 @@ class Simulation {
 
   /// Fire time of the earliest pending event, or nullopt when the queue is
   /// empty. Purges stale (cancelled) roots first, so the answer is exact.
-  /// The sharded engine uses this to skip idle shards straight to the next
-  /// populated synchronization window.
+  /// A caller that drives the engine one Step() at a time uses it to stop
+  /// at a time bound without running past it.
   std::optional<Time> NextEventTime() {
     DropStaleRoots();
     if (heap_size_ == 0) return std::nullopt;

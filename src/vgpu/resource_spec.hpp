@@ -28,13 +28,15 @@ struct ResourceSpec {
     if (slice_groups < 0 || slice_groups > 64) {
       return InvalidArgumentError("slice_groups must be within [0, 64]");
     }
-    if (gpu_request < 0.0 || gpu_request > 1.0) {
+    // Each check is written as "not inside the range" so NaN, which fails
+    // every comparison, is rejected too.
+    if (!(gpu_request >= 0.0 && gpu_request <= 1.0)) {
       return InvalidArgumentError("gpu_request must be within [0, 1]");
     }
-    if (gpu_limit < 0.0 || gpu_limit > 1.0) {
+    if (!(gpu_limit >= 0.0 && gpu_limit <= 1.0)) {
       return InvalidArgumentError("gpu_limit must be within [0, 1]");
     }
-    if (gpu_mem < 0.0 || gpu_mem > 1.0) {
+    if (!(gpu_mem >= 0.0 && gpu_mem <= 1.0)) {
       return InvalidArgumentError("gpu_mem must be within [0, 1]");
     }
     if (gpu_request > gpu_limit) {

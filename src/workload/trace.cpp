@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "k8s/resources.hpp"
 #include "workload/generator.hpp"
@@ -26,17 +27,6 @@ std::vector<std::string> SplitCsv(const std::string& line) {
   return out;
 }
 
-Expected<double> ParseDouble(const std::string& s, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    return InvalidArgumentError(std::string("bad ") + what + ": '" + s + "'");
-  }
-}
-
 }  // namespace
 
 Expected<std::vector<TraceEntry>> ParseTrace(std::istream& in) {
@@ -56,9 +46,13 @@ Expected<std::vector<TraceEntry>> ParseTrace(std::istream& in) {
                                   std::to_string(kFieldCount) + " fields, got " +
                                   std::to_string(fields.size()));
     }
+    const auto bad = [lineno](const Status& s) {
+      return InvalidArgumentError("line " + std::to_string(lineno) + ": " +
+                                  s.message());
+    };
     TraceEntry e;
-    auto submit = ParseDouble(fields[0], "submit_s");
-    if (!submit.ok()) return submit.status();
+    auto submit = ParseNumber(fields[0], "submit_s", 0.0, kMaxTraceSeconds);
+    if (!submit.ok()) return bad(submit.status());
     e.submit_s = *submit;
     e.name = fields[1];
     if (e.name.empty()) {
@@ -70,21 +64,24 @@ Expected<std::vector<TraceEntry>> ParseTrace(std::istream& in) {
       return InvalidArgumentError("line " + std::to_string(lineno) +
                                   ": unknown kind '" + e.kind + "'");
     }
-    auto demand = ParseDouble(fields[3], "demand");
-    auto duration = ParseDouble(fields[4], "duration_s");
-    auto steps = ParseDouble(fields[5], "steps");
-    auto kernel = ParseDouble(fields[6], "kernel_ms");
-    auto request = ParseDouble(fields[7], "gpu_request");
-    auto limit = ParseDouble(fields[8], "gpu_limit");
-    auto mem = ParseDouble(fields[9], "gpu_mem");
-    auto model = ParseDouble(fields[10], "model_gb");
-    for (const auto* v : {&demand, &duration, &steps, &kernel, &request,
-                          &limit, &mem, &model}) {
-      if (!v->ok()) return v->status();
+    auto demand = ParseNumber(fields[3], "demand", 0.0, 1.0);
+    auto duration =
+        ParseNumber(fields[4], "duration_s", 0.0, kMaxTraceSeconds);
+    auto steps = ParseNumber(fields[5], "steps", 0, kMaxTraceSteps);
+    auto kernel = ParseNumber(fields[6], "kernel_ms", kMinTraceKernelMs,
+                              kMaxTraceKernelMs);
+    auto request = ParseNumber(fields[7], "gpu_request", 0.0, 1.0);
+    auto limit = ParseNumber(fields[8], "gpu_limit", 0.0, 1.0);
+    auto mem = ParseNumber(fields[9], "gpu_mem", 0.0, 1.0);
+    auto model = ParseNumber(fields[10], "model_gb", 0.0, kMaxTraceModelGb);
+    for (const auto* v : {&demand, &duration, &kernel, &request, &limit,
+                          &mem, &model}) {
+      if (!v->ok()) return bad(v->status());
     }
+    if (!steps.ok()) return bad(steps.status());
     e.demand = *demand;
     e.duration_s = *duration;
-    e.steps = static_cast<int>(*steps);
+    e.steps = *steps;
     e.kernel_ms = *kernel;
     e.gpu_request = *request;
     e.gpu_limit = *limit;

@@ -35,6 +35,17 @@ struct TraceEntry {
   std::string exclusion;
 };
 
+/// Valid ranges of a TraceEntry's numeric fields, shared by ParseTrace and
+/// ksim's `job` command. demand and the gpu_* fractions lie in [0, 1];
+/// submit_s and duration_s in [0, kMaxTraceSeconds]; steps is a whole
+/// number in [0, kMaxTraceSteps]; kernel_ms is at least the 1 µs clock
+/// tick, so a job's request rate (demand / kernel) stays finite.
+inline constexpr double kMaxTraceSeconds = 1e9;  // ~31.7 years
+inline constexpr int kMaxTraceSteps = 1000000000;
+inline constexpr double kMinTraceKernelMs = 0.001;
+inline constexpr double kMaxTraceKernelMs = 1e6;
+inline constexpr double kMaxTraceModelGb = 1e6;
+
 /// CSV header used by Parse/Format (one line per entry, '#' comments and
 /// blank lines ignored):
 ///   submit_s,name,kind,demand,duration_s,steps,kernel_ms,

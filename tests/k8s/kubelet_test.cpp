@@ -124,6 +124,23 @@ TEST_F(KubeletTest, FailedExitMarksPodFailed) {
   EXPECT_EQ(PhaseOf("p"), PodPhase::kFailed);
 }
 
+TEST_F(KubeletTest, ContainerExitingInItsStartStepIsNotRestarted) {
+  // The container exits inside the engine step that starts it, so the
+  // kubelet finishes the pod before the batched watch delivers the pod's
+  // Running write. That stale snapshot must not adopt the pod again.
+  int starts = 0;
+  runtime_->SetStartHook([&](const ContainerInstance& inst) {
+    ++starts;
+    EXPECT_TRUE(runtime_->ExitContainer(inst.id, true).ok());
+  });
+  BoundPod("p", 1000, 1);
+  sim_.RunUntil(Seconds(30));
+  EXPECT_EQ(PhaseOf("p"), PodPhase::kSucceeded);
+  EXPECT_EQ(starts, 1);
+  EXPECT_EQ(kubelet_->allocated().Get(kResourceCpu), 0);
+  EXPECT_EQ(kubelet_->FreeDeviceUnits(), 2u);
+}
+
 TEST_F(KubeletTest, DeletionDuringSyncIsSafe) {
   BoundPod("p", 1000, 1);
   // Delete before the kubelet_sync delay elapses.

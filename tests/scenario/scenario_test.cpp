@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -49,6 +54,56 @@ TEST(ScenarioParse, RejectsInvalidJob) {
   EXPECT_FALSE(ParseString(std::string(kBase) +
                            "job name=a\njob name=a\n")
                    .ok());
+}
+
+// Numeric arguments go through one parser (common/parse.hpp): finite,
+// inside the documented range, whole where the field is an integer.
+constexpr const char* kJobBase = "cluster nodes=1 gpus=1\nkubeshare\n";
+
+TEST(ScenarioParse, RejectsNanResourceFractions) {
+  EXPECT_FALSE(ParseString(std::string(kJobBase) +
+                           "job name=a request=nan mem=nan\n")
+                   .ok());
+}
+
+TEST(ScenarioParse, RejectsNanRunUntil) {
+  EXPECT_FALSE(ParseString("cluster nodes=1 gpus=1\nrun until=nan\n").ok());
+}
+
+TEST(ScenarioParse, RejectsNegativeSteps) {
+  EXPECT_FALSE(ParseString(std::string(kJobBase) +
+                           "job name=a kind=training steps=-5\n")
+                   .ok());
+}
+
+TEST(ScenarioParse, RejectsZeroKernelLength) {
+  EXPECT_FALSE(
+      ParseString(std::string(kJobBase) + "job name=a kernel_ms=0\n").ok());
+}
+
+TEST(ScenarioParse, RejectsNegativeDuration) {
+  EXPECT_FALSE(
+      ParseString(std::string(kJobBase) + "job name=a duration=-20\n").ok());
+}
+
+TEST(ScenarioParse, RejectsNegativeSubmitTime) {
+  EXPECT_FALSE(
+      ParseString(std::string(kJobBase) + "job name=a at=-30\n").ok());
+}
+
+TEST(ScenarioParse, RejectsOutOfRangeIntegerArguments) {
+  for (const char* script :
+       {"cluster nodes=1e300 gpus=1\n", "cluster nodes=1 gpus=-1\n",
+        "cluster nodes=1.5 gpus=1\n",
+        "cluster nodes=1 gpus=1\nkubeshare pool=hybrid reserve=1e300\n",
+        "cluster nodes=1 gpus=1\nhealth node=-1 gpu=0\n",
+        "cluster nodes=1 gpus=1\nhealth node=0 gpu=1e300\n",
+        "cluster nodes=1 gpus=1\nreport events tail=1e300\n",
+        "cluster nodes=1 gpus=1\nreport events tail=inf\n"}) {
+    const auto s = ParseString(script);
+    EXPECT_FALSE(s.ok()) << script;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument) << script;
+  }
 }
 
 TEST(ScenarioParse, RejectsBadPoolPolicyAndReportTarget) {
@@ -258,6 +313,105 @@ TEST(ScenarioRun, OvercommitSwitchIsWired) {
   const std::string text = out.str();
   EXPECT_NE(text.find("succeeded"), std::string::npos);
   EXPECT_EQ(text.find("failed"), std::string::npos);
+}
+
+// ---- Seeded mutation fuzzing of the parser ---------------------------------
+//
+// Mutants of the example script and of every shipped scenario: tokens
+// dropped or duplicated, numeric values replaced by nan, inf, -1, 0, 1e300
+// or nothing. Parse must answer ok or kInvalidArgument for each one, and
+// never throw.
+
+using Script = std::vector<std::vector<std::string>>;  // lines of tokens
+
+Script Tokens(const std::string& text) {
+  Script script;
+  std::stringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::stringstream words(line);
+    script.emplace_back();
+    for (std::string word; words >> word;) script.back().push_back(word);
+  }
+  return script;
+}
+
+std::string Join(const Script& script) {
+  std::string out;
+  for (const auto& line : script) {
+    for (const std::string& word : line) out += word + " ";
+    out += "\n";
+  }
+  return out;
+}
+
+std::string Mutate(Script script, std::mt19937_64& rng) {
+  static const char* const kNumbers[] = {"nan", "inf", "-1", "0", "1e300", ""};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::size_t edits = 1 + pick(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    auto& line = script[pick(script.size())];
+    if (line.empty()) continue;
+    const std::size_t at = pick(line.size());
+    switch (pick(3)) {
+      case 0:
+        line.erase(line.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      case 1:
+        line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), line[at]);
+        break;
+      default: {
+        const auto eq = line[at].find('=');
+        if (eq == std::string::npos) break;
+        const std::string value = line[at].substr(eq + 1);
+        if (value.empty() || value.find_first_not_of("0123456789.-e") !=
+                                 std::string::npos) {
+          break;
+        }
+        line[at] = line[at].substr(0, eq + 1) + kNumbers[pick(6)];
+      }
+    }
+  }
+  return Join(script);
+}
+
+TEST(ScenarioFuzz, MutantsParseOrFailWithInvalidArgument) {
+  std::vector<std::string> corpus = {Scenario::ExampleScript()};
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(KS_SOURCE_DIR) + "/examples/scenarios")) {
+    if (entry.path().extension() == ".ksim") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const auto& path : files) {
+    std::ifstream file(path);
+    std::stringstream text;
+    text << file.rdbuf();
+    corpus.push_back(text.str());
+  }
+
+  std::mt19937_64 rng(20261017);
+  std::size_t rejected = 0;
+  std::size_t total = 0;
+  for (const std::string& text : corpus) {
+    const Script script = Tokens(text);
+    for (int i = 0; i < 400; ++i) {
+      const std::string mutant = Mutate(script, rng);
+      std::stringstream in(mutant);
+      StatusCode code = StatusCode::kInternal;
+      EXPECT_NO_THROW(code = Scenario::Parse(in).status().code()) << mutant;
+      EXPECT_TRUE(code == StatusCode::kOk ||
+                  code == StatusCode::kInvalidArgument)
+          << mutant;
+      if (code == StatusCode::kInvalidArgument) ++rejected;
+      ++total;
+    }
+  }
+  // The mutations must reach the validation paths, not only comments.
+  EXPECT_GT(rejected, total / 4);
 }
 
 }  // namespace

@@ -90,8 +90,11 @@ TEST(BatchedArrivalStreamTest, BatchesMatchReferenceArrivalsExactly) {
   std::vector<Time> ref;
   {
     sim::Simulation sim;
-    ReferenceArrivalProcess gen(&sim, env, seed, until,
-                                [&](Time t) { ref.push_back(t); });
+    BatchedArrivalStream gen(&sim, env, seed, until, Duration{0},
+                             [&](const std::vector<Time>& batch) {
+                               ref.insert(ref.end(), batch.begin(),
+                                          batch.end());
+                             });
     gen.Start();
     sim.RunUntil(Seconds(20.0));
     EXPECT_EQ(gen.engine_events(), gen.arrivals());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace ks::vgpu {
 namespace {
 
@@ -95,6 +97,17 @@ TEST_F(TokenBackendTest, RejectsInvalidSpec) {
   EXPECT_FALSE(
       backend_->RegisterContainer(ContainerId("bad"), dev_, spec, nullptr)
           .ok());
+}
+
+TEST(ResourceSpecTest, NanFractionsFailValidation) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double ResourceSpec::*field :
+       {&ResourceSpec::gpu_request, &ResourceSpec::gpu_limit,
+        &ResourceSpec::gpu_mem}) {
+    ResourceSpec spec;
+    spec.*field = nan;
+    EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(TokenBackendTest, DuplicateRegistrationFails) {

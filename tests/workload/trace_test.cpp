@@ -59,6 +59,19 @@ TEST(TraceParse, RejectsBadNumber) {
   EXPECT_FALSE(ParseTrace(ss).ok());
 }
 
+TEST(TraceParse, RejectsOutOfRangeSteps) {
+  for (const char* steps : {"-5", "1e300", "nan", "2.5"}) {
+    std::stringstream ss(std::string("0,j,training,0.3,60,") + steps +
+                         ",20,0.3,1.0,0.2,2,,,\n");
+    EXPECT_FALSE(ParseTrace(ss).ok()) << steps;
+  }
+}
+
+TEST(TraceParse, RejectsZeroKernelLength) {
+  std::stringstream ss("0,j,inference,0.3,60,0,0,0.3,1.0,0.2,2,,,\n");
+  EXPECT_FALSE(ParseTrace(ss).ok());
+}
+
 TEST(TraceParse, RejectsUnknownKindAndEmptyName) {
   std::stringstream bad_kind("0,j,sleeping,0.3,60,0,20,0.3,1.0,0.2,2,,,\n");
   EXPECT_FALSE(ParseTrace(bad_kind).ok());
