@@ -68,7 +68,16 @@ Checks, per file:
     "peak_rss_mb", a "done_ratio" in [0, 1], and censored completion
     times with "jct_p50_s" <= "jct_p99_s"; every size has exactly one
     kubeshare and one native row, so the comparison the study exists
-    for cannot silently lose a side.
+    for cannot silently lose a side;
+  * perfbench rows (alternating parent/change ks_perfbench pairs, written
+    by scripts/perf_pairs.py) carry a positive integer "pr", a "role" of
+    parent|change, a non-empty "parent_commit" and "workload", a
+    non-negative integer "seed", positive integer "pairs" and a
+    non-negative integer "pairs_faster" no larger than "pairs", positive
+    wall_s quartiles with "wall_s_q1" <= "wall_s_median" <= "wall_s_q3",
+    a positive "peak_rss_mb_median", and a "digest" of 16 hex digits;
+    every (pr, workload, seed) has exactly one parent and one change row,
+    so no measured gain loses its baseline.
 
 Exit status 0 when every file passes, 1 otherwise. Stdlib only.
 """
@@ -242,6 +251,75 @@ def check_scale_pairs(path, rows):
         if sorted(seen) != ["kubeshare", "native"]:
             ok = fail(path, f"{nodes!r} nodes has modes {sorted(seen)!r}, "
                             f"want one kubeshare and one native row")
+    return ok
+
+
+def check_perfbench_row(path, i, row):
+    """One perfbench row: the schema scripts/perf_pairs.py writes."""
+    ok = True
+
+    def number(field, positive):
+        value = row.get(field)
+        good = isinstance(value, (int, float)) \
+            and not isinstance(value, bool) \
+            and (value > 0 if positive else value >= 0)
+        return value if good else None
+
+    def integer(field, positive):
+        value = row.get(field)
+        good = isinstance(value, int) and not isinstance(value, bool) \
+            and (value > 0 if positive else value >= 0)
+        return value if good else None
+
+    for field, positive in (("pr", True), ("seed", False), ("pairs", True),
+                            ("pairs_faster", False)):
+        if integer(field, positive) is None:
+            ok = fail(path, f"row {i} {field!r} missing or not a "
+                            f"{'positive' if positive else 'non-negative'} "
+                            f"integer: {row.get(field)!r}")
+    if row.get("role") not in ("parent", "change"):
+        ok = fail(path, f"row {i} \"role\" must be parent|change: "
+                        f"{row.get('role')!r}")
+    for field in ("parent_commit", "workload"):
+        value = row.get(field)
+        if not isinstance(value, str) or not value:
+            ok = fail(path, f"row {i} {field!r} missing or empty: {value!r}")
+    pairs, faster = integer("pairs", True), integer("pairs_faster", False)
+    if pairs is not None and faster is not None and faster > pairs:
+        ok = fail(path, f"row {i} pairs_faster {faster} > pairs {pairs}")
+    quartiles = [number(f, True)
+                 for f in ("wall_s_q1", "wall_s_median", "wall_s_q3")]
+    if None in quartiles:
+        ok = fail(path, f"row {i} wall_s quartiles missing or not positive: "
+                        f"{quartiles!r}")
+    elif not quartiles[0] <= quartiles[1] <= quartiles[2]:
+        ok = fail(path, f"row {i} wall_s quartiles out of order "
+                        f"(want q1 <= median <= q3): {quartiles!r}")
+    if number("peak_rss_mb_median", True) is None:
+        ok = fail(path, f"row {i} \"peak_rss_mb_median\" missing or not "
+                        f"positive: {row.get('peak_rss_mb_median')!r}")
+    digest = row.get("digest")
+    if not isinstance(digest, str) or len(digest) != 16 or \
+            any(c not in "0123456789abcdef" for c in digest):
+        ok = fail(path, f"row {i} \"digest\" is not 16 hex digits: "
+                        f"{digest!r}")
+    return ok
+
+
+def check_perfbench_pairs(path, rows):
+    """Every measured (pr, workload, seed) has one parent and one change
+    row."""
+    ok = True
+    roles = {}
+    for r in rows:
+        if isinstance(r, dict):
+            key = (r.get("pr"), r.get("workload"), r.get("seed"))
+            roles.setdefault(key, []).append(r.get("role"))
+    for key, seen in sorted(roles.items(), key=lambda kv: str(kv[0])):
+        if sorted(seen, key=str) != ["change", "parent"]:
+            ok = fail(path, f"(pr, workload, seed) {key!r} has roles "
+                            f"{sorted(seen, key=str)!r}, want one parent "
+                            f"and one change row")
     return ok
 
 
@@ -502,6 +580,8 @@ def check_file(path):
                         f"row {i} \"replicas_peak\" missing or not a "
                         f"positive integer: {peak!r}",
                     )
+        if study == "perfbench":
+            ok = check_perfbench_row(path, i, row) and ok
         if study == "scale":
             if row.get("mode") not in ("kubeshare", "native"):
                 ok = fail(
@@ -578,6 +658,8 @@ def check_file(path):
         ok = check_serving_gate(path, rows) and ok
     if study == "scale":
         ok = check_scale_pairs(path, rows) and ok
+    if study == "perfbench":
+        ok = check_perfbench_pairs(path, rows) and ok
     return ok
 
 

@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Time two ks_perfbench builds against each other in alternating pairs.
+
+    python3 scripts/perf_pairs.py --parent PARENT_BIN --change CHANGE_BIN \\
+        --pr N --parent-commit SHA --workload serving-8n --seed 1 \\
+        --pairs 10 [--workload ... --seed ...] [--out BENCH_perfbench.json]
+
+Build each binary from its own checkout:
+    cmake -S perfbench -B DIR -DCMAKE_BUILD_TYPE=Release
+    cmake --build DIR --target ks_perfbench
+
+For every (workload, seed) it runs --pairs pairs, one run of each binary
+per pair, and alternates which binary goes first so a drifting host loads
+both sides alike. Every run must report no errors, and each binary must
+report one digest (the FNV hash of every modeled outcome) across all its
+runs; a differing digest between the two binaries is printed, since a
+change that claims no modeled effect must keep it.
+
+It writes two rows per (workload, seed) into the ks-bench/1 report --out,
+study "perfbench": role "parent" and role "change". pairs_faster counts
+the pairs that role won on wall_s. wall_s quartiles use the inclusive
+method, so q1 <= median <= q3. Rows already in the file with the same
+(pr, role, workload, seed) are replaced; every other row is kept, so the
+file accumulates one block of rows per PR.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+STUDY = "perfbench"
+SCHEMA = "ks-bench/1"
+
+
+def run_once(binary, workload, seed):
+    cmd = [binary, "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit("perf_pairs: %s failed (exit %d): %s"
+                 % (" ".join(cmd), proc.returncode, proc.stderr[-2000:]))
+    rep = json.loads(lines[-1])
+    if rep["errors"]:
+        sys.exit("perf_pairs: %s reported errors: %s"
+                 % (" ".join(cmd), rep["errors"]))
+    return rep
+
+
+def summarize(reps, wins, args, role, workload, seed):
+    digests = {r["digest"] for r in reps}
+    if len(digests) != 1:
+        sys.exit("perf_pairs: %s digest differs between runs of %s seed %d: "
+                 "%s" % (role, workload, seed, sorted(digests)))
+    walls = [r["host"]["wall_s"] for r in reps]
+    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    return {
+        "pr": args.pr,
+        "role": role,
+        "parent_commit": args.parent_commit,
+        "workload": workload,
+        "seed": seed,
+        "pairs": len(reps),
+        "pairs_faster": wins,
+        "wall_s_median": median,
+        "wall_s_q1": q1,
+        "wall_s_q3": q3,
+        "peak_rss_mb_median": statistics.median(
+            r["host"]["peak_rss_mb"] for r in reps),
+        "digest": digests.pop(),
+    }
+
+
+def measure(args, workload, seed):
+    parent, change = [], []
+    for i in range(args.pairs):
+        if i % 2 == 0:
+            parent.append(run_once(args.parent, workload, seed))
+            change.append(run_once(args.change, workload, seed))
+        else:
+            change.append(run_once(args.change, workload, seed))
+            parent.append(run_once(args.parent, workload, seed))
+    change_wins = sum(c["host"]["wall_s"] < p["host"]["wall_s"]
+                      for p, c in zip(parent, change))
+    parent_wins = sum(p["host"]["wall_s"] < c["host"]["wall_s"]
+                      for p, c in zip(parent, change))
+    rows = [summarize(parent, parent_wins, args, "parent", workload, seed),
+            summarize(change, change_wins, args, "change", workload, seed)]
+    p, c = rows
+    note = "" if p["digest"] == c["digest"] else "  DIGEST DIFFERS"
+    print("%-10s seed %-5d parent %.3f [%.3f-%.3f]  change %.3f [%.3f-%.3f]"
+          "  %+.1f%%  change faster %d/%d%s"
+          % (workload, seed, p["wall_s_median"], p["wall_s_q1"],
+             p["wall_s_q3"], c["wall_s_median"], c["wall_s_q1"],
+             c["wall_s_q3"],
+             100.0 * (c["wall_s_median"] / p["wall_s_median"] - 1.0),
+             change_wins, args.pairs, note), flush=True)
+    # The other host metrics, medians parent -> change, for the record.
+    print("    " + "  ".join(
+        "%s %.6g -> %.6g" % (name,
+                             statistics.median(r["host"][name]
+                                               for r in parent),
+                             statistics.median(r["host"][name]
+                                               for r in change))
+        for name in ("cpu_s", "setup_s", "peak_rss_mb")), flush=True)
+    return rows
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="parent ks_perfbench")
+    parser.add_argument("--change", required=True, help="changed ks_perfbench")
+    parser.add_argument("--pr", required=True, type=int)
+    parser.add_argument("--parent-commit", required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", action="append", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", default="BENCH_perfbench.json")
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 (quartiles need two runs)")
+
+    rows = []
+    for workload in args.workload:
+        for seed in args.seed:
+            rows.extend(measure(args, workload, seed))
+
+    report = {"schema": SCHEMA, "study": STUDY, "rows": []}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            report = json.load(f)
+    fresh = {(r["pr"], r["role"], r["workload"], r["seed"]): r for r in rows}
+    kept = [r for r in report["rows"]
+            if (r.get("pr"), r.get("role"), r.get("workload"),
+                r.get("seed")) not in fresh]
+    report["rows"] = kept + rows
+    with open(args.out, "w") as f:
+        json.dump(report, f, indent=2)
+        f.write("\n")
+    print("perf_pairs: wrote %d rows to %s" % (len(rows), args.out))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,7 @@ namespace ks::cuda {
 CudaContext::CudaContext(gpu::GpuDevice* device, ContainerId owner)
     : device_(device), owner_(std::move(owner)) {
   assert(device_ != nullptr);
-  streams_.try_emplace(kDefaultStream);
+  streams_.Emplace(kDefaultStream);
 }
 
 CudaContext::~CudaContext() {
@@ -56,28 +56,26 @@ CudaResult CudaContext::MemPrefetch(std::uint64_t bytes, Duration duration,
 
 CudaResult CudaContext::StreamCreate(StreamId* out) {
   if (out == nullptr) return CudaResult::kErrorInvalidValue;
-  const StreamId id = next_stream_++;
-  streams_.try_emplace(id);
+  const StreamId id = streams_.id_bound();
+  streams_.Emplace(id);
   *out = id;
   return CudaResult::kSuccess;
 }
 
 CudaResult CudaContext::StreamDestroy(StreamId stream) {
   if (stream == kDefaultStream) return CudaResult::kErrorInvalidValue;
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return CudaResult::kErrorInvalidHandle;
-  if (it->second.in_flight || !it->second.queue.empty()) {
-    return CudaResult::kErrorNotReady;
-  }
-  streams_.erase(it);
+  const Stream* s = streams_.Find(stream);
+  if (s == nullptr) return CudaResult::kErrorInvalidHandle;
+  if (s->in_flight || !s->queue.empty()) return CudaResult::kErrorNotReady;
+  streams_.Erase(stream);
   return CudaResult::kSuccess;
 }
 
 CudaResult CudaContext::LaunchKernelStream(const gpu::KernelDesc& desc,
                                            int count, StreamId stream,
                                            HostFn on_unit) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return CudaResult::kErrorInvalidHandle;
+  Stream* s = streams_.Find(stream);
+  if (s == nullptr) return CudaResult::kErrorInvalidHandle;
   if (desc.nominal_duration.count() <= 0 || count <= 0) {
     return CudaResult::kErrorInvalidValue;
   }
@@ -86,8 +84,8 @@ CudaResult CudaContext::LaunchKernelStream(const gpu::KernelDesc& desc,
   entry.count = count;
   entry.desc = desc;
   entry.fn = std::move(on_unit);
-  it->second.queue.push_back(std::move(entry));
-  if (!it->second.in_flight) SubmitNext(stream);
+  s->queue.push_back(std::move(entry));
+  if (!s->in_flight) SubmitNext(stream);
   return CudaResult::kSuccess;
 }
 
@@ -95,18 +93,19 @@ void CudaContext::SubmitNext(StreamId stream_id) {
   // Loops so a run of device-rejected (token-fenced) submits drains the
   // queue iteratively instead of recursing per dropped entry.
   for (;;) {
-    const auto stream_it = streams_.find(stream_id);
-    if (stream_it == streams_.end()) return;  // destroyed by a sync waiter
-    Stream& stream = stream_it->second;
-    // Event markers at the head of the queue complete immediately — every
-    // earlier kernel on this FIFO stream has retired.
-    while (!stream.in_flight && !stream.queue.empty() &&
-           stream.queue.front().is_event) {
+    Stream* found = streams_.Find(stream_id);
+    if (found == nullptr) return;  // destroyed by a sync waiter
+    Stream& stream = *found;
+    if (stream.in_flight || stream.queue.empty()) return;
+    if (stream.queue.front().is_event) {
+      // An event marker at the head completes immediately — every earlier
+      // kernel on this FIFO stream has retired. Its waiters may destroy
+      // the stream, so look it up again.
       const EventId event = stream.queue.front().event;
       stream.queue.pop_front();
       CompleteEvent(event);
+      continue;
     }
-    if (stream.in_flight || stream.queue.empty()) return;
     Entry& head = stream.queue.front();
     const gpu::KernelId id = device_->Submit(
         owner_, head.desc, [this, stream_id] { OnKernelRetired(stream_id); });
@@ -132,10 +131,9 @@ void CudaContext::SubmitNext(StreamId stream_id) {
 
 void CudaContext::OnKernelRetired(StreamId stream_id) {
   HostFn fn;
-  auto it = streams_.find(stream_id);
-  if (it != streams_.end()) {
-    it->second.in_flight = false;
-    fn = std::move(it->second.fn);
+  if (Stream* s = streams_.Find(stream_id)) {
+    s->in_flight = false;
+    fn = std::move(s->fn);
   }
   --pending_kernels_;
   if (fn) fn();
@@ -144,9 +142,9 @@ void CudaContext::OnKernelRetired(StreamId stream_id) {
 }
 
 std::size_t CudaContext::CancelPending(StreamId stream) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return 0;
-  Stream& s = it->second;
+  Stream* found = streams_.Find(stream);
+  if (found == nullptr) return 0;
+  Stream& s = *found;
   std::size_t cancelled = 0;
   for (auto qit = s.queue.begin(); qit != s.queue.end();) {
     if (qit->is_event) {
@@ -185,60 +183,59 @@ void CudaContext::MaybeFireSync() {
 
 CudaResult CudaContext::EventCreate(EventId* out) {
   if (out == nullptr) return CudaResult::kErrorInvalidValue;
-  const EventId id = next_event_++;
-  events_.try_emplace(id);
+  const EventId id = events_.id_bound();
+  events_.Emplace(id);
   *out = id;
   return CudaResult::kSuccess;
 }
 
 CudaResult CudaContext::EventRecord(EventId event, StreamId stream) {
-  auto eit = events_.find(event);
-  if (eit == events_.end()) return CudaResult::kErrorInvalidHandle;
-  auto sit = streams_.find(stream);
-  if (sit == streams_.end()) return CudaResult::kErrorInvalidHandle;
+  EventState* e = events_.Find(event);
+  if (e == nullptr) return CudaResult::kErrorInvalidHandle;
+  Stream* s = streams_.Find(stream);
+  if (s == nullptr) return CudaResult::kErrorInvalidHandle;
   // Re-recording resets the event.
-  eit->second.recorded = true;
-  eit->second.complete = false;
-  if (!sit->second.in_flight && sit->second.queue.empty()) {
+  e->recorded = true;
+  e->complete = false;
+  if (!s->in_flight && s->queue.empty()) {
     CompleteEvent(event);
     return CudaResult::kSuccess;
   }
   Entry marker;
   marker.is_event = true;
   marker.event = event;
-  sit->second.queue.push_back(std::move(marker));
+  s->queue.push_back(std::move(marker));
   return CudaResult::kSuccess;
 }
 
 void CudaContext::CompleteEvent(EventId event) {
-  auto it = events_.find(event);
-  if (it == events_.end()) return;  // destroyed while in a queue
-  it->second.complete = true;
-  it->second.completed_at = device_->sim()->Now();
-  auto waiters = std::move(it->second.waiters);
-  it->second.waiters.clear();
+  EventState* e = events_.Find(event);
+  if (e == nullptr) return;  // destroyed while in a queue
+  e->complete = true;
+  e->completed_at = device_->sim()->Now();
+  auto waiters = std::move(e->waiters);
+  e->waiters.clear();
   for (auto& fn : waiters) {
     if (fn) fn();
   }
 }
 
 CudaResult CudaContext::EventQuery(EventId event) {
-  auto it = events_.find(event);
-  if (it == events_.end()) return CudaResult::kErrorInvalidHandle;
-  if (!it->second.recorded) return CudaResult::kErrorInvalidValue;
-  return it->second.complete ? CudaResult::kSuccess
-                             : CudaResult::kErrorNotReady;
+  const EventState* e = events_.Find(event);
+  if (e == nullptr) return CudaResult::kErrorInvalidHandle;
+  if (!e->recorded) return CudaResult::kErrorInvalidValue;
+  return e->complete ? CudaResult::kSuccess : CudaResult::kErrorNotReady;
 }
 
 CudaResult CudaContext::EventSynchronize(EventId event, HostFn fn) {
   if (!fn) return CudaResult::kErrorInvalidValue;
-  auto it = events_.find(event);
-  if (it == events_.end()) return CudaResult::kErrorInvalidHandle;
-  if (!it->second.recorded) return CudaResult::kErrorInvalidValue;
-  if (it->second.complete) {
+  EventState* e = events_.Find(event);
+  if (e == nullptr) return CudaResult::kErrorInvalidHandle;
+  if (!e->recorded) return CudaResult::kErrorInvalidValue;
+  if (e->complete) {
     fn();
   } else {
-    it->second.waiters.push_back(std::move(fn));
+    e->waiters.push_back(std::move(fn));
   }
   return CudaResult::kSuccess;
 }
@@ -246,20 +243,16 @@ CudaResult CudaContext::EventSynchronize(EventId event, HostFn fn) {
 CudaResult CudaContext::EventElapsedTime(Duration* out, EventId start,
                                          EventId end) {
   if (out == nullptr) return CudaResult::kErrorInvalidValue;
-  auto sit = events_.find(start);
-  auto eit = events_.find(end);
-  if (sit == events_.end() || eit == events_.end()) {
-    return CudaResult::kErrorInvalidHandle;
-  }
-  if (!sit->second.complete || !eit->second.complete) {
-    return CudaResult::kErrorNotReady;
-  }
-  *out = eit->second.completed_at - sit->second.completed_at;
+  const EventState* s = events_.Find(start);
+  const EventState* e = events_.Find(end);
+  if (s == nullptr || e == nullptr) return CudaResult::kErrorInvalidHandle;
+  if (!s->complete || !e->complete) return CudaResult::kErrorNotReady;
+  *out = e->completed_at - s->completed_at;
   return CudaResult::kSuccess;
 }
 
 CudaResult CudaContext::EventDestroy(EventId event) {
-  if (events_.erase(event) == 0) return CudaResult::kErrorInvalidHandle;
+  if (!events_.Erase(event)) return CudaResult::kErrorInvalidHandle;
   return CudaResult::kSuccess;
 }
 

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "cuda/api.hpp"
+#include "cuda/id_table.hpp"
 #include "gpu/device.hpp"
 
 namespace ks::cuda {
@@ -21,6 +21,11 @@ namespace ks::cuda {
 /// device one at a time the same way. Kernels of different streams (or
 /// different contexts) overlap on the device, which is what makes the
 /// no-compute-isolation baselines measurably interfere.
+///
+/// Stream and event ids are assigned in increasing order and never reused:
+/// a destroyed id answers kErrorInvalidHandle for the rest of the
+/// context's life. Each id ever created keeps one table slot (a pointer)
+/// until the context dies.
 class CudaContext final : public CudaApi {
  public:
   CudaContext(gpu::GpuDevice* device, ContainerId owner);
@@ -95,11 +100,9 @@ class CudaContext final : public CudaApi {
   std::uint64_t allocated_bytes_ = 0;
   std::unordered_set<gpu::DevicePtr> owned_ptrs_;
 
-  StreamId next_stream_ = 1;
-  std::unordered_map<StreamId, Stream> streams_;
-
-  EventId next_event_ = 1;
-  std::unordered_map<EventId, EventState> events_;
+  /// Indexed by id. Stream 0 is the default stream; event ids start at 1.
+  IdTable<Stream> streams_;
+  IdTable<EventState> events_{1};
 
   std::size_t pending_kernels_ = 0;
   std::vector<HostFn> sync_waiters_;

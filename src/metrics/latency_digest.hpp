@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "common/time.hpp"
@@ -33,17 +34,20 @@ class LatencyDigest {
   static constexpr int kSubBuckets = 1 << kSubBits;  // 32
   static constexpr int kBuckets = (64 - kSubBits + 1) * kSubBuckets;  // 1920
 
-  /// Records one latency sample. Negative durations clamp to zero (they
-  /// cannot occur for arrival->finish spans, but the digest must never
-  /// index out of range). Allocation-free and noexcept by construction.
-  void Record(Duration d) noexcept {
+  /// Records one latency sample and returns the index of its bucket.
+  /// Negative durations clamp to zero (they cannot occur for
+  /// arrival->finish spans, but the digest must never index out of range).
+  /// Allocation-free and noexcept by construction.
+  int Record(Duration d) noexcept {
     const std::int64_t raw = d.count();
     const std::uint64_t v = raw < 0 ? 0u : static_cast<std::uint64_t>(raw);
-    ++counts_[IndexFor(v)];
+    const int idx = IndexFor(v);
+    ++counts_[idx];
     ++count_;
     sum_us_ += v;
     if (v < min_us_) min_us_ = v;
     if (v > max_us_) max_us_ = v;
+    return idx;
   }
 
   /// Element-wise addition — the exact merge that makes per-node digests
@@ -72,15 +76,21 @@ class LatencyDigest {
   double QuantileSeconds(double q) const { return ToSeconds(Quantile(q)); }
 
   /// Quantile over the union of two digests without materializing the
-  /// merge — the windowed estimator queries (current + previous epoch)
-  /// per admission decision, and a 15 KiB copy per request would dwarf
-  /// the update cost this class exists to avoid.
+  /// merge — the windowed estimator's p99 covers the current and the
+  /// previous epoch, and a 15 KiB copy per query would dwarf the update
+  /// cost this class exists to avoid.
   static Duration QuantileUnion(const LatencyDigest& a, const LatencyDigest& b,
                                 double q) {
     return QuantileOver(a, &b, q);
   }
 
   std::uint64_t count() const { return count_; }
+  /// Samples in bucket `idx` (>= 0) and above.
+  std::uint64_t CountFrom(int idx) const noexcept {
+    std::uint64_t n = 0;
+    for (int i = idx; i < kBuckets; ++i) n += counts_[i];
+    return n;
+  }
   Duration SumLatency() const {
     return Duration{static_cast<std::int64_t>(sum_us_)};
   }
@@ -100,8 +110,8 @@ class LatencyDigest {
   /// Bucket index of a microsecond value. Exposed for the property tests.
   static int IndexFor(std::uint64_t v) noexcept {
     if (v < kSubBuckets) return static_cast<int>(v);
-    int msb = 63;
-    while ((v & (1ull << msb)) == 0) --msb;  // v >= 32, so msb >= kSubBits
+    // v >= 32, so msb >= kSubBits.
+    const int msb = static_cast<int>(std::bit_width(v)) - 1;
     const int shift = msb - kSubBits;
     return (shift + 1) * kSubBuckets +
            static_cast<int>((v >> shift) & (kSubBuckets - 1));
@@ -116,11 +126,9 @@ class LatencyDigest {
     return (kSubBuckets + sub) << shift;
   }
 
- private:
-  static Duration QuantileOver(const LatencyDigest& a, const LatencyDigest* b,
-                               double q) {
-    const std::uint64_t total = a.count_ + (b != nullptr ? b->count_ : 0);
-    if (total == 0) return Duration{0};
+  /// The 1-based rank of the sample the q-quantile selects among `total`
+  /// samples (total > 0): ceil(q * total), clamped to [1, total].
+  static std::uint64_t NearestRank(std::uint64_t total, double q) noexcept {
     if (q < 0.0) q = 0.0;
     if (q > 1.0) q = 1.0;
     std::uint64_t rank =
@@ -128,6 +136,15 @@ class LatencyDigest {
     if (static_cast<double>(rank) < q * static_cast<double>(total)) ++rank;
     if (rank == 0) rank = 1;
     if (rank > total) rank = total;
+    return rank;
+  }
+
+ private:
+  static Duration QuantileOver(const LatencyDigest& a, const LatencyDigest* b,
+                               double q) {
+    const std::uint64_t total = a.count_ + (b != nullptr ? b->count_ : 0);
+    if (total == 0) return Duration{0};
+    const std::uint64_t rank = NearestRank(total, q);
     std::uint64_t cum = 0;
     for (int i = 0; i < kBuckets; ++i) {
       cum += a.counts_[i] + (b != nullptr ? b->counts_[i] : 0);
@@ -150,13 +167,38 @@ class LatencyDigest {
 /// windows of history. Rotation happens lazily on access — the estimator
 /// owes the simulation engine no events, matching the TickHub discipline
 /// that periodic instruments must not keep private timers.
+///
+/// A threshold question — "is the quantile's bucket at or above bucket
+/// `mark`?" — is O(1): each epoch counts its samples at or above the mark
+/// as they are recorded. The q-quantile is the rank-th smallest sample
+/// (LatencyDigest::NearestRank), so its bucket reaches the mark exactly
+/// when more than total - rank samples do.
 class WindowedLatencyDigest {
  public:
   explicit WindowedLatencyDigest(Duration window) : window_(window) {}
 
   void Record(Time now, Duration d) noexcept {
     MaybeRotate(now);
-    current_.Record(d);
+    if (current_.Record(d) >= mark_) ++above_current_;
+  }
+
+  /// Sets the bucket QuantileReachesMark compares against, in
+  /// [0, kBuckets]; kBuckets (the default) is a mark no sample reaches.
+  /// Samples already held are recounted from their buckets.
+  void SetMark(int mark) noexcept {
+    mark_ = mark;
+    above_current_ = current_.CountFrom(mark);
+    above_previous_ = previous_.CountFrom(mark);
+  }
+
+  /// True iff the bucket of Quantile(now, q) is at or above the mark.
+  /// Scans no buckets. An empty window's quantile is 0, in bucket 0.
+  bool QuantileReachesMark(Time now, double q) noexcept {
+    MaybeRotate(now);
+    const std::uint64_t total = current_.count() + previous_.count();
+    if (total == 0) return mark_ == 0;
+    return above_current_ + above_previous_ >
+           total - LatencyDigest::NearestRank(total, q);
   }
 
   Duration Quantile(Time now, double q) {
@@ -184,11 +226,15 @@ class WindowedLatencyDigest {
       // re-anchor the epoch grid at the current window boundary.
       current_.Clear();
       previous_.Clear();
+      above_current_ = 0;
+      above_previous_ = 0;
       epoch_ = Time{(now.count() / window_.count()) * window_.count()};
       return;
     }
     previous_ = current_;
     current_.Clear();
+    above_previous_ = above_current_;
+    above_current_ = 0;
     epoch_ += window_;
   }
 
@@ -196,6 +242,10 @@ class WindowedLatencyDigest {
   Time epoch_{0};
   LatencyDigest current_;
   LatencyDigest previous_;
+  int mark_ = LatencyDigest::kBuckets;
+  /// Samples of each epoch in bucket mark_ or above.
+  std::uint64_t above_current_ = 0;
+  std::uint64_t above_previous_ = 0;
 };
 
 }  // namespace ks::metrics

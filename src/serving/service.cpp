@@ -19,8 +19,10 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
   struct Replica {
     std::string name;
     workload::RequestServerJob* job = nullptr;
-    ContainerId container;
     vgpu::TokenBackend* backend = nullptr;
+    /// The replica container's admission state at `backend`; null while
+    /// the daemon's admission control is off.
+    vgpu::TokenBackend::ServingState* serving = nullptr;
     std::uint64_t outstanding = 0;  // dispatched, not yet served
   };
   /// Ready replicas, name-sorted so round-robin order is deterministic
@@ -80,8 +82,8 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
     Replica& r = replicas[rr];
     ++rr;
     const Time now = sim->Now();
-    if (r.backend != nullptr) {
-      switch (r.backend->AdmitRequest(r.container, now)) {
+    if (r.serving != nullptr) {
+      switch (r.backend->AdmitRequest(r.serving, now)) {
         case vgpu::AdmissionDecision::kAdmit:
           break;
         case vgpu::AdmissionDecision::kShed:
@@ -128,8 +130,8 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
     if (latency > cfg.slo_p99) ++violations;
     if (Replica* r = FindReplica(replica)) {
       if (r->outstanding > 0) --r->outstanding;
-      if (r->backend != nullptr) {
-        r->backend->ReportRequestLatency(r->container, sim->Now(), latency);
+      if (r->serving != nullptr) {
+        r->backend->ReportRequestLatency(r->serving, sim->Now(), latency);
       }
     }
     Trace("serve", arrival, finish, replica);
@@ -142,10 +144,9 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
       r.name = name;
       r.job = job;
       if (vgpu::FrontendHook* hook = host->MutableRunningHook(name)) {
-        r.container = hook->container();
         r.backend = cluster->BackendForGpu(hook->device());
         if (r.backend != nullptr) {
-          r.backend->SetServiceSlo(r.container, cfg.slo_p99);
+          r.serving = r.backend->SetServiceSlo(hook->container(), cfg.slo_p99);
         }
       }
       auto pos = std::lower_bound(

@@ -20,7 +20,7 @@ FrontendHook::FrontendHook(cuda::CudaApi* inner, TokenBackend* backend,
           static_cast<double>(device_memory_bytes) * spec.gpu_mem)) {
   assert(inner_ != nullptr);
   assert(backend_ != nullptr);
-  streams_.try_emplace(cuda::kDefaultStream);
+  streams_.Emplace(cuda::kDefaultStream);
   const Status s =
       backend_->RegisterContainer(container_, device_, spec_, this);
   if (!s.ok()) {
@@ -193,18 +193,18 @@ cuda::CudaResult FrontendHook::MemPrefetch(std::uint64_t bytes,
 
 cuda::CudaResult FrontendHook::StreamCreate(cuda::StreamId* out) {
   const cuda::CudaResult r = inner_->StreamCreate(out);
-  if (r == cuda::CudaResult::kSuccess) streams_.try_emplace(*out);
+  if (r == cuda::CudaResult::kSuccess) streams_.Emplace(*out);
   return r;
 }
 
 cuda::CudaResult FrontendHook::StreamDestroy(cuda::StreamId stream) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return cuda::CudaResult::kErrorInvalidHandle;
-  if (it->second.in_flight || !it->second.pending.empty()) {
+  const StreamQueue* q = streams_.Find(stream);
+  if (q == nullptr) return cuda::CudaResult::kErrorInvalidHandle;
+  if (q->in_flight || !q->pending.empty()) {
     return cuda::CudaResult::kErrorNotReady;
   }
   const cuda::CudaResult r = inner_->StreamDestroy(stream);
-  if (r == cuda::CudaResult::kSuccess) streams_.erase(stream);
+  if (r == cuda::CudaResult::kSuccess) streams_.Erase(stream);
   return r;
 }
 
@@ -212,8 +212,8 @@ cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
                                                   int count,
                                                   cuda::StreamId stream,
                                                   cuda::HostFn on_unit) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return cuda::CudaResult::kErrorInvalidHandle;
+  StreamQueue* q = streams_.Find(stream);
+  if (q == nullptr) return cuda::CudaResult::kErrorInvalidHandle;
   if (desc.nominal_duration.count() <= 0 || count <= 0) {
     return cuda::CudaResult::kErrorInvalidValue;
   }
@@ -222,7 +222,7 @@ cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
   entry.count = count;
   entry.desc = desc;
   entry.fn = std::move(on_unit);
-  it->second.pending.push_back(std::move(entry));
+  q->pending.push_back(std::move(entry));
   if (token_valid_) {
     Drain();
   } else if (!token_held_ && !token_requested_) {
@@ -233,9 +233,9 @@ cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
 }
 
 std::size_t FrontendHook::CancelPending(cuda::StreamId stream) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return 0;
-  StreamQueue& q = it->second;
+  StreamQueue* found = streams_.Find(stream);
+  if (found == nullptr) return 0;
+  StreamQueue& q = *found;
   std::size_t cancelled = 0;
   for (auto qit = q.pending.begin(); qit != q.pending.end();) {
     if (qit->is_event) {
@@ -256,12 +256,18 @@ std::size_t FrontendHook::CancelPending(cuda::StreamId stream) {
 Time FrontendHook::Now() const { return inner_->Now(); }
 
 void FrontendHook::FlushMarkers() {
-  for (auto& [stream_id, q] : streams_) {
-    while (!q.in_flight && !q.pending.empty() &&
-           q.pending.front().is_event) {
-      const cuda::EventId event = q.pending.front().event;
-      q.pending.pop_front();
-      (void)inner_->EventRecord(event, stream_id);
+  // Ids rather than iterators, and a fresh lookup per marker: the waiters
+  // a forwarded marker runs may create or destroy streams.
+  for (cuda::StreamId id = 0; id < streams_.id_bound(); ++id) {
+    for (;;) {
+      StreamQueue* q = streams_.Find(id);
+      if (q == nullptr || q->in_flight || q->pending.empty() ||
+          !q->pending.front().is_event) {
+        break;
+      }
+      const cuda::EventId event = q->pending.front().event;
+      q->pending.pop_front();
+      (void)inner_->EventRecord(event, id);
       // Waiters registered while the marker was still queued here.
       auto wit = queued_events_.find(event);
       if (wit != queued_events_.end()) {
@@ -278,38 +284,37 @@ void FrontendHook::FlushMarkers() {
 void FrontendHook::Drain() {
   FlushMarkers();
   if (!token_valid_ || swap_pending_) return;
-  for (auto& [stream_id, q] : streams_) {
-    if (q.in_flight || q.pending.empty()) continue;
-    PendingEntry& head = q.pending.front();
+  for (cuda::StreamId sid = 0; sid < streams_.id_bound(); ++sid) {
+    StreamQueue* q = streams_.Find(sid);
+    if (q == nullptr || q->in_flight || q->pending.empty()) continue;
+    PendingEntry& head = q->pending.front();
     if (head.is_event) continue;  // handled by FlushMarkers
-    const cuda::StreamId sid = stream_id;
-    q.in_flight = true;
+    q->in_flight = true;
     ++in_flight_;
     const cuda::CudaResult r = inner_->LaunchKernel(
         head.desc, sid, [this, sid] { OnKernelRetired(sid); });
     if (r != cuda::CudaResult::kSuccess) {
       KS_LOG(kError) << "inner launch failed: " << cuda::CudaResultName(r);
-      q.in_flight = false;
+      q->in_flight = false;
       --in_flight_;
       pending_kernels_ -= static_cast<std::size_t>(head.count);
-      q.pending.pop_front();
+      q->pending.pop_front();
       continue;
     }
     if (--head.count == 0) {
-      q.fn = std::move(head.fn);
-      q.pending.pop_front();
+      q->fn = std::move(head.fn);
+      q->pending.pop_front();
     } else {
-      q.fn = head.fn;  // more units of this entry follow
+      q->fn = head.fn;  // more units of this entry follow
     }
   }
 }
 
 void FrontendHook::OnKernelRetired(cuda::StreamId stream) {
   cuda::HostFn fn;
-  auto it = streams_.find(stream);
-  if (it != streams_.end()) {
-    it->second.in_flight = false;
-    fn = std::move(it->second.fn);
+  if (StreamQueue* q = streams_.Find(stream)) {
+    q->in_flight = false;
+    fn = std::move(q->fn);
   }
   --in_flight_;
   --pending_kernels_;
@@ -324,8 +329,10 @@ void FrontendHook::OnKernelRetired(cuda::StreamId stream) {
 
 bool FrontendHook::HasQueuedWork() const {
   // Event markers don't need the token; only kernels count as work.
-  for (const auto& [id, q] : streams_) {
-    for (const PendingEntry& e : q.pending) {
+  for (cuda::StreamId id = 0; id < streams_.id_bound(); ++id) {
+    const StreamQueue* q = streams_.Find(id);
+    if (q == nullptr) continue;
+    for (const PendingEntry& e : q->pending) {
       if (!e.is_event) return true;
     }
   }
@@ -448,9 +455,9 @@ cuda::CudaResult FrontendHook::EventCreate(cuda::EventId* out) {
 
 cuda::CudaResult FrontendHook::EventRecord(cuda::EventId event,
                                            cuda::StreamId stream) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return cuda::CudaResult::kErrorInvalidHandle;
-  if (!it->second.in_flight && it->second.pending.empty()) {
+  StreamQueue* q = streams_.Find(stream);
+  if (q == nullptr) return cuda::CudaResult::kErrorInvalidHandle;
+  if (!q->in_flight && q->pending.empty()) {
     // Nothing ahead of it in our queue; the driver orders against its own
     // (already drained) stream.
     return inner_->EventRecord(event, stream);
@@ -458,7 +465,7 @@ cuda::CudaResult FrontendHook::EventRecord(cuda::EventId event,
   PendingEntry marker;
   marker.is_event = true;
   marker.event = event;
-  it->second.pending.push_back(std::move(marker));
+  q->pending.push_back(std::move(marker));
   queued_events_.try_emplace(event);
   return cuda::CudaResult::kSuccess;
 }

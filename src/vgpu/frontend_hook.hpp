@@ -8,6 +8,7 @@
 
 #include "common/ids.hpp"
 #include "cuda/api.hpp"
+#include "cuda/id_table.hpp"
 #include "vgpu/resource_spec.hpp"
 #include "vgpu/swap.hpp"
 #include "vgpu/token_backend.hpp"
@@ -56,6 +57,12 @@ struct AdversarialSpec {
 ///    expires the frontend stops submitting, lets the in-flight kernels
 ///    retire, and releases the token; when its queues drain it releases
 ///    the token early ("revoked by its holder").
+///
+/// The hook's stream table mirrors the CudaContext's stream ids: indexed
+/// by id, assigned in increasing order and never reused. A destroyed id
+/// answers kErrorInvalidHandle for good, and each id ever created keeps
+/// one table slot (a pointer) for the hook's life. When a grant arrives,
+/// streams forward their queued heads in id order.
 class FrontendHook final : public cuda::CudaApi, public TokenClient {
  public:
   /// `inner` is the driver-level API (not owned). `device_memory_bytes` is
@@ -167,10 +174,11 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
     cuda::HostFn fn;
   };
 
-  /// Forwards the next kernel of every stream that has one, while the token
-  /// is valid.
+  /// Forwards the next kernel of every stream that has one, in stream-id
+  /// order, while the token is valid.
   void Drain();
-  /// Forwards event markers at queue heads (token-independent).
+  /// Forwards event markers at queue heads (token-independent), in
+  /// stream-id order.
   void FlushMarkers();
   void OnKernelRetired(cuda::StreamId stream);
   void MaybeReleaseOrRerequest();
@@ -189,7 +197,9 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   std::unordered_map<gpu::DevicePtr, std::uint64_t> ptr_bytes_;
   std::uint64_t oom_rejections_ = 0;
 
-  std::unordered_map<cuda::StreamId, StreamQueue> streams_;
+  /// Indexed by the inner context's stream id; stream 0 is the default
+  /// stream.
+  cuda::IdTable<StreamQueue> streams_;
   /// Events recorded through the hook whose marker has not reached the
   /// driver yet, with any synchronize-waiters registered meanwhile.
   std::unordered_map<cuda::EventId, std::vector<cuda::HostFn>>

@@ -578,51 +578,50 @@ void TokenBackend::OnFenceDeadline(DeviceState& dev,
 
 // --- SLO admission control ------------------------------------------------
 
-void TokenBackend::SetServiceSlo(const ContainerId& container,
-                                 Duration slo_p99) {
-  if (!config_.admission.enabled) return;
-  auto [it, inserted] =
-      serving_.try_emplace(container, config_.admission.window);
-  it->second.slo = slo_p99;
+TokenBackend::ServingState* TokenBackend::SetServiceSlo(
+    const ContainerId& container, Duration slo_p99) {
+  if (!config_.admission.enabled) return nullptr;
+  ServingState& state =
+      serving_.try_emplace(container, config_.admission.window).first->second;
+  state.slo_ = slo_p99;
+  // Observed p99 is always some bucket's lower edge, and the admit test
+  // "edge < headroom * SLO" fails from one bucket upward. Find that bucket
+  // once, with the very comparison a p99 scan would make, so AdmitRequest
+  // only asks whether p99's bucket reaches it.
+  const double threshold = config_.admission.headroom * ToSeconds(slo_p99);
+  int mark = 0;
+  while (mark < metrics::LatencyDigest::kBuckets &&
+         ToSeconds(Duration{static_cast<std::int64_t>(
+             metrics::LatencyDigest::LowerEdge(mark))}) < threshold) {
+    ++mark;
+  }
+  state.digest_.SetMark(mark);
+  return &state;
 }
 
-void TokenBackend::ReportRequestLatency(const ContainerId& container, Time now,
+void TokenBackend::ReportRequestLatency(ServingState* serving, Time now,
                                         Duration latency) {
-  if (!config_.admission.enabled) return;
-  auto it = serving_.find(container);
-  if (it == serving_.end()) return;
-  it->second.digest.Record(now, latency);
+  if (serving == nullptr) return;
+  serving->digest_.Record(now, latency);
 }
 
-AdmissionDecision TokenBackend::AdmitRequest(const ContainerId& container,
+AdmissionDecision TokenBackend::AdmitRequest(ServingState* serving,
                                              Time now) {
-  if (!config_.admission.enabled) return AdmissionDecision::kAdmit;
-  auto it = serving_.find(container);
-  if (it == serving_.end() || it->second.slo.count() <= 0) {
+  if (serving == nullptr || serving->slo_.count() <= 0) {
     return AdmissionDecision::kAdmit;
   }
-  ServingState& state = it->second;
-  if (state.digest.WindowCount(now) < config_.admission.min_samples) {
+  if (serving->digest_.WindowCount(now) < config_.admission.min_samples) {
     return AdmissionDecision::kAdmit;  // cold start: no trustworthy estimate
   }
-  const Duration p99 = state.digest.Quantile(now, 0.99);
-  if (ToSeconds(p99) < config_.admission.headroom * ToSeconds(state.slo)) {
+  if (!serving->digest_.QuantileReachesMark(now, 0.99)) {
     return AdmissionDecision::kAdmit;
   }
   if (config_.admission.policy == AdmissionConfig::Policy::kQueue) {
-    ++state.queued;
     ++admission_queued_;
     return AdmissionDecision::kQueue;
   }
-  ++state.sheds;
   ++admission_sheds_;
   return AdmissionDecision::kShed;
-}
-
-double TokenBackend::ObservedP99Of(const ContainerId& container, Time now) {
-  auto it = serving_.find(container);
-  if (it == serving_.end()) return 0.0;
-  return it->second.digest.QuantileSeconds(now, 0.99);
 }
 
 // --- Memory oversubscription (nvshare-TQ) --------------------------------

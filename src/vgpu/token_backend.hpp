@@ -351,27 +351,41 @@ class TokenBackend {
 
   // --- SLO admission control -------------------------------------------------
 
-  /// Declares the p99 SLO of the service a container replica belongs to.
-  /// Called by the serving frontend when a replica comes up; a no-op while
-  /// BackendConfig::admission is disabled (no serving state is kept, so
-  /// the disabled daemon is byte-identical to the pre-admission one).
-  void SetServiceSlo(const ContainerId& container, Duration slo_p99);
+  /// One serving container's admission state: its SLO and the windowed
+  /// latency digest its p99 estimate comes from, marked at the first
+  /// bucket whose lower edge fails "p99 < headroom * SLO". Opaque to
+  /// callers, who hold a pointer to it — the serving handle — from
+  /// SetServiceSlo. It lives as long as the daemon: entries are never
+  /// erased, and Restart() keeps them, so the latency history that
+  /// admission needs survives exactly when a restart's backlog needs it.
+  class ServingState {
+   public:
+    explicit ServingState(Duration window) : digest_(window) {}
 
-  /// Per-request latency report feeding the daemon's windowed per-service
-  /// digest. Zero-allocation on the digest side; a no-op while admission
-  /// is disabled.
-  void ReportRequestLatency(const ContainerId& container, Time now,
-                            Duration latency);
+   private:
+    friend class TokenBackend;
+    Duration slo_{0};
+    metrics::WindowedLatencyDigest digest_;
+  };
 
-  /// The admission decision for one new request bound for `container`.
-  /// Always kAdmit while admission is disabled, during cold start
-  /// (fewer than AdmissionConfig::min_samples in the window), or while
-  /// observed p99 stays under headroom * SLO.
-  AdmissionDecision AdmitRequest(const ContainerId& container, Time now);
+  /// Declares the p99 SLO of the service a container replica belongs to
+  /// and returns the container's serving handle. Called by the serving
+  /// frontend when a replica comes up; a second call replaces the SLO and
+  /// keeps the latency history. Returns nullptr, and keeps no serving
+  /// state, while BackendConfig::admission is disabled, so the disabled
+  /// daemon is byte-identical to the pre-admission one.
+  ServingState* SetServiceSlo(const ContainerId& container, Duration slo_p99);
 
-  /// Observed windowed p99 of a container's service, in seconds; 0 when
-  /// unknown. Non-const: the lazy window rotation advances on access.
-  double ObservedP99Of(const ContainerId& container, Time now);
+  /// Per-request latency report feeding the serving handle's windowed
+  /// digest. Zero-allocation; a no-op for a null handle.
+  void ReportRequestLatency(ServingState* serving, Time now, Duration latency);
+
+  /// The admission decision for one new request bound for the serving
+  /// handle's container. O(1): it scans no buckets. Always kAdmit for a
+  /// null handle (admission disabled), during cold start (fewer than
+  /// AdmissionConfig::min_samples in the window), or while observed p99
+  /// stays under headroom * SLO.
+  AdmissionDecision AdmitRequest(ServingState* serving, Time now);
 
   std::uint64_t admission_sheds() const { return admission_sheds_; }
   std::uint64_t admission_queued() const { return admission_queued_; }
@@ -491,20 +505,11 @@ class TokenBackend {
   bool down_ = false;
   GrantTraceFn grant_trace_;
 
-  /// Per-service admission state: SLO target and the windowed latency
-  /// digest p99 estimates come from. Keyed separately from containers_ —
-  /// like the violation ledger, it is rebuilt-state, not token-state, so a
-  /// daemon Restart() keeps the latency history that would otherwise blind
-  /// admission control exactly when a restart's backlog needs it. Only
-  /// populated while config_.admission.enabled (disabled daemons carry
-  /// zero serving state).
-  struct ServingState {
-    Duration slo{0};
-    metrics::WindowedLatencyDigest digest;
-    std::uint64_t sheds = 0;
-    std::uint64_t queued = 0;
-    explicit ServingState(Duration window) : digest(window) {}
-  };
+  /// Per-container admission state. Keyed separately from containers_ —
+  /// like the violation ledger, it is rebuilt-state, not token-state, so
+  /// Restart() keeps it. Never erased: serving handles point at these
+  /// entries. Only populated while config_.admission.enabled (disabled
+  /// daemons carry zero serving state).
   std::map<ContainerId, ServingState> serving_;
   std::uint64_t admission_sheds_ = 0;
   std::uint64_t admission_queued_ = 0;

@@ -96,6 +96,37 @@ TEST_F(CudaContextTest, StreamDestroyRules) {
   EXPECT_EQ(ctx_.StreamDestroy(s), CudaResult::kSuccess);
 }
 
+TEST_F(CudaContextTest, DestroyedIdsStayInvalidAndAreNeverReused) {
+  StreamId s = 0;
+  EventId ev = 0;
+  ASSERT_EQ(ctx_.StreamCreate(&s), CudaResult::kSuccess);
+  ASSERT_EQ(ctx_.EventCreate(&ev), CudaResult::kSuccess);
+  ASSERT_EQ(ctx_.StreamDestroy(s), CudaResult::kSuccess);
+  ASSERT_EQ(ctx_.EventDestroy(ev), CudaResult::kSuccess);
+  for (int round = 0; round < 2; ++round) {
+    // Before and after new ids are handed out, the destroyed ones stay dead.
+    EXPECT_EQ(ctx_.StreamDestroy(s), CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(ctx_.LaunchKernel({Millis(5), 0.0, "x"}, s, nullptr),
+              CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(ctx_.CancelPending(s), 0u);
+    EXPECT_EQ(ctx_.EventRecord(ev, kDefaultStream),
+              CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(ctx_.EventSynchronize(ev, [] {}),
+              CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(ctx_.EventDestroy(ev), CudaResult::kErrorInvalidHandle);
+    StreamId s2 = 0;
+    EventId ev2 = 0;
+    ASSERT_EQ(ctx_.StreamCreate(&s2), CudaResult::kSuccess);
+    ASSERT_EQ(ctx_.EventCreate(&ev2), CudaResult::kSuccess);
+    EXPECT_GT(s2, s);
+    EXPECT_GT(ev2, ev);
+    EXPECT_EQ(ctx_.EventRecord(ev2, s), CudaResult::kErrorInvalidHandle);
+  }
+  EXPECT_EQ(ctx_.EventQuery(0), CudaResult::kErrorInvalidHandle);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
 TEST_F(CudaContextTest, SynchronizeFiresAfterAllWork) {
   bool synced = false;
   ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream, nullptr);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -87,6 +88,15 @@ TEST(LatencyDigestTest, IndexAndLowerEdgeRoundTrip) {
       EXPECT_LT(LatencyDigest::IndexFor(edge - 1), idx) << "v=" << v;
     }
     EXPECT_EQ(LatencyDigest::IndexFor(edge), idx) << "v=" << v;
+  }
+  // IndexFor is monotone, so its value at both ends of every bucket pins
+  // the whole value -> bucket map.
+  for (int idx = 0; idx + 1 < LatencyDigest::kBuckets; ++idx) {
+    const std::uint64_t edge = LatencyDigest::LowerEdge(idx);
+    const std::uint64_t next = LatencyDigest::LowerEdge(idx + 1);
+    ASSERT_LT(edge, next) << "idx=" << idx;
+    EXPECT_EQ(LatencyDigest::IndexFor(edge), idx);
+    EXPECT_EQ(LatencyDigest::IndexFor(next - 1), idx);
   }
 }
 
@@ -186,6 +196,16 @@ TEST(LatencyDigestTest, RecordAndQuantileAreAllocationFree) {
   LatencyDigest other;
   other.Merge(d);
   (void)LatencyDigest::QuantileUnion(d, other, 0.999);
+  // The windowed record-and-check path admission runs per request.
+  WindowedLatencyDigest w(Seconds(1.0));
+  w.SetMark(500);
+  Time now{0};
+  for (std::int64_t v : values) {
+    now += Millis(1);
+    w.Record(now, Duration{v});
+    (void)w.QuantileReachesMark(now, 0.99);
+  }
+  w.SetMark(600);
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after, before)
       << "digest update/query path allocated " << (after - before)
@@ -217,6 +237,71 @@ TEST(WindowedLatencyDigestTest, LongIdleDropsBothEpochs) {
   // Recording re-anchors cleanly on the current window grid.
   w.Record(Seconds(61.0), Millis(20));
   EXPECT_EQ(w.WindowCount(Seconds(61.0)), 1u);
+}
+
+// The marked-count answer against its definition: the bucket of the
+// windowed quantile, found by scanning, at or above the mark.
+bool ScannedReachesMark(WindowedLatencyDigest& w, Time now, double q,
+                        int mark) {
+  const auto v = static_cast<std::uint64_t>(w.Quantile(now, q).count());
+  return LatencyDigest::IndexFor(v) >= mark;
+}
+
+TEST(WindowedLatencyDigestTest, MarkedCountMatchesScannedQuantile) {
+  // Marks at both ends (0, and kBuckets, which no sample reaches), at the
+  // edge of the exact range, and across the latencies drawn below.
+  const int marks[] = {0,   1,   31,  32,  63,  64,
+                       400, 500, 600, 700, 750, LatencyDigest::kBuckets - 1,
+                       LatencyDigest::kBuckets};
+  const int n_marks = static_cast<int>(std::size(marks));
+  const int top = LatencyDigest::IndexFor(10'000'000);  // 10 s
+  for (std::uint64_t seed : {1ull, 2ull, 3ull, 4242ull}) {
+    for (int m = 0; m < n_marks; ++m) {
+      ks::Rng rng(seed * 7919 + static_cast<std::uint64_t>(m));
+      int mark = marks[m];
+      WindowedLatencyDigest w(Seconds(1.0));
+      w.SetMark(mark);
+      Time now{0};
+      // An empty window's quantile is 0, in bucket 0.
+      ASSERT_EQ(w.QuantileReachesMark(now, 0.99),
+                ScannedReachesMark(w, now, 0.99, mark));
+      for (int step = 0; step < 2000; ++step) {
+        if (step == 1000) {
+          // Move the mark over a digest holding both epochs.
+          mark = marks[(m + 5) % n_marks];
+          w.SetMark(mark);
+        }
+        // Mostly short steps, so each 1 s epoch sees hundreds of samples
+        // and rotates every few hundred steps; now and then an idle gap
+        // longer than two windows drops both epochs.
+        now += rng.Chance(0.003) ? Seconds(rng.Uniform(2.0, 4.0))
+                                 : Micros(rng.UniformInt(0, 8000));
+        if (rng.Chance(0.9)) {
+          const double kind = rng.Uniform(0.0, 1.0);
+          std::int64_t us;
+          if (kind < 0.7) {  // log-uniform over [0, 10 s]
+            us = static_cast<std::int64_t>(
+                     std::exp(rng.Uniform(0.0, std::log(1e7 + 1.0)))) -
+                 1;
+          } else if (kind < 0.9) {  // on a bucket's lower edge, or below it
+            const int idx = static_cast<int>(rng.UniformInt(0, top));
+            const auto edge =
+                static_cast<std::int64_t>(LatencyDigest::LowerEdge(idx));
+            us = rng.Chance(0.5) ? edge : edge - 1;
+          } else {  // negative: clamps to 0
+            us = -rng.UniformInt(1, 1'000'000);
+          }
+          w.Record(now, Duration{us});
+        }
+        for (double q : {0.5, 0.99, 1.0}) {
+          ASSERT_EQ(w.QuantileReachesMark(now, q),
+                    ScannedReachesMark(w, now, q, mark))
+              << "seed=" << seed << " mark=" << mark << " step=" << step
+              << " q=" << q << " window=" << w.WindowCount(now);
+        }
+      }
+    }
+  }
 }
 
 TEST(WindowedLatencyDigestTest, ZeroWindowNeverRotates) {

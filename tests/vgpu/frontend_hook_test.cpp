@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cuda/context.hpp"
 #include "gpu/device.hpp"
 
@@ -176,6 +180,68 @@ TEST_F(FrontendHookTest, StreamLifecycleForwarded) {
   EXPECT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kErrorNotReady);
   sim_.Run();
   EXPECT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kSuccess);
+}
+
+TEST_F(FrontendHookTest, GrantForwardsQueuedStreamHeadsInIdOrder) {
+  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
+  std::vector<gpu::KernelTraceEvent> trace;
+  dev_.SetKernelTraceFn(
+      [&](const gpu::KernelTraceEvent& e) { trace.push_back(e); });
+  cuda::StreamId s[3] = {};
+  for (cuda::StreamId& id : s) {
+    ASSERT_EQ(c.hook.StreamCreate(&id), cuda::CudaResult::kSuccess);
+  }
+  ASSERT_LT(s[0], s[1]);
+  ASSERT_LT(s[1], s[2]);
+  // One kernel per stream, the newest stream first, all queued in the hook
+  // until the token arrives.
+  for (int i : {2, 0, 1}) {
+    ASSERT_EQ(c.hook.LaunchKernel({Millis(5), 0.0, "s" + std::to_string(i)},
+                                  s[i], nullptr),
+              cuda::CudaResult::kSuccess);
+  }
+  EXPECT_FALSE(c.hook.holds_valid_token());
+  sim_.Run();
+  // The grant forwards every head at once; the device numbers kernels in
+  // submission order.
+  ASSERT_EQ(trace.size(), 3u);
+  std::sort(trace.begin(), trace.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  EXPECT_EQ(trace[0].name, "s0");
+  EXPECT_EQ(trace[1].name, "s1");
+  EXPECT_EQ(trace[2].name, "s2");
+  EXPECT_EQ(trace[0].start, trace[2].start);
+}
+
+TEST_F(FrontendHookTest, DestroyedIdsStayInvalidAndAreNeverReused) {
+  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
+  cuda::StreamId s = 0;
+  cuda::EventId ev = 0;
+  ASSERT_EQ(c.hook.StreamCreate(&s), cuda::CudaResult::kSuccess);
+  ASSERT_EQ(c.hook.EventCreate(&ev), cuda::CudaResult::kSuccess);
+  ASSERT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kSuccess);
+  ASSERT_EQ(c.hook.EventDestroy(ev), cuda::CudaResult::kSuccess);
+  for (int round = 0; round < 2; ++round) {
+    // Before and after new ids are handed out, the destroyed ones stay dead.
+    EXPECT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(c.hook.LaunchKernel({Millis(5), 0.0, "k"}, s, nullptr),
+              cuda::CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(c.hook.CancelPending(s), 0u);
+    EXPECT_EQ(c.hook.EventRecord(ev, cuda::kDefaultStream),
+              cuda::CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(c.hook.EventQuery(ev), cuda::CudaResult::kErrorInvalidHandle);
+    EXPECT_EQ(c.hook.EventDestroy(ev), cuda::CudaResult::kErrorInvalidHandle);
+    cuda::StreamId s2 = 0;
+    cuda::EventId ev2 = 0;
+    ASSERT_EQ(c.hook.StreamCreate(&s2), cuda::CudaResult::kSuccess);
+    ASSERT_EQ(c.hook.EventCreate(&ev2), cuda::CudaResult::kSuccess);
+    EXPECT_GT(s2, s);
+    EXPECT_GT(ev2, ev);
+    EXPECT_EQ(c.hook.EventRecord(ev2, s),
+              cuda::CudaResult::kErrorInvalidHandle);
+  }
+  EXPECT_EQ(c.hook.PendingKernels(), 0u);
+  EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
 }
 
 TEST_F(FrontendHookTest, LaunchOnUnknownStreamFails) {

@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include "metrics/latency_digest.hpp"
+
 namespace ks::vgpu {
 namespace {
 
@@ -377,6 +379,148 @@ TEST(DanglingReevalRegression, CancelsReevalOnLastUnregister) {
   EXPECT_EQ(backend.pending_timers(), 0u)
       << "reeval timer left dangling after the last waiter unregistered";
   EXPECT_EQ(sim.pending(), 0u);  // the engine holds nothing for the daemon
+}
+
+// --- SLO admission control ---------------------------------------------
+
+/// The daemon door for a 100 ms p99 SLO at 90% headroom: AdmitRequest
+/// sheds once the windowed p99 reaches 90 ms.
+class AdmissionTest : public ::testing::Test {
+ protected:
+  using Digest = metrics::LatencyDigest;
+
+  AdmissionTest() {
+    cfg_.admission.enabled = true;
+    cfg_.admission.headroom = 0.9;
+    cfg_.admission.window = Seconds(5.0);
+    cfg_.admission.min_samples = 20;
+  }
+
+  /// A fresh daemon built from cfg_, and its serving handle for `slo`.
+  TokenBackend::ServingState* Serve(Duration slo = Millis(100)) {
+    backend_ = std::make_unique<TokenBackend>(&sim_, cfg_);
+    return backend_->SetServiceSlo(ContainerId("svc-0"), slo);
+  }
+
+  void Report(TokenBackend::ServingState* serving, int n, Duration latency,
+              Time now = Seconds(1.0)) {
+    for (int i = 0; i < n; ++i) {
+      backend_->ReportRequestLatency(serving, now, latency);
+    }
+  }
+
+  AdmissionDecision Admit(TokenBackend::ServingState* serving,
+                          Time now = Seconds(1.0)) {
+    return backend_->AdmitRequest(serving, now);
+  }
+
+  static Duration EdgeOf(int bucket) {
+    return Duration{static_cast<std::int64_t>(Digest::LowerEdge(bucket))};
+  }
+
+  sim::Simulation sim_;
+  BackendConfig cfg_;
+  std::unique_ptr<TokenBackend> backend_;
+};
+
+TEST_F(AdmissionTest, ThresholdBucketShedsAndTheOneBelowAdmits) {
+  // Observed p99 is a bucket's lower edge. 90 ms falls inside a bucket
+  // whose edge, 88.064 ms, is under the threshold; the next bucket, from
+  // 90.112 ms, is the first whose edge is not.
+  const int below = Digest::IndexFor(90'000);
+  ASSERT_LT(EdgeOf(below), Micros(90'000));
+  ASSERT_GT(EdgeOf(below + 1), Micros(90'000));
+
+  TokenBackend::ServingState* s = Serve();
+  ASSERT_NE(s, nullptr);
+  Report(s, 100, EdgeOf(below + 1) - Micros(1));  // top of the lower bucket
+  EXPECT_EQ(Admit(s), AdmissionDecision::kAdmit);
+
+  s = Serve();
+  Report(s, 100, EdgeOf(below + 1));
+  EXPECT_EQ(Admit(s), AdmissionDecision::kShed);
+  EXPECT_EQ(backend_->admission_sheds(), 1u);
+  EXPECT_EQ(backend_->admission_queued(), 0u);
+}
+
+TEST_F(AdmissionTest, ShedsExactlyWhenTheP99SampleIsSlow) {
+  TokenBackend::ServingState* s = Serve();
+  Report(s, 99, Millis(10));
+  Report(s, 1, Millis(500));
+  // 1 slow of 100: p99 is the 99th smallest sample, a fast one.
+  EXPECT_EQ(Admit(s), AdmissionDecision::kAdmit);
+  Report(s, 1, Millis(500));
+  // 2 slow of 101: p99 is the 100th smallest, a slow one.
+  EXPECT_EQ(Admit(s), AdmissionDecision::kShed);
+}
+
+TEST_F(AdmissionTest, ColdStartAdmitsBelowMinSamples) {
+  TokenBackend::ServingState* s = Serve();
+  Report(s, 19, Seconds(1.0));
+  EXPECT_EQ(Admit(s), AdmissionDecision::kAdmit);
+  Report(s, 1, Seconds(1.0));
+  EXPECT_EQ(Admit(s), AdmissionDecision::kShed);
+}
+
+TEST_F(AdmissionTest, EmptyWindowWithoutMinSamples) {
+  cfg_.admission.min_samples = 0;
+  // An empty window's p99 reads 0, under any positive threshold.
+  EXPECT_EQ(Admit(Serve(), Time{0}), AdmissionDecision::kAdmit);
+  // With no headroom the threshold is 0 itself, and 0 is not under it.
+  cfg_.admission.headroom = 0.0;
+  EXPECT_EQ(Admit(Serve(), Time{0}), AdmissionDecision::kShed);
+}
+
+TEST_F(AdmissionTest, QueuePolicyHoldsAndCounts) {
+  cfg_.admission.policy = AdmissionConfig::Policy::kQueue;
+  TokenBackend::ServingState* s = Serve();
+  Report(s, 20, Millis(500));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(Admit(s), AdmissionDecision::kQueue);
+  EXPECT_EQ(backend_->admission_queued(), 3u);
+  EXPECT_EQ(backend_->admission_sheds(), 0u);
+}
+
+TEST_F(AdmissionTest, NewSloAppliesToTheSamplesAlreadyHeld) {
+  TokenBackend::ServingState* s = Serve(Millis(100));
+  Report(s, 50, Millis(50));
+  EXPECT_EQ(Admit(s), AdmissionDecision::kAdmit);
+  // A tighter SLO (threshold 45 ms) keeps the handle and the history.
+  EXPECT_EQ(backend_->SetServiceSlo(ContainerId("svc-0"), Millis(50)), s);
+  EXPECT_EQ(Admit(s), AdmissionDecision::kShed);
+  EXPECT_EQ(backend_->SetServiceSlo(ContainerId("svc-0"), Millis(100)), s);
+  EXPECT_EQ(Admit(s), AdmissionDecision::kAdmit);
+}
+
+TEST_F(AdmissionTest, WindowForgetsOldEpochs) {
+  TokenBackend::ServingState* s = Serve();
+  Report(s, 20, Millis(500), Seconds(1.0));
+  EXPECT_EQ(Admit(s, Seconds(1.0)), AdmissionDecision::kShed);
+  // One rotation later the slow epoch is the previous one and still counts.
+  EXPECT_EQ(Admit(s, Seconds(6.0)), AdmissionDecision::kShed);
+  // Another rotation ages it out; fast traffic then admits.
+  Report(s, 20, Millis(10), Seconds(11.0));
+  EXPECT_EQ(Admit(s, Seconds(11.0)), AdmissionDecision::kAdmit);
+}
+
+TEST_F(AdmissionTest, RestartKeepsTheLatencyHistory) {
+  TokenBackend::ServingState* s = Serve();
+  Report(s, 20, Millis(500));
+  backend_->Restart();
+  ASSERT_TRUE(backend_->down());
+  EXPECT_EQ(Admit(s), AdmissionDecision::kShed);
+  sim_.Run();  // the daemon comes back up
+  ASSERT_FALSE(backend_->down());
+  EXPECT_EQ(Admit(s), AdmissionDecision::kShed);
+  EXPECT_EQ(backend_->admission_sheds(), 2u);
+}
+
+TEST_F(AdmissionTest, DisabledDaemonHandsOutNoHandle) {
+  cfg_.admission.enabled = false;
+  TokenBackend::ServingState* s = Serve();
+  EXPECT_EQ(s, nullptr);
+  Report(s, 20, Millis(500));
+  EXPECT_EQ(Admit(s), AdmissionDecision::kAdmit);
+  EXPECT_EQ(backend_->admission_sheds(), 0u);
 }
 
 }  // namespace
