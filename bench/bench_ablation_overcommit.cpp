@@ -28,12 +28,10 @@ Result Run(bool overcommit, double model_fraction) {
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 2;
   ccfg.gpus_per_node = 2;
+  ccfg.oversub.enabled = overcommit;
   k8s::Cluster cluster(ccfg);
-  kubeshare::KubeShareConfig kcfg;
-  kcfg.allow_memory_overcommit = overcommit;
-  kubeshare::KubeShare kubeshare(&cluster, kcfg);
+  kubeshare::KubeShare kubeshare(&cluster);
   workload::WorkloadHost host(&cluster);
-  if (overcommit) host.EnableMemoryOvercommit(12e9);
   (void)cluster.Start();
   (void)kubeshare.Start();
 

@@ -24,7 +24,8 @@ int main() {
                             45.0}) {
     sim::Simulation sim;
     gpu::GpuDevice dev(&sim, GpuUuid("GPU-0"));
-    gpu::NvmlMonitor nvml(&sim, Seconds(1));
+    sim::TickHub hub(&sim);
+    gpu::NvmlMonitor nvml(&hub, Seconds(1));
     nvml.Register(&dev);
     nvml.Start();
     cuda::CudaContext ctx(&dev, ContainerId("tf-serving"));

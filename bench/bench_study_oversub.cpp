@@ -62,10 +62,7 @@ ModeResult Run(double factor, bool tq) {
   ccfg.oversub.swap.link_bandwidth_bytes_per_s = 24e9;
   ccfg.backend.tq.enabled = tq;
   k8s::Cluster cluster(ccfg);
-  kubeshare::KubeShareConfig kcfg;
-  kcfg.allow_memory_overcommit = true;
-  kcfg.memory_overcommit_factor = factor;
-  kubeshare::KubeShare kubeshare(&cluster, kcfg);
+  kubeshare::KubeShare kubeshare(&cluster);
   workload::WorkloadHost host(&cluster);
   (void)cluster.Start();
   (void)kubeshare.Start();

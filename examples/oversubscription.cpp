@@ -41,12 +41,9 @@ int main() {
   config.backend.tq.enabled = true;
   k8s::Cluster cluster(config);
 
-  // 2. The scheduler must admit the over-committed placement too:
-  //    gpu_mem requests are allowed to total `kFactor` per device.
-  kubeshare::KubeShareConfig kcfg;
-  kcfg.allow_memory_overcommit = true;
-  kcfg.memory_overcommit_factor = kFactor;
-  kubeshare::KubeShare kubeshare(&cluster, kcfg);
+  // 2. The same switch makes the scheduler admit the over-committed
+  //    placement: gpu_mem requests may total `kFactor` per device.
+  kubeshare::KubeShare kubeshare(&cluster);
   workload::WorkloadHost host(&cluster);
 
   if (!cluster.Start().ok() || !kubeshare.Start().ok()) {

@@ -71,14 +71,6 @@ class TqController {
     return it != devices_.end() && it->second.engaged;
   }
 
-  /// Restores counters after a token-daemon restart (the detector state
-  /// itself is in-memory and rebuilt from live swap reports; the
-  /// engagement count is part of the violation-ledger-style state that
-  /// survives restarts).
-  void RestoreEngagements(std::uint64_t engagements) {
-    engagements_ = engagements;
-  }
-
  private:
   struct DeviceState {
     Time window_start{0};

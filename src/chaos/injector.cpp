@@ -96,15 +96,21 @@ void FaultInjector::InjectNodeCrash(const Fault& fault) {
   }
   ++stats_.faults_injected;
   ++stats_.node_crashes;
-  const Time crashed_at = cluster_->sim().Now();
   if (!affected.empty()) {
-    cluster_->sim().ScheduleAfter(config_.recovery_poll,
-                                  [this, node = fault.node, affected,
-                                   crashed_at]() mutable {
-                                    PollRecovery(std::move(node),
-                                                 std::move(affected),
-                                                 crashed_at);
-                                  });
+    auto drained = [this, node = fault.node, affected = std::move(affected)](
+                       Duration elapsed) -> std::optional<std::string> {
+      for (const std::string& name : affected) {
+        auto pod = cluster_->api().pods().Get(name);
+        if (!pod.ok()) continue;  // deleted (e.g. requeued workload) = gone
+        if (pod->status.node_name == node && !pod->terminal()) {
+          return std::nullopt;
+        }
+      }
+      return "drained in " + FormatTime(elapsed);
+    };
+    Poll({std::move(drained), "node/" + fault.node, "Recovered",
+          "RecoveryTimeout", &ChaosStats::recoveries_measured,
+          &ChaosStats::total_recovery_time, cluster_->sim().Now()});
   }
   if (fault.duration.count() > 0) {
     cluster_->sim().ScheduleAfter(fault.duration, [this, fault] {
@@ -185,19 +191,23 @@ void FaultInjector::InjectOomKill(const Fault& fault) {
 void FaultInjector::InjectLatencySpike(const Fault& fault) {
   k8s::ObjectStore<k8s::Pod>& pods = cluster_->api().pods();
   k8s::ObjectStore<k8s::Node>& nodes = cluster_->api().nodes();
-  const Duration pods_before = pods.notify_latency();
-  const Duration nodes_before = nodes.notify_latency();
+  // Overlapping spikes: the latest one's latency holds, and the latency
+  // from before the first returns when the last one ends.
+  if (open_latency_spikes_++ == 0) {
+    pods_latency_before_ = pods.notify_latency();
+    nodes_latency_before_ = nodes.notify_latency();
+  }
   pods.SetNotifyLatency(fault.latency);
   nodes.SetNotifyLatency(fault.latency);
   ++stats_.faults_injected;
   ++stats_.latency_spikes;
-  cluster_->sim().ScheduleAfter(
-      fault.duration, [this, pods_before, nodes_before] {
-        cluster_->api().pods().SetNotifyLatency(pods_before);
-        cluster_->api().nodes().SetNotifyLatency(nodes_before);
-        cluster_->api().events().Record(kComponent, "apiserver",
-                                        "LatencyRestored");
-      });
+  cluster_->sim().ScheduleAfter(fault.duration, [this] {
+    if (--open_latency_spikes_ > 0) return;
+    cluster_->api().pods().SetNotifyLatency(pods_latency_before_);
+    cluster_->api().nodes().SetNotifyLatency(nodes_latency_before_);
+    cluster_->api().events().Record(kComponent, "apiserver",
+                                    "LatencyRestored");
+  });
 }
 
 void FaultInjector::InjectDropEvents(const Fault& fault) {
@@ -225,23 +235,45 @@ void FaultInjector::InjectDevMgrCrash(const Fault& fault) {
   kubeshare_->devmgr().Crash();
   ++stats_.faults_injected;
   ++stats_.devmgr_crashes;
-  const Time crashed_at = cluster_->sim().Now();
+  auto converged = [this, snapshot = std::move(snapshot)](
+                       Duration elapsed) -> std::optional<std::string> {
+    if (!kubeshare_->pool().CheckIndexInvariants().ok()) return std::nullopt;
+    for (const std::string& name : snapshot) {
+      auto sp = kubeshare_->sharepods().Get(name);
+      if (!sp.ok() || sp->terminal()) continue;  // finished or deleted
+      if (!sp->scheduled()) continue;            // requeued: sched's court
+      if (sp->status.phase == kubeshare::SharePodPhase::kRunning) continue;
+      // Scheduled but not running: converged only once its workload pod
+      // exists again (acquisition/launch still in flight otherwise).
+      if (!sp->status.workload_pod.empty() &&
+          cluster_->api().pods().Contains(sp->status.workload_pod)) {
+        continue;
+      }
+      return std::nullopt;
+    }
+    return "converged in " + FormatTime(elapsed);
+  };
+  Probe probe{std::move(converged), "kubeshare-devmgr", "Recovered",
+              "RecoveryTimeout", &ChaosStats::devmgr_recoveries_measured,
+              &ChaosStats::devmgr_recovery_time, cluster_->sim().Now()};
   const Duration downtime =
       fault.duration.count() > 0 ? fault.duration : Seconds(2);
-  cluster_->sim().ScheduleAfter(downtime, [this, snapshot, crashed_at] {
+  cluster_->sim().ScheduleAfter(downtime,
+                                [this, probe = std::move(probe)]() mutable {
     const Status restarted = kubeshare_->devmgr().Restart();
     cluster_->api().events().Record(kComponent, "kubeshare-devmgr",
                                     "Restarted", restarted.ToString());
-    cluster_->sim().ScheduleAfter(
-        config_.recovery_poll, [this, snapshot, crashed_at]() mutable {
-          PollDevMgrRecovery(std::move(snapshot), crashed_at);
-        });
+    Poll(std::move(probe));
   });
 }
 
 void FaultInjector::InjectSchedCrash(const Fault& fault) {
   if (kubeshare_ == nullptr) {
     RecordSkip(fault, "no KubeShare control plane attached");
+    return;
+  }
+  if (!kubeshare_->sched().running()) {
+    RecordSkip(fault, "KubeShare-Sched already down");
     return;
   }
   // Snapshot the pending population: recovery = each one placed (or
@@ -253,17 +285,26 @@ void FaultInjector::InjectSchedCrash(const Fault& fault) {
   kubeshare_->sched().Crash();
   ++stats_.faults_injected;
   ++stats_.sched_crashes;
-  const Time crashed_at = cluster_->sim().Now();
+  auto converged = [this, snapshot = std::move(snapshot)](
+                       Duration elapsed) -> std::optional<std::string> {
+    for (const std::string& name : snapshot) {
+      auto sp = kubeshare_->sharepods().Get(name);
+      if (!sp.ok() || sp->terminal() || sp->scheduled()) continue;
+      return std::nullopt;
+    }
+    return "converged in " + FormatTime(elapsed);
+  };
+  Probe probe{std::move(converged), "kubeshare-sched", "Recovered",
+              "RecoveryTimeout", &ChaosStats::sched_recoveries_measured,
+              &ChaosStats::sched_recovery_time, cluster_->sim().Now()};
   const Duration downtime =
       fault.duration.count() > 0 ? fault.duration : Seconds(2);
-  cluster_->sim().ScheduleAfter(downtime, [this, snapshot, crashed_at] {
+  cluster_->sim().ScheduleAfter(downtime,
+                                [this, probe = std::move(probe)]() mutable {
     const Status restarted = kubeshare_->sched().Restart();
     cluster_->api().events().Record(kComponent, "kubeshare-sched",
                                     "Restarted", restarted.ToString());
-    cluster_->sim().ScheduleAfter(
-        config_.recovery_poll, [this, snapshot, crashed_at]() mutable {
-          PollSchedRecovery(std::move(snapshot), crashed_at);
-        });
+    Poll(std::move(probe));
   });
 }
 
@@ -282,7 +323,6 @@ void FaultInjector::InjectLeaderPartition(const Fault& fault) {
   cluster_->api().events().Record(kComponent, "leader-election",
                                   "LeaderPartitioned",
                                   leader->config().identity);
-  const Time partitioned_at = cluster_->sim().Now();
   const Duration length =
       fault.duration.count() > 0 ? fault.duration : Seconds(15);
   cluster_->sim().ScheduleAfter(length, [this, leader] {
@@ -291,9 +331,18 @@ void FaultInjector::InjectLeaderPartition(const Fault& fault) {
                                     "PartitionHealed",
                                     leader->config().identity);
   });
-  cluster_->sim().ScheduleAfter(config_.recovery_poll, [this, partitioned_at] {
-    PollLeaderTakeover(partitioned_at);
-  });
+  auto taken_over =
+      [this](Duration elapsed) -> std::optional<std::string> {
+    for (k8s::LeaderElector* e : electors_) {
+      if (e->IsLeader() && !e->partitioned()) {
+        return e->config().identity + " after " + FormatTime(elapsed);
+      }
+    }
+    return std::nullopt;
+  };
+  Poll({std::move(taken_over), "leader-election", "TakeoverObserved",
+        "TakeoverTimeout", &ChaosStats::leader_takeovers_measured,
+        &ChaosStats::leader_takeover_time, cluster_->sim().Now()});
 }
 
 void FaultInjector::InjectAdversarial(const Fault& fault) {
@@ -382,133 +431,25 @@ void FaultInjector::ClearAdversarial(const std::string& job, FaultKind kind) {
                                   FaultKindName(kind));
 }
 
-void FaultInjector::PollDevMgrRecovery(std::vector<std::string> snapshot,
-                                       Time crashed_at) {
-  const Time now = cluster_->sim().Now();
-  bool clear = kubeshare_->pool().CheckIndexInvariants().ok();
-  if (clear) {
-    for (const std::string& name : snapshot) {
-      auto sp = kubeshare_->sharepods().Get(name);
-      if (!sp.ok() || sp->terminal()) continue;  // finished or deleted
-      if (!sp->scheduled()) continue;            // requeued: sched's court
-      if (sp->status.phase == kubeshare::SharePodPhase::kRunning) continue;
-      // Scheduled but not running: converged only once its workload pod
-      // exists again (acquisition/launch still in flight otherwise).
-      if (!sp->status.workload_pod.empty() &&
-          cluster_->api().pods().Contains(sp->status.workload_pod)) {
-        continue;
-      }
-      clear = false;
-      break;
-    }
-  }
-  if (clear) {
-    ++stats_.devmgr_recoveries_measured;
-    stats_.devmgr_recovery_time += now - crashed_at;
-    cluster_->api().events().Record(
-        kComponent, "kubeshare-devmgr", "Recovered",
-        "converged in " + FormatTime(now - crashed_at));
-    return;
-  }
-  if (now - crashed_at >= config_.recovery_timeout) {
-    ++stats_.recoveries_timed_out;
-    cluster_->api().events().Record(kComponent, "kubeshare-devmgr",
-                                    "RecoveryTimeout");
-    return;
-  }
+void FaultInjector::Poll(Probe probe) {
   cluster_->sim().ScheduleAfter(
-      config_.recovery_poll,
-      [this, snapshot = std::move(snapshot), crashed_at]() mutable {
-        PollDevMgrRecovery(std::move(snapshot), crashed_at);
-      });
-}
-
-void FaultInjector::PollSchedRecovery(std::vector<std::string> snapshot,
-                                      Time crashed_at) {
-  const Time now = cluster_->sim().Now();
-  bool clear = true;
-  for (const std::string& name : snapshot) {
-    auto sp = kubeshare_->sharepods().Get(name);
-    if (!sp.ok() || sp->terminal() || sp->scheduled()) continue;
-    clear = false;
-    break;
-  }
-  if (clear) {
-    ++stats_.sched_recoveries_measured;
-    stats_.sched_recovery_time += now - crashed_at;
-    cluster_->api().events().Record(
-        kComponent, "kubeshare-sched", "Recovered",
-        "converged in " + FormatTime(now - crashed_at));
-    return;
-  }
-  if (now - crashed_at >= config_.recovery_timeout) {
-    ++stats_.recoveries_timed_out;
-    cluster_->api().events().Record(kComponent, "kubeshare-sched",
-                                    "RecoveryTimeout");
-    return;
-  }
-  cluster_->sim().ScheduleAfter(
-      config_.recovery_poll,
-      [this, snapshot = std::move(snapshot), crashed_at]() mutable {
-        PollSchedRecovery(std::move(snapshot), crashed_at);
-      });
-}
-
-void FaultInjector::PollLeaderTakeover(Time partitioned_at) {
-  const Time now = cluster_->sim().Now();
-  for (k8s::LeaderElector* e : electors_) {
-    if (e->IsLeader() && !e->partitioned()) {
-      ++stats_.leader_takeovers_measured;
-      stats_.leader_takeover_time += now - partitioned_at;
-      cluster_->api().events().Record(
-          kComponent, "leader-election", "TakeoverObserved",
-          e->config().identity + " after " + FormatTime(now - partitioned_at));
-      return;
-    }
-  }
-  if (now - partitioned_at >= config_.recovery_timeout) {
-    ++stats_.recoveries_timed_out;
-    cluster_->api().events().Record(kComponent, "leader-election",
-                                    "TakeoverTimeout");
-    return;
-  }
-  cluster_->sim().ScheduleAfter(config_.recovery_poll, [this, partitioned_at] {
-    PollLeaderTakeover(partitioned_at);
-  });
-}
-
-void FaultInjector::PollRecovery(std::string node,
-                                 std::vector<std::string> affected,
-                                 Time crashed_at) {
-  const Time now = cluster_->sim().Now();
-  bool clear = true;
-  for (const std::string& name : affected) {
-    auto pod = cluster_->api().pods().Get(name);
-    if (!pod.ok()) continue;  // deleted (e.g. requeued workload) = gone
-    if (pod->status.node_name == node && !pod->terminal()) {
-      clear = false;
-      break;
-    }
-  }
-  if (clear) {
-    ++stats_.recoveries_measured;
-    stats_.total_recovery_time += now - crashed_at;
-    cluster_->api().events().Record(
-        kComponent, "node/" + node, "Recovered",
-        "drained in " + FormatTime(now - crashed_at));
-    return;
-  }
-  if (now - crashed_at >= config_.recovery_timeout) {
-    ++stats_.recoveries_timed_out;
-    cluster_->api().events().Record(kComponent, "node/" + node,
-                                    "RecoveryTimeout");
-    return;
-  }
-  cluster_->sim().ScheduleAfter(
-      config_.recovery_poll,
-      [this, node = std::move(node), affected = std::move(affected),
-       crashed_at]() mutable {
-        PollRecovery(std::move(node), std::move(affected), crashed_at);
+      config_.recovery_poll, [this, probe = std::move(probe)]() mutable {
+        const Duration elapsed = cluster_->sim().Now() - probe.since;
+        if (std::optional<std::string> message = probe.converged(elapsed)) {
+          ++(stats_.*probe.measured);
+          stats_.*probe.time += elapsed;
+          cluster_->api().events().Record(kComponent, probe.object,
+                                          probe.done_reason,
+                                          std::move(*message));
+          return;
+        }
+        if (elapsed >= config_.recovery_timeout) {
+          ++stats_.recoveries_timed_out;
+          cluster_->api().events().Record(kComponent, probe.object,
+                                          probe.timeout_reason);
+          return;
+        }
+        Poll(std::move(probe));
       });
 }
 

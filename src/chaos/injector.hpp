@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,14 +144,24 @@ class FaultInjector {
   /// window closes (other still-open windows keep their flags).
   void ClearAdversarial(const std::string& job, FaultKind kind);
 
-  /// MTTR probe for one node crash: polls until every pod that was bound
-  /// to the node at crash time has left it (or the timeout expires).
-  void PollRecovery(std::string node, std::vector<std::string> affected,
-                    Time crashed_at);
-  /// MTTR probes for the controller crash faults (see ChaosStats).
-  void PollDevMgrRecovery(std::vector<std::string> snapshot, Time crashed_at);
-  void PollSchedRecovery(std::vector<std::string> snapshot, Time crashed_at);
-  void PollLeaderTakeover(Time partitioned_at);
+  /// One fault's recovery (MTTR) probe; see ChaosStats for what each
+  /// fault counts as recovered.
+  struct Probe {
+    /// The done event's message once the fault has recovered, nullopt
+    /// while it has not. `elapsed` is the time since the fault struck.
+    std::function<std::optional<std::string>(Duration elapsed)> converged;
+    /// The event object, and the reasons recorded on recovery / timeout.
+    std::string object;
+    const char* done_reason;
+    const char* timeout_reason;
+    /// The ChaosStats count and total time a recovery adds to.
+    std::uint64_t ChaosStats::*measured;
+    Duration ChaosStats::*time;
+    Time since;  // when the fault struck
+  };
+  /// Checks `probe` one recovery_poll from now, and every recovery_poll
+  /// after that until it converges or recovery_timeout has passed.
+  void Poll(Probe probe);
   void RecordSkip(const Fault& fault, const std::string& why);
 
   k8s::Cluster* cluster_;
@@ -160,6 +172,11 @@ class FaultInjector {
   std::vector<k8s::LeaderElector*> electors_;
   bool armed_ = false;
   ChaosStats stats_;
+  /// Latency spikes still running, and the notify latencies from before
+  /// the first of them (restored when the last one ends).
+  int open_latency_spikes_ = 0;
+  Duration pods_latency_before_{0};
+  Duration nodes_latency_before_{0};
 };
 
 }  // namespace ks::chaos

@@ -37,9 +37,6 @@ class JsonValue {
     return v;
   }
 
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-
   /// Object field append. Duplicate keys overwrite in place (order kept).
   void Set(const std::string& key, JsonValue value);
 

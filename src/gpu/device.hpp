@@ -126,8 +126,6 @@ class GpuDevice {
   void SetSliceAssignment(const ContainerId& owner, int groups, int total);
   void ClearSliceAssignment(const ContainerId& owner);
   bool HasSliceAssignment(const ContainerId& owner) const;
-  /// Kernels currently in flight on slice lanes (subset of active_kernels).
-  std::size_t sliced_active_kernels() const { return sliced_.size(); }
 
   // --- Memory migrations ------------------------------------------------
   /// Charges a host<->device page-migration interval to `owner`: the

@@ -8,10 +8,8 @@ namespace {
 const std::vector<NvmlSample> kNoSamples;
 }
 
-NvmlMonitor::NvmlMonitor(sim::Simulation* sim, Duration period,
-                         sim::TickHub* hub)
-    : sim_(sim), period_(period), hub_(hub) {
-  assert(sim_ != nullptr);
+NvmlMonitor::NvmlMonitor(sim::TickHub* hub, Duration period)
+    : hub_(hub), sim_(hub->sim()), period_(period) {
   assert(period_.count() > 0);
 }
 
@@ -26,23 +24,14 @@ void NvmlMonitor::Start() {
   if (running_) return;
   running_ = true;
   last_tick_ = sim_->Now();
-  if (hub_ != nullptr) {
-    sub_ = hub_->Subscribe(period_, [this] { Tick(); });
-  } else {
-    tick_event_ = sim_->ScheduleAfter(period_, [this] { Tick(); });
-  }
+  sub_ = hub_->Subscribe(period_, [this] { Tick(); });
 }
 
 void NvmlMonitor::Stop() {
   if (!running_) return;
   running_ = false;
-  if (hub_ != nullptr) {
-    hub_->Unsubscribe(sub_);
-    sub_ = 0;
-  } else {
-    sim_->Cancel(tick_event_);
-    tick_event_ = sim::kInvalidEvent;
-  }
+  hub_->Unsubscribe(sub_);
+  sub_ = 0;
 }
 
 void NvmlMonitor::Tick() {
@@ -65,9 +54,6 @@ void NvmlMonitor::Tick() {
     slot.samples->push_back(s);
   }
   last_tick_ = now;
-  if (hub_ == nullptr && running_) {
-    tick_event_ = sim_->ScheduleAfter(period_, [this] { Tick(); });
-  }
 }
 
 const std::vector<NvmlSample>& NvmlMonitor::SamplesFor(

@@ -24,16 +24,13 @@ struct NvmlSample {
 /// is measured by the GPU usage value reported by the Nvidia NVML library").
 ///
 /// The monitor samples each registered device every `period`, recording the
-/// busy fraction of the elapsed period. Start() arms the sampling loop on
-/// the simulation; the loop stops when Stop() is called.
-///
-/// With a sim::TickHub the poll rides the shared sampler tick instead of
-/// keeping a private self-rescheduling event — same samples, fewer engine
-/// events (the hub coalesces every instrument on its grid).
+/// busy fraction of the elapsed period. Start() subscribes the poll to the
+/// sim::TickHub, whose shared tick carries every periodic instrument; the
+/// poll stops when Stop() is called. A hub of granularity 0 fires at exact
+/// multiples of `period`.
 class NvmlMonitor {
  public:
-  NvmlMonitor(sim::Simulation* sim, Duration period = Seconds(1.0),
-              sim::TickHub* hub = nullptr);
+  explicit NvmlMonitor(sim::TickHub* hub, Duration period = Seconds(1.0));
 
   /// Adds a device to the poll, once per UUID; ticks sample devices in
   /// registration order.
@@ -55,11 +52,10 @@ class NvmlMonitor {
  private:
   void Tick();
 
-  sim::Simulation* sim_;
+  sim::TickHub* hub_;
+  sim::Simulation* sim_;  // hub_->sim(), held for the per-tick clock read
   Duration period_;
-  sim::TickHub* hub_ = nullptr;
   bool running_ = false;
-  sim::EventId tick_event_ = sim::kInvalidEvent;
   sim::TickHub::SubId sub_ = 0;
   Time last_tick_{0};
 

@@ -25,9 +25,6 @@ class UtilizationTracker {
   /// interval is counted up to `now` if provided via Flush().
   double BucketUtilization(std::size_t index) const;
 
-  std::size_t BucketCount() const { return buckets_.size(); }
-  Duration bucket_size() const { return bucket_; }
-
   /// Busy fraction over [from, to).
   double RangeUtilization(Time from, Time to) const;
 

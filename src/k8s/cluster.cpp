@@ -9,7 +9,7 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   scheduler_ = std::make_unique<KubeScheduler>(api_.get());
   node_controller_ = std::make_unique<NodeLifecycleController>(
       api_.get(), config_.node_detection, config_.pod_eviction_timeout);
-  nvml_ = std::make_unique<gpu::NvmlMonitor>(&sim_, Seconds(1), &tick_hub_);
+  nvml_ = std::make_unique<gpu::NvmlMonitor>(&tick_hub_, Seconds(1));
 
   for (int n = 0; n < config_.nodes; ++n) {
     auto handle = std::make_unique<NodeHandle>();

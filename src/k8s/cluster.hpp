@@ -40,7 +40,10 @@ struct ClusterConfig {
   /// past physical capacity is served by a per-device SwapManager, token
   /// grants pay page-migration time over the shared host<->device link,
   /// and `backend.tq` can add the nvshare-style exclusive-time-quantum
-  /// anti-thrashing rotation. Disabled by default: the cluster behaves
+  /// anti-thrashing rotation. The one over-commit switch: KubeShare's
+  /// scheduler packs gpu_mem up to `swap.oversubscription_factor` per
+  /// device (unbounded at 0) and the workload host wires its frontends to
+  /// the SwapManagers. Disabled by default: the cluster behaves
   /// byte-identically to the strict-quota system.
   vgpu::OversubscriptionConfig oversub;
   /// Use the scaling-factor device plugin (the §3.1 trick) instead of the

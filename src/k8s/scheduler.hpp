@@ -38,7 +38,6 @@ class KubeScheduler {
 
   std::uint64_t scheduled_count() const { return scheduled_count_; }
   std::uint64_t retry_count() const { return retry_count_; }
-  std::size_t queue_length() const { return queue_.size(); }
 
   /// Node resources reserved by scheduled, non-terminal pods (scheduler
   /// cache view; exposed for tests).

@@ -13,7 +13,7 @@ SloAutoscaler::SloAutoscaler(sim::Simulation* sim, sim::TickHub* hub,
       replicaset_(replicaset),
       config_(config),
       probe_(std::move(probe)) {
-  assert(sim_ != nullptr && replicaset_ != nullptr);
+  assert(sim_ != nullptr && hub_ != nullptr && replicaset_ != nullptr);
 }
 
 SloAutoscaler::~SloAutoscaler() { Disarm(); }
@@ -55,26 +55,13 @@ void SloAutoscaler::Restart() {
 }
 
 void SloAutoscaler::Arm() {
-  if (hub_ != nullptr) {
-    sub_ = hub_->Subscribe(config_.period, [this] { Evaluate(); });
-    return;
-  }
-  event_ = sim_->ScheduleAfter(config_.period, [this] {
-    event_ = sim::kInvalidEvent;
-    Evaluate();
-    if (started_ && !down_) Arm();
-  });
+  sub_ = hub_->Subscribe(config_.period, [this] { Evaluate(); });
 }
 
 void SloAutoscaler::Disarm() {
-  if (hub_ != nullptr && sub_ != 0) {
-    hub_->Unsubscribe(sub_);
-    sub_ = 0;
-  }
-  if (event_ != sim::kInvalidEvent) {
-    sim_->Cancel(event_);
-    event_ = sim::kInvalidEvent;
-  }
+  if (sub_ == 0) return;
+  hub_->Unsubscribe(sub_);
+  sub_ = 0;
 }
 
 void SloAutoscaler::Evaluate() {
@@ -86,7 +73,6 @@ void SloAutoscaler::Evaluate() {
   // as steady state.
   const int current = replicaset_->desired();
   const double p99 = probe_();
-  last_p99_s_ = p99;
   if (p99 <= 0.0) return;  // cold start: no samples yet
   const double slo = ToSeconds(config_.slo_p99);
   const Time now = sim_->Now();

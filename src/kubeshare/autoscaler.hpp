@@ -24,8 +24,8 @@ struct AutoscalerConfig {
   /// without it the controller would flap on every estimate wiggle.
   double up_threshold = 0.85;
   double down_threshold = 0.40;
-  /// Evaluation period (rides the cluster's shared TickHub when one
-  /// exists, so the controller costs the engine no private events).
+  /// Evaluation period (rides the cluster's shared TickHub, so the
+  /// controller costs the engine no private events).
   Duration period = Seconds(1.0);
   /// Minimum spacing between consecutive scale-ups / scale-downs.
   /// Scale-down is deliberately the slower direction: adding capacity
@@ -87,8 +87,6 @@ class SloAutoscaler {
   std::uint64_t scale_ups() const { return scale_ups_; }
   std::uint64_t scale_downs() const { return scale_downs_; }
   std::uint64_t crashes() const { return crashes_; }
-  /// Last probe reading, for observability.
-  double last_p99_s() const { return last_p99_s_; }
 
  private:
   void Arm();
@@ -96,13 +94,12 @@ class SloAutoscaler {
   void Evaluate();
 
   sim::Simulation* sim_;
-  sim::TickHub* hub_;  // may be null: falls back to a private event
+  sim::TickHub* hub_;
   SharePodReplicaSet* replicaset_;
   AutoscalerConfig config_;
   MetricProbe probe_;
 
   sim::TickHub::SubId sub_ = 0;
-  sim::EventId event_ = sim::kInvalidEvent;
   bool started_ = false;
   bool down_ = false;
   Time last_up_{std::numeric_limits<std::int64_t>::min() / 4};
@@ -111,7 +108,6 @@ class SloAutoscaler {
   std::uint64_t scale_ups_ = 0;
   std::uint64_t scale_downs_ = 0;
   std::uint64_t crashes_ = 0;
-  double last_p99_s_ = 0.0;
 };
 
 }  // namespace ks::kubeshare

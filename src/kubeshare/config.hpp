@@ -29,19 +29,6 @@ struct KubeShareConfig {
   PoolPolicy pool_policy = PoolPolicy::kOnDemand;
   /// Idle vGPUs kept warm under PoolPolicy::kHybrid.
   int hybrid_reserve = 2;
-  /// GPUswap-style memory over-commitment (DESIGN.md extension): the
-  /// scheduler stops rejecting placements whose gpu_mem sum exceeds 1.0,
-  /// and the device library swaps working sets on token grants. The
-  /// workload host must also enable over-commitment so the frontends are
-  /// wired to a SwapManager.
-  bool allow_memory_overcommit = false;
-  /// Bound on the per-device gpu_mem sum the scheduler will admit when
-  /// over-commitment is on, as a multiple of physical capacity (e.g. 2.0
-  /// packs up to 2x device memory of commitments per vGPU). 0 keeps the
-  /// legacy unbounded behavior. Mirror of
-  /// SwapConfig::oversubscription_factor so the scheduler's accounting
-  /// stays consistent with what the device libraries will actually admit.
-  double memory_overcommit_factor = 0.0;
   /// Step-3 placement policy (kPaper = Algorithm 1 as published; the other
   /// variants exist for the design-choice ablation).
   PlacementVariant placement = PlacementVariant::kPaper;

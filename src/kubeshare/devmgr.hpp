@@ -93,9 +93,8 @@ class KubeShareDevMgr {
   std::uint64_t reconcile_passes() const { return reconcile_passes_; }
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t rebuilds() const { return rebuilds_; }
-  /// vGPU entries / sharePod records recovered by the last rebuild.
+  /// vGPU entries recovered by the last rebuild.
   std::uint64_t rebuilt_vgpus() const { return rebuilt_vgpus_; }
-  std::uint64_t rebuilt_records() const { return rebuilt_records_; }
   /// SharePods failed by isolation enforcement (EvictTenant).
   std::uint64_t tenants_evicted() const { return tenants_evicted_; }
 

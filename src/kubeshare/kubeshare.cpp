@@ -16,8 +16,9 @@ KubeShare::KubeShare(k8s::Cluster* cluster, KubeShareConfig config)
       // unbatched path.
       sharepods_(&cluster->sim(), cluster->api().latency().watch_propagation,
                  k8s::WatchFanout::kBatched, &cluster->api().watch_hub()) {
-  pool_.set_memory_overcommit(config_.allow_memory_overcommit,
-                              config_.memory_overcommit_factor);
+  const vgpu::OversubscriptionConfig& oversub = cluster_->config().oversub;
+  pool_.set_memory_overcommit(oversub.enabled,
+                              oversub.swap.oversubscription_factor);
   if (cluster_->config().spatial.enabled) {
     pool_.EnableSpatial(cluster_->config().spatial.sm_groups);
   }

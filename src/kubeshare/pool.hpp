@@ -61,12 +61,11 @@ class VgpuPool {
   /// With memory over-commitment on (GPUswap extension), Attach enforces
   /// `factor` x capacity instead of the physical gpu_mem residual — the
   /// device library swaps the overflow. factor 0 = unbounded (legacy).
+  /// KubeShare sets it from ClusterConfig::oversub.
   void set_memory_overcommit(bool enabled, double factor = 0.0) {
     memory_overcommit_ = enabled;
     overcommit_factor_ = factor;
   }
-  bool memory_overcommit() const { return memory_overcommit_; }
-  double memory_overcommit_factor() const { return overcommit_factor_; }
   /// The gpu_mem sum a device may carry: 1.0 normally, the configured
   /// factor (or infinity when 0) under over-commitment.
   double mem_capacity() const;

@@ -68,6 +68,8 @@ class KubeShareSched {
   std::uint64_t snapshot_refreshes() const { return snapshot_refreshes_; }
   std::uint64_t snapshot_hits() const { return snapshot_hits_; }
   std::uint64_t crashes() const { return crashes_; }
+  /// False before Start and between Crash and Restart.
+  bool running() const { return started_; }
   /// Pure-algorithm time (wall clock) per decision — Fig 11's subject.
   const RunningStats& decision_stats() const { return decision_stats_; }
 

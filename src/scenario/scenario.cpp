@@ -82,6 +82,7 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
   int lineno = 0;
   bool saw_cluster = false;
   bool saw_job = false;
+  bool overcommit = false;
   std::vector<std::string> job_names;
 
   while (std::getline(in, line)) {
@@ -130,7 +131,7 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
           GetNumber(t, "reserve", 2, 0, kMaxNodes * kMaxGpusPerNode, lineno);
       if (!reserve.ok()) return reserve.status();
       d.kconfig.hybrid_reserve = *reserve;
-      d.kconfig.allow_memory_overcommit = GetSwitch(t, "overcommit");
+      overcommit = overcommit || GetSwitch(t, "overcommit");
     } else if (t.command == "mode") {
       d.kind = Directive::Kind::kMode;
       if (t.args.count("kubeshare") > 0) {
@@ -279,6 +280,13 @@ Expected<Scenario> Scenario::Parse(std::istream& in) {
   if (!saw_cluster) {
     return InvalidArgumentError("scenario has no 'cluster' command");
   }
+  // `kubeshare overcommit=on` flips the cluster-wide switch, which both the
+  // scheduler and the workload host read: the cluster is built first.
+  for (Directive& d : scenario.directives_) {
+    if (d.kind == Directive::Kind::kCluster) {
+      d.cluster.oversub.enabled = overcommit;
+    }
+  }
   return scenario;
 }
 
@@ -312,7 +320,6 @@ Status Scenario::Execute(const Directive& d, std::ostream& out) {
       }
       kubeshare_ =
           std::make_unique<kubeshare::KubeShare>(cluster_.get(), d.kconfig);
-      if (d.kconfig.allow_memory_overcommit) host_->EnableMemoryOvercommit();
       KS_RETURN_IF_ERROR(kubeshare_->Start());
       kubeshare_requested_ = true;
       out << "kubeshare: installed\n";

@@ -61,7 +61,6 @@ class SliceMap {
   int groups() const { return groups_; }
   int FreeGroups() const;
   int UsedGroups() const { return groups_ - FreeGroups(); }
-  std::uint64_t mask() const { return mask_; }
 
   bool InRange(int offset, int len) const;
   bool IsFree(int offset, int len) const;

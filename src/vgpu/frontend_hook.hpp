@@ -127,7 +127,6 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   /// Must be called before the first allocation; `swap` is shared by every
   /// container on the device.
   void EnableMemoryOvercommit(SwapManager* swap, sim::Simulation* sim);
-  bool overcommit_enabled() const { return swap_ != nullptr; }
 
   // --- Adversarial-client extension ----------------------------------------
   /// Turns this hook hostile: arms a repeating attack tick (every

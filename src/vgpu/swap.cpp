@@ -16,14 +16,6 @@ SwapManager::SwapManager(std::uint64_t capacity_bytes, SwapConfig config)
          "device memory must be a whole number of pages");
 }
 
-SwapManager::SwapManager(std::uint64_t capacity_bytes,
-                         double link_bandwidth_bytes_per_s)
-    : SwapManager(capacity_bytes, [&] {
-        SwapConfig c;
-        c.link_bandwidth_bytes_per_s = link_bandwidth_bytes_per_s;
-        return c;
-      }()) {}
-
 Status SwapManager::Allocate(const ContainerId& owner, std::uint64_t bytes) {
   if (bytes == 0) return InvalidArgumentError("zero-byte allocation");
   const std::uint64_t pages = PagesFor(bytes);

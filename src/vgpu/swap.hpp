@@ -30,10 +30,9 @@ struct SwapConfig {
 /// frontends keep the strict paper-§4.5 quota behavior, no SwapManager is
 /// created, and every existing trace is byte-identical. When enabled, the
 /// workload host wires each KubeShare container to its device's shared
-/// SwapManager built from `swap`; pair with
-/// KubeShareConfig::allow_memory_overcommit so the scheduler admits
-/// over-committed placements, and with BackendConfig::tq for the
-/// nvshare-style anti-thrashing rotation.
+/// SwapManager built from `swap`, and KubeShare's scheduler admits
+/// placements up to `swap.oversubscription_factor`; pair with
+/// BackendConfig::tq for the nvshare-style anti-thrashing rotation.
 struct OversubscriptionConfig {
   bool enabled = false;
   SwapConfig swap;
@@ -62,11 +61,7 @@ struct OversubscriptionConfig {
 class SwapManager {
  public:
   /// `capacity_bytes` is the physical device memory.
-  SwapManager(std::uint64_t capacity_bytes, SwapConfig config);
-
-  /// Legacy convenience ctor: default page size, unbounded backing store.
-  explicit SwapManager(std::uint64_t capacity_bytes,
-                       double link_bandwidth_bytes_per_s = 12e9);
+  explicit SwapManager(std::uint64_t capacity_bytes, SwapConfig config = {});
 
   std::uint64_t capacity() const { return capacity_bytes_; }
   std::uint64_t page_bytes() const { return config_.page_bytes; }
@@ -111,9 +106,8 @@ class SwapManager {
   /// set was already resident) — the per-hand-off swap traffic callers
   /// report to thrash detection.
   std::uint64_t last_migration_bytes() const { return last_migration_bytes_; }
-  /// Wall time the link spent transferring (excludes queue wait).
-  Duration link_busy_total() const { return link_busy_total_; }
-  /// Fraction of [0, now] the link spent transferring.
+  /// Fraction of [0, now] the link spent transferring (excludes queue
+  /// wait).
   double LinkBusyFraction(Time now) const;
 
   /// Deterministic one-line-per-owner picture of the residency state,

@@ -100,15 +100,6 @@ enum class AdmissionDecision {
   kQueue,
 };
 
-inline const char* AdmissionDecisionName(AdmissionDecision d) {
-  switch (d) {
-    case AdmissionDecision::kAdmit: return "admit";
-    case AdmissionDecision::kShed: return "shed";
-    case AdmissionDecision::kQueue: return "queue";
-  }
-  return "unknown";
-}
-
 /// Tuning knobs of the per-node backend daemon (paper §4.5).
 struct BackendConfig {
   /// Time quota attached to each valid token. The paper settles on 100 ms

@@ -9,19 +9,10 @@ namespace ks::workload {
 
 WorkloadHost::WorkloadHost(k8s::Cluster* cluster) : cluster_(cluster) {
   assert(cluster_ != nullptr);
-  if (cluster_->config().oversub.enabled) {
-    memory_overcommit_ = true;
-    swap_config_ = cluster_->config().oversub.swap;
-  }
   cluster_->SetContainerStartHook(
       [this](const k8s::ContainerInstance& inst) { OnContainerStart(inst); });
   cluster_->SetContainerStopHook(
       [this](const k8s::ContainerInstance& inst) { OnContainerStop(inst); });
-}
-
-void WorkloadHost::EnableMemoryOvercommit(double link_bandwidth_bytes_per_s) {
-  memory_overcommit_ = true;
-  swap_config_.link_bandwidth_bytes_per_s = link_bandwidth_bytes_per_s;
 }
 
 const vgpu::SwapManager* WorkloadHost::SwapFor(const GpuUuid& uuid) const {
@@ -73,11 +64,12 @@ void WorkloadHost::OnContainerStart(const k8s::ContainerInstance& inst) {
     stack->hook = std::make_unique<vgpu::FrontendHook>(
         stack->ctx.get(), backend, inst.id, device->uuid(), binding->spec,
         device->spec().memory_bytes);
-    if (memory_overcommit_) {
+    const vgpu::OversubscriptionConfig& oversub = cluster_->config().oversub;
+    if (oversub.enabled) {
       auto& swap = swaps_[device->uuid()];
       if (swap == nullptr) {
         swap = std::make_unique<vgpu::SwapManager>(device->spec().memory_bytes,
-                                                   swap_config_);
+                                                   oversub.swap);
       }
       stack->hook->EnableMemoryOvercommit(swap.get(), &cluster_->sim());
     }
@@ -170,16 +162,6 @@ const WorkloadHost::JobRecord* WorkloadHost::RecordOf(
     const std::string& name) const {
   auto it = records_.find(name);
   return it == records_.end() ? nullptr : &it->second;
-}
-
-std::vector<Duration> WorkloadHost::CompletionDurations() const {
-  std::vector<Duration> out;
-  for (const auto& [name, rec] : records_) {
-    if (rec.has_finished && rec.success) {
-      out.push_back(rec.finished - rec.submitted);
-    }
-  }
-  return out;
 }
 
 const vgpu::FrontendHook* WorkloadHost::RunningHook(

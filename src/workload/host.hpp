@@ -26,8 +26,10 @@ namespace ks::workload {
 /// The FrontendHook layer is installed exactly when DevMgr injected the
 /// KUBESHARE_* environment (i.e. for sharePod workloads); native pods get
 /// the raw driver context — the same machine can run both, as in the
-/// paper's mixed clusters. When a Job reports completion the host exits the
-/// container, which flows back through kubelet into the pod phase.
+/// paper's mixed clusters. With ClusterConfig::oversub on, each FrontendHook
+/// is also wired to its device's shared SwapManager. When a Job reports
+/// completion the host exits the container, which flows back through
+/// kubelet into the pod phase.
 class WorkloadHost {
  public:
   using JobFactory = std::function<std::unique_ptr<Job>()>;
@@ -67,8 +69,6 @@ class WorkloadHost {
   const std::vector<Time>& completion_times() const {
     return completion_times_;
   }
-  /// submitted -> finished durations of successful jobs.
-  std::vector<Duration> CompletionDurations() const;
 
   /// Live handle to a running job (e.g. to inspect served request counts).
   Job* RunningJob(const std::string& name);
@@ -96,14 +96,6 @@ class WorkloadHost {
     decorator_ = std::move(decorator);
   }
 
-  /// Wires every future KubeShare container to a per-device SwapManager,
-  /// enabling the GPUswap-style memory over-commitment extension. Pair
-  /// with KubeShareConfig::allow_memory_overcommit so the scheduler also
-  /// stops rejecting over-committed placements. The declarative route is
-  /// ClusterConfig::oversub, which the constructor consumes; this
-  /// imperative call keeps the legacy unbounded backing store.
-  void EnableMemoryOvercommit(double link_bandwidth_bytes_per_s = 12e9);
-
   /// The shared SwapManager of the device `uuid`, or nullptr when
   /// over-commitment is off or no container has started on it yet —
   /// metrics exporters and benches read residency counters through this.
@@ -129,8 +121,6 @@ class WorkloadHost {
 
   k8s::Cluster* cluster_;
   ApiDecorator decorator_;
-  bool memory_overcommit_ = false;
-  vgpu::SwapConfig swap_config_;
   std::unordered_map<GpuUuid, std::unique_ptr<vgpu::SwapManager>> swaps_;
 
   std::unordered_map<std::string, JobFactory> factories_;

@@ -205,6 +205,102 @@ TEST(FaultInjector, LatencySpikeSetsAndRestoresWatchLatency) {
   EXPECT_EQ(cluster.api().events().CountReason("LatencyRestored"), 1u);
 }
 
+TEST(ChaosInjector, OverlappingLatencySpikesRestoreBaseline) {
+  k8s::ClusterConfig ccfg;
+  ccfg.nodes = 1;
+  ccfg.gpus_per_node = 1;
+  k8s::Cluster cluster(ccfg);
+  ASSERT_TRUE(cluster.Start().ok());
+  const Duration before = cluster.api().pods().notify_latency();
+  const Duration nodes_before = cluster.api().nodes().notify_latency();
+
+  // 250 ms over [1 s, 3 s), then 400 ms over [2 s, 4 s).
+  FaultPlan plan;
+  for (const int i : {0, 1}) {
+    Fault spike;
+    spike.at = Seconds(1 + i);
+    spike.kind = FaultKind::kApiLatencySpike;
+    spike.latency = i == 0 ? Millis(250) : Millis(400);
+    spike.duration = Seconds(2);
+    plan.faults.push_back(spike);
+  }
+  FaultInjector injector(&cluster, plan);
+  ASSERT_TRUE(injector.Arm().ok());
+
+  cluster.sim().RunUntil(Millis(1500));
+  EXPECT_EQ(cluster.api().pods().notify_latency(), Millis(250));
+  // The latest spike holds while they overlap, also after the first ends.
+  cluster.sim().RunUntil(Millis(3500));
+  EXPECT_EQ(cluster.api().pods().notify_latency(), Millis(400));
+  EXPECT_EQ(cluster.api().nodes().notify_latency(), Millis(400));
+  EXPECT_EQ(cluster.api().events().CountReason("LatencyRestored"), 0u);
+
+  // The last one's end restores the latency from before the first.
+  cluster.sim().RunUntil(Seconds(5));
+  EXPECT_EQ(cluster.api().pods().notify_latency(), before);
+  EXPECT_EQ(cluster.api().nodes().notify_latency(), nodes_before);
+  EXPECT_EQ(cluster.api().events().CountReason("LatencyRestored"), 1u);
+  EXPECT_EQ(injector.stats().latency_spikes, 2u);
+}
+
+TEST(ChaosInjector, SchedCrashWhileDownIsSkipped) {
+  k8s::ClusterConfig ccfg;
+  ccfg.nodes = 1;
+  ccfg.gpus_per_node = 1;
+  k8s::Cluster cluster(ccfg);
+  kubeshare::KubeShare kubeshare(&cluster);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(kubeshare.Start().ok());
+
+  // Down over [1 s, 6 s); the second crash, at 2 s for 1 s, lands inside
+  // that outage.
+  FaultPlan plan;
+  for (const int i : {0, 1}) {
+    Fault crash;
+    crash.at = Seconds(1 + i);
+    crash.kind = FaultKind::kSchedCrash;
+    crash.duration = i == 0 ? Seconds(5) : Seconds(1);
+    plan.faults.push_back(crash);
+  }
+  FaultInjector injector(&cluster, plan);
+  injector.SetKubeShare(&kubeshare);
+  ASSERT_TRUE(injector.Arm().ok());
+
+  cluster.sim().RunUntil(Millis(2500));
+  kubeshare::SharePod sp;
+  sp.meta.name = "waiting";
+  sp.spec.gpu.gpu_request = 0.3;
+  sp.spec.gpu.gpu_limit = 1.0;
+  sp.spec.gpu.gpu_mem = 0.2;
+  ASSERT_TRUE(kubeshare.CreateSharePod(sp).ok());
+
+  // Still inside the first outage: nothing brought the scheduler back.
+  cluster.sim().RunUntil(Seconds(5));
+  EXPECT_FALSE(kubeshare.sched().running());
+  EXPECT_FALSE(kubeshare.sharepods().Get("waiting")->scheduled());
+
+  cluster.sim().RunUntil(Seconds(10));
+  EXPECT_TRUE(kubeshare.sched().running());
+  EXPECT_TRUE(kubeshare.sharepods().Get("waiting")->scheduled());
+  EXPECT_EQ(injector.stats().sched_crashes, 1u);
+  EXPECT_EQ(kubeshare.sched().crashes(), 1u);
+  EXPECT_EQ(injector.stats().faults_skipped, 1u);
+  EXPECT_EQ(injector.stats().sched_recoveries_measured, 1u);
+  std::size_t restarts = 0;
+  bool skipped = false;
+  for (const k8s::ClusterEvent& e : cluster.api().events().events()) {
+    if (e.object == "kubeshare-sched" && e.reason == "Restarted") {
+      ++restarts;
+      EXPECT_EQ(e.message, "OK");
+    }
+    if (e.reason == "FaultSkipped") {
+      skipped = e.message == "SchedCrash: KubeShare-Sched already down";
+    }
+  }
+  EXPECT_EQ(restarts, 1u);
+  EXPECT_TRUE(skipped);
+}
+
 // A dropped pod-Added notification strands the pod: the scheduler (unbound
 // pod) or the kubelet (pre-bound pod) never hears about it. The periodic
 // component resync is the repair path.

@@ -10,7 +10,8 @@ class NvmlTest : public ::testing::Test {
   sim::Simulation sim_;
   GpuDevice dev_{&sim_, GpuUuid("GPU-A")};
   GpuDevice dev2_{&sim_, GpuUuid("GPU-B")};
-  NvmlMonitor mon_{&sim_, Seconds(1)};
+  sim::TickHub hub_{&sim_};
+  NvmlMonitor mon_{&hub_, Seconds(1)};
   ContainerId c_{"c"};
 };
 

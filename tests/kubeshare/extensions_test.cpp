@@ -61,10 +61,10 @@ TEST(HybridPoolPolicy, KeepsUpToReserveIdleVgpus) {
 // ---- Memory over-commitment end to end -----------------------------------
 
 TEST(MemoryOvercommit, SchedulerPacksBeyondPhysicalMemory) {
-  k8s::Cluster cluster(SmallCluster());
-  KubeShareConfig cfg;
-  cfg.allow_memory_overcommit = true;
-  KubeShare kubeshare(&cluster, cfg);
+  k8s::ClusterConfig ccfg = SmallCluster();
+  ccfg.oversub.enabled = true;
+  k8s::Cluster cluster(ccfg);
+  KubeShare kubeshare(&cluster);
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(kubeshare.Start().ok());
   // 0.7 + 0.7 memory on one GPU: rejected without the extension, packed
@@ -74,6 +74,39 @@ TEST(MemoryOvercommit, SchedulerPacksBeyondPhysicalMemory) {
   cluster.sim().RunUntil(Seconds(15));
   EXPECT_EQ(kubeshare.sharepods().Get("a")->spec.gpu_id,
             kubeshare.sharepods().Get("b")->spec.gpu_id);
+}
+
+TEST(MemoryOvercommit, ClusterFactorBoundsTheScheduler) {
+  // Only ClusterConfig::oversub is set: its factor bounds the scheduler's
+  // per-device gpu_mem sum as it bounds the device library's allocations.
+  for (const double factor : {0.0, 1.5}) {
+    SCOPED_TRACE(factor);
+    k8s::ClusterConfig ccfg = SmallCluster();
+    ccfg.oversub.enabled = true;
+    ccfg.oversub.swap.oversubscription_factor = factor;
+    k8s::Cluster cluster(ccfg);
+    KubeShare kubeshare(&cluster);
+    ASSERT_TRUE(cluster.Start().ok());
+    ASSERT_TRUE(kubeshare.Start().ok());
+    for (const char* name : {"a", "b", "c"}) {
+      ASSERT_TRUE(kubeshare.CreateSharePod(MakeSharePod(name, 0.3, 0.7)).ok());
+    }
+    cluster.sim().RunUntil(Seconds(15));
+    const auto gpu_of = [&](const char* name) {
+      return kubeshare.sharepods().Get(name)->spec.gpu_id;
+    };
+    ASSERT_FALSE(gpu_of("a").empty());
+    ASSERT_FALSE(gpu_of("c").empty());
+    // Two pods (1.4 of device memory) fit under either bound.
+    EXPECT_EQ(gpu_of("a"), gpu_of("b"));
+    if (factor == 0.0) {
+      // Unbounded: 2.1 of device memory still packs on one GPU.
+      EXPECT_EQ(gpu_of("c"), gpu_of("a"));
+    } else {
+      // 2.1 > 1.5: the third goes to the other GPU.
+      EXPECT_NE(gpu_of("c"), gpu_of("a"));
+    }
+  }
 }
 
 TEST(MemoryOvercommit, WithoutExtensionSuchPodsGetSeparateGpus) {
@@ -92,12 +125,11 @@ TEST(MemoryOvercommit, OverCommittedJobsRunSlowerButComplete) {
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 1;
   ccfg.gpus_per_node = 1;  // force sharing
+  ccfg.oversub.enabled = true;
+  ccfg.oversub.swap.link_bandwidth_bytes_per_s = 8e9;
   k8s::Cluster cluster(ccfg);
-  KubeShareConfig cfg;
-  cfg.allow_memory_overcommit = true;
-  KubeShare kubeshare(&cluster, cfg);
+  KubeShare kubeshare(&cluster);
   workload::WorkloadHost host(&cluster);
-  host.EnableMemoryOvercommit(/*bandwidth=*/8e9);
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(kubeshare.Start().ok());
 

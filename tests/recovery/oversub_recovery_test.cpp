@@ -163,10 +163,7 @@ OversubRun RunOversubCluster(const OversubRunOptions& opt) {
   ccfg.oversub.swap.link_bandwidth_bytes_per_s = 24e9;
   ccfg.backend.tq.enabled = opt.tq;
   k8s::Cluster cluster(ccfg);
-  kubeshare::KubeShareConfig kcfg;
-  kcfg.allow_memory_overcommit = true;
-  kcfg.memory_overcommit_factor = opt.factor;
-  kubeshare::KubeShare kubeshare(&cluster, kcfg);
+  kubeshare::KubeShare kubeshare(&cluster);
   workload::WorkloadHost host(&cluster);
   EXPECT_TRUE(cluster.Start().ok());
   EXPECT_TRUE(kubeshare.Start().ok());

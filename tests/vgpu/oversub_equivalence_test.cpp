@@ -79,10 +79,7 @@ OversubRun RunOversubCluster(const RunOptions& opt) {
     ccfg.oversub.swap.oversubscription_factor = opt.factor;
     ccfg.backend.tq.enabled = opt.tq;
     k8s::Cluster cluster(ccfg);
-    kubeshare::KubeShareConfig kcfg;
-    kcfg.allow_memory_overcommit = opt.oversub;
-    kcfg.memory_overcommit_factor = opt.oversub ? opt.factor : 0.0;
-    kubeshare::KubeShare kubeshare(&cluster, kcfg);
+    kubeshare::KubeShare kubeshare(&cluster);
     workload::WorkloadHost host(&cluster);
     traces.Attach(cluster);
 

@@ -34,7 +34,7 @@ TEST(SwapManager, ZeroByteAllocationRejected) {
 }
 
 TEST(SwapManager, MakeResidentEvictsLeastRecentlyRun) {
-  SwapManager swap(16 * kGiB, /*bandwidth=*/8e9);
+  SwapManager swap(16 * kGiB, {.link_bandwidth_bytes_per_s = 8e9});
   ASSERT_TRUE(swap.Allocate(ContainerId("a"), 12 * kGiB).ok());
   ASSERT_TRUE(swap.Allocate(ContainerId("b"), 12 * kGiB).ok());
   // b runs: needs 8 GiB more; evict from a (the only victim).
@@ -125,7 +125,7 @@ class OvercommitHookTest : public ::testing::Test {
   OvercommitHookTest()
       : dev_(&sim_, GpuUuid("GPU-0")),
         backend_(&sim_),
-        swap_(dev_.spec().memory_bytes, 8e9) {}
+        swap_(dev_.spec().memory_bytes, {.link_bandwidth_bytes_per_s = 8e9}) {}
 
   struct Stack {
     Stack(OvercommitHookTest* t, const std::string& name, double mem_quota)
