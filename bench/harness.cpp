@@ -1,6 +1,5 @@
 #include "harness.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/stats.hpp"
@@ -85,39 +84,7 @@ RunResult RunWorkload(const RunOptions& options) {
   result.jct_p50_s = Percentile(jct_s, 50);
   result.jct_p99_s = Percentile(jct_s, 99);
 
-  // Average utilization across active GPUs, averaged over the samples in
-  // which at least one GPU was active (incremental "ever active" scan).
-  std::vector<const std::vector<gpu::NvmlSample>*> series;
-  std::size_t samples = 0;
-  for (std::size_t n = 0; n < cluster.node_count(); ++n) {
-    for (const auto& dev : cluster.node(n).gpus) {
-      series.push_back(&cluster.nvml().SamplesFor(dev->uuid()));
-      samples = std::max(samples, series.back()->size());
-    }
-  }
-  std::vector<bool> ever_active(series.size(), false);
-  double util_total = 0.0;
-  std::size_t util_samples = 0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    double total = 0.0;
-    int active = 0;
-    for (std::size_t d = 0; d < series.size(); ++d) {
-      if (i >= series[d]->size()) continue;
-      const double u = (*series[d])[i].gpu_util;
-      if (u > 0.0) ever_active[d] = true;
-      if (ever_active[d]) {
-        total += u;
-        ++active;
-      }
-    }
-    if (active > 0) {
-      util_total += total / active;
-      ++util_samples;
-    }
-  }
-  if (util_samples > 0) {
-    result.avg_active_utilization = util_total / util_samples;
-  }
+  result.avg_active_utilization = cluster.nvml().MeanActiveUtilization();
   return result;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -28,29 +28,60 @@ struct NvmlSample {
 /// sim::TickHub, whose shared tick carries every periodic instrument; the
 /// poll stops when Stop() is called. A hub of granularity 0 fires at exact
 /// multiples of `period`.
+///
+/// No sample history is kept. Each device folds its samples into running
+/// aggregates, the poll folds each tick into the mean over ever-active
+/// devices, and only the last kWindow samples per device stay readable, like
+/// the NVIDIA sample buffer that nvmlDeviceGetSamples reads. A reader that
+/// needs every sample attaches a SampleFn.
 class NvmlMonitor {
  public:
+  /// Samples SamplesFor() keeps per device. Its longest reader looks at
+  /// three consecutive samples; 64 is about a minute of 1 s polls, at 1.5 KB
+  /// a device.
+  static constexpr std::size_t kWindow = 64;
+
+  /// Sees every sample of every device, in registration order per tick.
+  using SampleFn = std::function<void(const GpuUuid&, const NvmlSample&)>;
+
   explicit NvmlMonitor(sim::TickHub* hub, Duration period = Seconds(1.0));
 
   /// Adds a device to the poll, once per UUID; ticks sample devices in
   /// registration order.
   void Register(GpuDevice* device);
 
+  /// Busy time that accrued while the poll was stopped counts in no sample.
   void Start();
   void Stop();
   bool running() const { return running_; }
 
-  const std::vector<NvmlSample>& SamplesFor(const GpuUuid& uuid) const;
+  void SetSampleFn(SampleFn fn) { sample_fn_ = std::move(fn); }
+
+  /// The device's latest samples, at most kWindow, oldest first.
+  std::vector<NvmlSample> SamplesFor(const GpuUuid& uuid) const;
 
   /// Mean gpu_util across all samples of one device.
   double AverageUtilization(const GpuUuid& uuid) const;
 
-  /// Mean gpu_util at sample index `i` across devices that were busy at
-  /// least once by then ("active" devices, Fig 9's numerator).
-  double AverageUtilizationAcrossActive(std::size_t i) const;
+  /// Fig 9's utilization of active GPUs: per tick, the mean gpu_util over
+  /// the devices busy in some sample so far (skipping ticks with none),
+  /// averaged over those ticks.
+  double MeanActiveUtilization() const;
 
  private:
+  /// One registered device, polled in registration order. Its last
+  /// min(samples, kWindow) samples sit in window_[index * kWindow, ...) as
+  /// a ring.
+  struct Slot {
+    GpuDevice* device;
+    Duration busy_at_last_tick;
+    std::uint64_t samples = 0;
+    double util_sum = 0.0;
+    bool ever_active = false;
+  };
+
   void Tick();
+  const Slot* Find(const GpuUuid& uuid) const;
 
   sim::TickHub* hub_;
   sim::Simulation* sim_;  // hub_->sim(), held for the per-tick clock read
@@ -58,18 +89,12 @@ class NvmlMonitor {
   bool running_ = false;
   sim::TickHub::SubId sub_ = 0;
   Time last_tick_{0};
-
-  /// One registered device, polled in registration order: its sample
-  /// series (a stable pointer into samples_) and its busy total at the
-  /// previous tick.
-  struct Slot {
-    GpuDevice* device;
-    std::vector<NvmlSample>* samples;
-    Duration busy_at_last_tick;
-  };
+  SampleFn sample_fn_;
 
   std::vector<Slot> slots_;
-  std::unordered_map<GpuUuid, std::vector<NvmlSample>> samples_;
+  std::vector<NvmlSample> window_;  // sized at the first tick
+  double active_util_sum_ = 0.0;
+  std::uint64_t active_ticks_ = 0;
 };
 
 }  // namespace ks::gpu

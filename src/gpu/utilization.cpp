@@ -1,13 +1,6 @@
 #include "gpu/utilization.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace ks::gpu {
-
-UtilizationTracker::UtilizationTracker(Duration bucket) : bucket_(bucket) {
-  assert(bucket.count() > 0);
-}
 
 void UtilizationTracker::Start(Time now) {
   if (active_) return;
@@ -16,61 +9,14 @@ void UtilizationTracker::Start(Time now) {
 }
 
 void UtilizationTracker::Stop(Time now) {
-  if (!active_) return;
-  Accumulate(active_since_, now);
+  Flush(now);
   active_ = false;
 }
 
 void UtilizationTracker::Flush(Time now) {
-  if (!active_) return;
-  if (now > active_since_) {
-    Accumulate(active_since_, now);
-    active_since_ = now;
-  }
-}
-
-void UtilizationTracker::Accumulate(Time from, Time to) {
-  if (to <= from) return;
-  total_busy_ += to - from;
-  auto first = static_cast<std::size_t>(from.count() / bucket_.count());
-  auto last = static_cast<std::size_t>((to.count() - 1) / bucket_.count());
-  if (buckets_.size() <= last) buckets_.resize(last + 1, Duration{0});
-  for (std::size_t b = first; b <= last; ++b) {
-    const Time bucket_start{static_cast<std::int64_t>(b) * bucket_.count()};
-    const Time bucket_end = bucket_start + bucket_;
-    const Time s = std::max(from, bucket_start);
-    const Time e = std::min(to, bucket_end);
-    if (e > s) buckets_[b] += e - s;
-  }
-}
-
-double UtilizationTracker::BucketUtilization(std::size_t index) const {
-  if (index >= buckets_.size()) return 0.0;
-  return static_cast<double>(buckets_[index].count()) /
-         static_cast<double>(bucket_.count());
-}
-
-double UtilizationTracker::RangeUtilization(Time from, Time to) const {
-  if (to <= from) return 0.0;
-  Duration busy{0};
-  auto first = static_cast<std::size_t>(from.count() / bucket_.count());
-  auto last = static_cast<std::size_t>((to.count() - 1) / bucket_.count());
-  last = std::min(last, buckets_.empty() ? 0 : buckets_.size() - 1);
-  for (std::size_t b = first; b < buckets_.size() && b <= last; ++b) {
-    // Bucket-granular approximation: assume busy time is uniform within a
-    // bucket when the range cuts through it.
-    const Time bucket_start{static_cast<std::int64_t>(b) * bucket_.count()};
-    const Time bucket_end = bucket_start + bucket_;
-    const Time s = std::max(from, bucket_start);
-    const Time e = std::min(to, bucket_end);
-    if (e <= s) continue;
-    const double overlap = static_cast<double>((e - s).count()) /
-                           static_cast<double>(bucket_.count());
-    busy += Duration{static_cast<std::int64_t>(
-        static_cast<double>(buckets_[b].count()) * overlap)};
-  }
-  return std::min(1.0, static_cast<double>(busy.count()) /
-                           static_cast<double>((to - from).count()));
+  if (!active_ || now <= active_since_) return;
+  total_busy_ += now - active_since_;
+  active_since_ = now;
 }
 
 }  // namespace ks::gpu

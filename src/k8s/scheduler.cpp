@@ -127,24 +127,18 @@ Expected<std::string> KubeScheduler::PickNode(const Pod& pod) const {
   std::string best;
   bool found = false;
   double best_score = 0.0;
-  std::vector<Node> nodes = api_->nodes().List();
-  for (const Node& node : nodes) {
-    if (!node.ready) continue;
+  api_->nodes().ForEach([&](const Node& node) {
+    if (!node.ready) return;
     // Filter: nodeSelector labels.
-    bool selector_ok = true;
     for (const auto& [k, v] : pod.spec.node_selector) {
       auto it = node.meta.labels.find(k);
-      if (it == node.meta.labels.end() || it->second != v) {
-        selector_ok = false;
-        break;
-      }
+      if (it == node.meta.labels.end() || it->second != v) return;
     }
-    if (!selector_ok) continue;
     // Filter: aggregate resource fit.
     ResourceList free = node.capacity;
     auto ait = node_allocated_.find(node.meta.name);
     if (ait != node_allocated_.end()) free.Subtract(ait->second);
-    if (!free.Fits(pod.spec.requests)) continue;
+    if (!free.Fits(pod.spec.requests)) return;
 
     // Score: LeastAllocated — prefer the node with the most free capacity,
     // fraction-averaged over the resources the pod asks for.
@@ -163,7 +157,7 @@ Expected<std::string> KubeScheduler::PickNode(const Pod& pod) const {
       found = true;
       best_score = score;
     }
-  }
+  });
   if (!found) {
     return UnavailableError("no node fits pod " + pod.meta.name);
   }

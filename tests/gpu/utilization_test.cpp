@@ -7,70 +7,48 @@ namespace {
 
 TEST(UtilizationTracker, EmptyIsIdle) {
   UtilizationTracker u;
-  EXPECT_DOUBLE_EQ(u.BucketUtilization(0), 0.0);
   EXPECT_EQ(u.TotalBusy(), Duration{0});
   EXPECT_FALSE(u.active());
 }
 
 TEST(UtilizationTracker, FullBucket) {
-  UtilizationTracker u(Seconds(1));
+  UtilizationTracker u;
   u.Start(kTimeZero);
   u.Stop(Seconds(1));
-  EXPECT_DOUBLE_EQ(u.BucketUtilization(0), 1.0);
-  EXPECT_DOUBLE_EQ(u.BucketUtilization(1), 0.0);
+  EXPECT_EQ(u.TotalBusy(), Seconds(1));
+  EXPECT_FALSE(u.active());
 }
 
 TEST(UtilizationTracker, PartialBucket) {
-  UtilizationTracker u(Seconds(1));
+  UtilizationTracker u;
   u.Start(Millis(250));
   u.Stop(Millis(750));
-  EXPECT_NEAR(u.BucketUtilization(0), 0.5, 1e-9);
+  EXPECT_EQ(u.TotalBusy(), Millis(500));
 }
 
 TEST(UtilizationTracker, IntervalSpanningBuckets) {
-  UtilizationTracker u(Seconds(1));
+  UtilizationTracker u;
   u.Start(Millis(500));
   u.Stop(Millis(2500));
-  EXPECT_NEAR(u.BucketUtilization(0), 0.5, 1e-9);
-  EXPECT_NEAR(u.BucketUtilization(1), 1.0, 1e-9);
-  EXPECT_NEAR(u.BucketUtilization(2), 0.5, 1e-9);
   EXPECT_EQ(u.TotalBusy(), Seconds(2));
 }
 
 TEST(UtilizationTracker, FlushAccountsOpenInterval) {
-  UtilizationTracker u(Seconds(1));
+  UtilizationTracker u;
   u.Start(kTimeZero);
   u.Flush(Millis(600));
-  EXPECT_NEAR(u.BucketUtilization(0), 0.6, 1e-9);
+  EXPECT_EQ(u.TotalBusy(), Millis(600));
   EXPECT_TRUE(u.active());
   u.Stop(Seconds(1));
-  EXPECT_NEAR(u.BucketUtilization(0), 1.0, 1e-9);
+  EXPECT_EQ(u.TotalBusy(), Seconds(1));
 }
 
 TEST(UtilizationTracker, StartWhileActiveIsNoop) {
-  UtilizationTracker u(Seconds(1));
+  UtilizationTracker u;
   u.Start(kTimeZero);
   u.Start(Millis(500));
   u.Stop(Seconds(1));
-  EXPECT_DOUBLE_EQ(u.BucketUtilization(0), 1.0);
-}
-
-TEST(UtilizationTracker, RangeUtilization) {
-  UtilizationTracker u(Seconds(1));
-  u.Start(kTimeZero);
-  u.Stop(Seconds(1));
-  u.Start(Seconds(3));
-  u.Stop(Seconds(4));
-  EXPECT_NEAR(u.RangeUtilization(kTimeZero, Seconds(4)), 0.5, 1e-9);
-  EXPECT_NEAR(u.RangeUtilization(Seconds(2), Seconds(3)), 0.0, 1e-9);
-  EXPECT_NEAR(u.RangeUtilization(Seconds(3), Seconds(4)), 1.0, 1e-9);
-}
-
-TEST(UtilizationTracker, RangePastRecordedDataIsZero) {
-  UtilizationTracker u(Seconds(1));
-  u.Start(kTimeZero);
-  u.Stop(Seconds(1));
-  EXPECT_NEAR(u.RangeUtilization(Seconds(10), Seconds(20)), 0.0, 1e-9);
+  EXPECT_EQ(u.TotalBusy(), Seconds(1));
 }
 
 }  // namespace

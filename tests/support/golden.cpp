@@ -99,13 +99,24 @@ void ClusterDigests::Attach(k8s::Cluster& cluster, gpu::KernelTraceFn also) {
                     std::to_string(when.count()));
         });
   }
+  cluster.nvml().SetSampleFn(
+      [this](const GpuUuid& uuid, const gpu::NvmlSample& s) {
+        nvml_samples_[uuid.value()].push_back(s);
+      });
+}
+
+const std::vector<gpu::NvmlSample>& ClusterDigests::NvmlSamples(
+    const GpuUuid& uuid) const {
+  static const std::vector<gpu::NvmlSample> kNone;
+  const auto it = nvml_samples_.find(uuid.value());
+  return it == nvml_samples_.end() ? kNone : it->second;
 }
 
 void ClusterDigests::AddNvml(k8s::Cluster& cluster) {
   for (std::size_t n = 0; n < cluster.node_count(); ++n) {
     for (auto& dev : cluster.node(n).gpus) {
       const GpuUuid& uuid = dev->uuid();
-      for (const gpu::NvmlSample& s : cluster.nvml().SamplesFor(uuid)) {
+      for (const gpu::NvmlSample& s : NvmlSamples(uuid)) {
         std::ostringstream line;
         line << uuid.value() << " " << s.at.count() << " " << std::hexfloat
              << s.gpu_util << " " << s.mem_used;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "k8s/cluster.hpp"
 #include "workload/generator.hpp"
@@ -49,9 +50,13 @@ void ExpectDeviceGolden(const std::string& key, const std::string& actual);
 /// before the cluster it attaches to.
 class ClusterDigests {
  public:
-  /// `also`, when set, sees every kernel lifetime too.
+  /// `also`, when set, sees every kernel lifetime too. Also takes the
+  /// cluster's NVML sample hook and keeps every sample per device.
   void Attach(k8s::Cluster& cluster, gpu::KernelTraceFn also = nullptr);
-  /// Folds every device's NVML samples, bit-exact (call after the run).
+  /// Every NVML sample of one device since Attach, oldest first.
+  const std::vector<gpu::NvmlSample>& NvmlSamples(const GpuUuid& uuid) const;
+  /// Folds every device's NVML samples device-major, bit-exact (call after
+  /// the run).
   void AddNvml(k8s::Cluster& cluster);
   /// "kernels=<d> tokens=<d> nvml=<d>"; devices and nodes fold in name
   /// order.
@@ -60,6 +65,7 @@ class ClusterDigests {
  private:
   std::map<std::string, TraceDigest> kernels_;
   std::map<std::string, TraceDigest> tokens_;
+  std::map<std::string, std::vector<gpu::NvmlSample>> nvml_samples_;
   TraceDigest nvml_;
 };
 

@@ -136,8 +136,7 @@ OversubRun RunOversubCluster(const RunOptions& opt) {
     for (std::size_t n = 0; n < cluster.node_count(); ++n) {
       for (auto& dev : cluster.node(n).gpus) {
         const std::string uuid = dev->uuid().value();
-        for (const gpu::NvmlSample& s :
-             cluster.nvml().SamplesFor(dev->uuid())) {
+        for (const gpu::NvmlSample& s : traces.NvmlSamples(dev->uuid())) {
           const std::string at = uuid + " " + std::to_string(s.at.count());
           nvml_util.Add(at + " " + std::to_string(s.gpu_util));
           nvml_mem.Add(at + " " + std::to_string(s.mem_used));
