@@ -101,29 +101,32 @@ void Cluster::ScheduleResync() {
   });
 }
 
-Cluster::NodeHandle* Cluster::FindNode(const std::string& name) {
+void Cluster::Index() {
   for (auto& node : nodes_) {
-    if (node->name == name) return node.get();
+    nodes_by_name_.emplace(node->name, node.get());
+    for (auto& dev : node->gpus) {
+      gpus_by_uuid_.emplace(dev->uuid(), GpuHome{node.get(), dev.get()});
+    }
   }
-  return nullptr;
+}
+
+Cluster::NodeHandle* Cluster::FindNode(const std::string& name) {
+  if (nodes_by_name_.empty()) Index();
+  auto it = nodes_by_name_.find(name);
+  return it == nodes_by_name_.end() ? nullptr : it->second;
 }
 
 gpu::GpuDevice* Cluster::FindGpu(const GpuUuid& uuid) {
-  for (auto& node : nodes_) {
-    for (auto& dev : node->gpus) {
-      if (dev->uuid() == uuid) return dev.get();
-    }
-  }
-  return nullptr;
+  if (gpus_by_uuid_.empty()) Index();
+  auto it = gpus_by_uuid_.find(uuid);
+  return it == gpus_by_uuid_.end() ? nullptr : it->second.device;
 }
 
 vgpu::TokenBackend* Cluster::BackendForGpu(const GpuUuid& uuid) {
-  for (auto& node : nodes_) {
-    for (auto& dev : node->gpus) {
-      if (dev->uuid() == uuid) return node->token_backend.get();
-    }
-  }
-  return nullptr;
+  if (gpus_by_uuid_.empty()) Index();
+  auto it = gpus_by_uuid_.find(uuid);
+  return it == gpus_by_uuid_.end() ? nullptr
+                                   : it->second.node->token_backend.get();
 }
 
 void Cluster::SetContainerStartHook(ContainerRuntime::StartHook hook) {
@@ -140,8 +143,8 @@ void Cluster::SetContainerStopHook(ContainerRuntime::StopHook hook) {
 
 Status Cluster::ExitPodContainer(const std::string& pod_name, bool success,
                                  const std::string& reason) {
-  auto pod = api_->pods().Get(pod_name);
-  if (!pod.ok()) return pod.status();
+  const Pod* pod = api_->pods().Find(pod_name);
+  if (pod == nullptr) return NotFoundError("no object: " + pod_name);
   NodeHandle* node = FindNode(pod->status.node_name);
   if (node == nullptr) {
     return NotFoundError("pod not bound to a known node: " + pod_name);
@@ -188,8 +191,8 @@ bool Cluster::NodeCrashed(const std::string& node_name) {
 }
 
 Status Cluster::OomKillPod(const std::string& pod_name) {
-  auto pod = api_->pods().Get(pod_name);
-  if (!pod.ok()) return pod.status();
+  const Pod* pod = api_->pods().Find(pod_name);
+  if (pod == nullptr) return NotFoundError("no object: " + pod_name);
   NodeHandle* node = FindNode(pod->status.node_name);
   if (node == nullptr) {
     return NotFoundError("pod not bound to a known node: " + pod_name);

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -139,6 +140,7 @@ class Cluster {
 
  private:
   void ScheduleResync();
+  void Index();
 
   ClusterConfig config_;
   sim::Simulation sim_;
@@ -148,6 +150,10 @@ class Cluster {
   std::unique_ptr<NodeLifecycleController> node_controller_;
   std::unique_ptr<gpu::NvmlMonitor> nvml_;
   std::vector<std::unique_ptr<NodeHandle>> nodes_;
+  /// Nodes and GPUs are fixed; the first lookup indexes them, not setup.
+  struct GpuHome { NodeHandle* node; gpu::GpuDevice* device; };
+  std::unordered_map<std::string, NodeHandle*> nodes_by_name_;
+  std::unordered_map<GpuUuid, GpuHome> gpus_by_uuid_;
   bool started_ = false;
 };
 

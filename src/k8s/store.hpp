@@ -22,6 +22,7 @@ struct WatchEvent {
 };
 
 using WatchId = std::uint64_t;
+using ObserverId = std::uint64_t;
 
 /// Watch notification delivery strategy.
 ///
@@ -127,6 +128,7 @@ class ObjectStore {
   /// Server-side watch filter (a field or label selector): a watcher only
   /// receives events whose object matches.
   using WatchSelector = std::function<bool(const T&)>;
+  using ObserveFn = std::function<void(const T* before, const T* after)>;
 
   /// `fanout` selects the delivery path; kBatched coalesces same-time
   /// deliveries through `hub`. Stores whose deliveries can interleave at
@@ -158,7 +160,8 @@ class ObjectStore {
     object.meta.uid = next_uid_++;
     object.meta.resource_version = ++version_;
     object.meta.creation_time = sim_->Now();
-    objects_.emplace(name, object);
+    const T& stored = objects_.emplace(name, object).first->second;
+    for (auto& [id, fn] : observers_) fn(nullptr, &stored);
     Notify({WatchEventType::kAdded, std::move(object)});
     return Status::Ok();
   }
@@ -220,6 +223,7 @@ class ObjectStore {
     object.meta.uid = it->second.meta.uid;
     object.meta.creation_time = it->second.meta.creation_time;
     object.meta.resource_version = ++version_;
+    for (auto& [id, fn] : observers_) fn(&it->second, &object);
     it->second = object;
     Notify({WatchEventType::kModified, std::move(object)});
     return Status::Ok();
@@ -241,6 +245,7 @@ class ObjectStore {
           std::to_string(expected_version) + ", store has " +
           std::to_string(it->second.meta.resource_version));
     }
+    for (auto& [id, fn] : observers_) fn(&it->second, nullptr);
     T final_state = it->second;
     objects_.erase(it);
     // The deletion is itself a versioned mutation: the event carries the
@@ -279,6 +284,22 @@ class ObjectStore {
   }
 
   void Unwatch(WatchId id) { watchers_.erase(id); }
+
+  /// Registers a synchronous write observer, the store's own index rather
+  /// than a watch: `fn(before, after)` runs inside every accepted write —
+  /// (null, stored) on Create, (old, new) on Update before the assignment,
+  /// (old, null) on Delete before the erase — and DropEvents does not skip
+  /// it. Registration replays every stored object as (null, obj) in name
+  /// order. The callback must not write to a store or (un)register.
+  ObserverId Observe(ObserveFn fn) {
+    for (const auto& [name, obj] : objects_) fn(nullptr, &obj);
+    observers_.emplace_back(next_observer_, std::move(fn));
+    return next_observer_++;
+  }
+
+  void Unobserve(ObserverId id) {
+    std::erase_if(observers_, [id](const auto& o) { return o.first == id; });
+  }
 
   std::uint64_t version() const { return version_; }
 
@@ -386,9 +407,11 @@ class ObjectStore {
 
   std::map<std::string, T> objects_;
   std::map<WatchId, Watcher> watchers_;
+  std::vector<std::pair<ObserverId, ObserveFn>> observers_;
   std::uint64_t next_uid_ = 1;
   std::uint64_t version_ = 0;
   WatchId next_watch_ = 1;
+  ObserverId next_observer_ = 1;
   int drop_pending_ = 0;
   std::uint64_t dropped_events_ = 0;
   std::uint64_t update_conflicts_ = 0;

@@ -21,6 +21,14 @@ KubeShareSched::KubeShareSched(k8s::Cluster* cluster,
 Status KubeShareSched::Start() {
   if (started_) return FailedPreconditionError("KubeShare-Sched started");
   started_ = true;
+  // The counts are zero (fresh, or cleared by Crash); the replay fills them.
+  live_observer_ = sharepods_->Observe(
+      [this](const SharePod* before, const SharePod* after) {
+        live_ += (after != nullptr && !after->terminal()) -
+                 (before != nullptr && !before->terminal());
+      });
+  native_observer_ = cluster_->api().pods().Observe(
+      std::bind_front(&KubeShareSched::OnPodWrite, this));
   watch_ = sharepods_->Watch(
       [this](const k8s::WatchEvent<SharePod>& ev) { OnSharePodEvent(ev); });
   return Status::Ok();
@@ -33,13 +41,16 @@ void KubeShareSched::Crash() {
   ++epoch_;
   sharepods_->Unwatch(watch_);
   watch_ = 0;
+  sharepods_->Unobserve(live_observer_);
+  cluster_->api().pods().Unobserve(native_observer_);
+  live_ = 0;
+  native_gpus_.clear();
   queue_.clear();
   queued_.clear();
   waiting_.clear();
   flush_scheduled_ = false;
   cycle_active_ = false;
-  // In-memory caches die with the process; the version guard would keep a
-  // stale snapshot correct, but a restarted scheduler starts cold.
+  // The snapshot dies with the native counts it was built from.
   snapshot_valid_ = false;
   snapshot_base_.clear();
 }
@@ -58,22 +69,33 @@ std::uint64_t KubeShareSched::Token() const {
   return token_provider_ ? token_provider_() : 0;
 }
 
+void KubeShareSched::OnPodWrite(const k8s::Pod* before,
+                                const k8s::Pod* after) {
+  // A pod's GPUs outside KubeShare: scheduled, non-terminal, no kManagedLabel.
+  static const std::string managed = kManagedLabel;
+  const auto native = [](const k8s::Pod* pod) {
+    if (pod == nullptr || pod->terminal() || !pod->scheduled()) return 0;
+    const auto gpus = pod->spec.requests.Get(k8s::kResourceNvidiaGpu);
+    if (gpus <= 0 || pod->meta.labels.count(managed) > 0) return 0;
+    return static_cast<int>(gpus);
+  };
+  const int was = native(before), now = native(after);
+  if (was == now &&
+      (was == 0 || before->status.node_name == after->status.node_name)) {
+    return;
+  }
+  if (was > 0) native_gpus_[before->status.node_name] -= was;
+  if (now > 0) native_gpus_[after->status.node_name] += now;
+  ++native_version_;
+}
+
 std::vector<NodeFreeGpus> KubeShareSched::FreePhysicalGpus() const {
-  const std::uint64_t pods_v = cluster_->api().pods().version();
+  if (!started_) return {};  // the native counts died with the process
   const std::uint64_t nodes_v = cluster_->api().nodes().version();
-  if (!snapshot_valid_ || snapshot_pods_version_ != pods_v ||
+  if (!snapshot_valid_ || snapshot_native_version_ != native_version_ ||
       snapshot_nodes_version_ != nodes_v) {
-    // Rebuild the store-derived base: one consistent pass over the pod and
-    // node stores, valid until either store's version moves again.
+    // Rebuild the base; it holds until the node store or a native count moves.
     snapshot_base_.clear();
-    // Native (non-KubeShare) GPU pods per node.
-    std::map<std::string, int> native;
-    cluster_->api().pods().ForEach([&](const k8s::Pod& pod) {
-      if (pod.terminal() || !pod.scheduled()) return;
-      if (pod.meta.labels.count(kManagedLabel) > 0) return;
-      const auto gpus = pod.spec.requests.Get(k8s::kResourceNvidiaGpu);
-      if (gpus > 0) native[pod.status.node_name] += static_cast<int>(gpus);
-    });
     cluster_->api().nodes().ForEach([&](const k8s::Node& node) {
       // A NotReady node's GPUs are not schedulable capacity — new vGPUs
       // must not be acquired there (the acquisition pod could never start).
@@ -84,11 +106,12 @@ std::vector<NodeFreeGpus> KubeShareSched::FreePhysicalGpus() const {
       // advertised capacity; KubeShare requires the stock (unscaled)
       // plugin.
       entry.free =
-          static_cast<int>(node.capacity.Get(k8s::kResourceNvidiaGpu)) -
-          native[node.meta.name];
+          static_cast<int>(node.capacity.Get(k8s::kResourceNvidiaGpu));
+      const auto native = native_gpus_.find(entry.node);
+      if (native != native_gpus_.end()) entry.free -= native->second;
       snapshot_base_.push_back(entry);
     });
-    snapshot_pods_version_ = pods_v;
+    snapshot_native_version_ = native_version_;
     snapshot_nodes_version_ = nodes_v;
     snapshot_valid_ = true;
     ++snapshot_refreshes_;
@@ -139,17 +162,11 @@ void KubeShareSched::Pump() {
   const std::string name = queue_.begin()->name;
   queue_.erase(queue_.begin());
   queued_.erase(name);
-  // The O(N) term counts *live* sharePods (Fig 11): each cycle re-reads
-  // the status of every non-terminal sharePod through the apiserver.
-  // Completed sharePods drop out of the loop. ForEach, not List: the scan
-  // only needs the terminal flag, and at 100k sharePods a full deep copy
-  // per cycle dominates the scheduler's own work.
-  std::int64_t live = 0;
-  sharepods_->ForEach([&](const SharePod& sp) {
-    if (!sp.terminal()) ++live;
-  });
+  // The O(N) term counts *live* sharePods (Fig 11): the modeled cycle
+  // re-reads every non-terminal sharePod's status through the apiserver.
+  // The host reads the count the sharePod-store observer keeps.
   const Duration cycle =
-      config_.sched_fixed + config_.sched_per_sharepod * live;
+      config_.sched_fixed + config_.sched_per_sharepod * live_;
   const std::uint64_t epoch = epoch_;
   cluster_->sim().ScheduleAfter(cycle, [this, name, epoch] {
     if (epoch != epoch_) return;  // scheduler crashed meanwhile

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -21,15 +22,17 @@ namespace ks::kubeshare {
 /// against the vGPU pool, and writes the chosen GPUID/nodeName back into
 /// the SharePodSpec; KubeShare-DevMgr picks the update up from there.
 ///
-/// Scheduling is serial, one cycle at a time, costing
-/// sched_fixed + sched_per_sharepod * |sharePods| (the O(N) complexity of
-/// Fig 11 — each cycle re-reads every sharePod's status through the
-/// apiserver).
+/// Scheduling is serial, one cycle at a time, costing sched_fixed +
+/// sched_per_sharepod * live sharePods (Fig 11's O(N): the modeled cycle
+/// re-reads every live sharePod through the apiserver). The host does not
+/// scan: store write observers keep the live count and native GPUs per node.
 class KubeShareSched {
  public:
   KubeShareSched(k8s::Cluster* cluster,
                  k8s::ObjectStore<SharePod>* sharepods, VgpuPool* pool,
                  KubeShareConfig config);
+  /// Crashes a running scheduler; the stores it observes must outlive it.
+  ~KubeShareSched() { Crash(); }
 
   Status Start();
 
@@ -54,11 +57,9 @@ class KubeShareSched {
   /// Algorithm 1's new_dev() can draw on.
   ///
   /// Snapshot-based: the (node, capacity - native pods) base is rebuilt
-  /// only when the pod or node store's resource version moves — one
-  /// consistent relist per apiserver state, not per decision. The vGPU
-  /// pool term is applied live at read time, and the placement write is
-  /// still validated on commit (the OCC Conflict path in ScheduleOne), so
-  /// a stale snapshot costs at most a retry, never a double booking.
+  /// only when the node store's version or some node's native GPU count
+  /// moves, not per decision or pod write; the vGPU pool term is applied
+  /// live. Empty while the scheduler is down: it keeps the native counts.
   std::vector<NodeFreeGpus> FreePhysicalGpus() const;
 
   std::uint64_t scheduled_count() const { return scheduled_count_; }
@@ -68,6 +69,8 @@ class KubeShareSched {
   std::uint64_t snapshot_refreshes() const { return snapshot_refreshes_; }
   std::uint64_t snapshot_hits() const { return snapshot_hits_; }
   std::uint64_t crashes() const { return crashes_; }
+  /// Non-terminal sharePods in the store: the N a cycle is priced at.
+  std::int64_t live_sharepods() const { return live_; }
   /// False before Start and between Crash and Restart.
   bool running() const { return started_; }
   /// Pure-algorithm time (wall clock) per decision — Fig 11's subject.
@@ -87,6 +90,7 @@ class KubeShareSched {
   };
 
   void OnSharePodEvent(const k8s::WatchEvent<SharePod>& event);
+  void OnPodWrite(const k8s::Pod* before, const k8s::Pod* after);
   /// Queues `name` unless it is already queued; false if it was.
   bool Enqueue(const std::string& name, int priority);
   void Pump();
@@ -110,6 +114,12 @@ class KubeShareSched {
   bool cycle_active_ = false;
   bool started_ = false;
   k8s::WatchId watch_ = 0;
+  k8s::ObserverId live_observer_ = 0;
+  k8s::ObserverId native_observer_ = 0;
+  /// Kept by the observers while running; the version moves with a count.
+  std::int64_t live_ = 0;
+  std::map<std::string, int> native_gpus_;
+  std::uint64_t native_version_ = 0;
   /// Bumped by Crash so timers scheduled pre-crash no-op post-restart.
   std::uint64_t epoch_ = 0;
   std::uint64_t crashes_ = 0;
@@ -119,11 +129,11 @@ class KubeShareSched {
   std::uint64_t retry_count_ = 0;
   RunningStats decision_stats_;
 
-  /// FreePhysicalGpus snapshot cache, keyed on the pod/node store versions
-  /// it was built from. mutable: the cache is an observable-behaviour-free
-  /// memoization of a const query.
+  /// FreePhysicalGpus snapshot cache, keyed on the node store version and
+  /// the native version it was built from. mutable: the cache is an
+  /// observable-behaviour-free memoization of a const query.
   mutable std::vector<NodeFreeGpus> snapshot_base_;
-  mutable std::uint64_t snapshot_pods_version_ = 0;
+  mutable std::uint64_t snapshot_native_version_ = 0;
   mutable std::uint64_t snapshot_nodes_version_ = 0;
   mutable bool snapshot_valid_ = false;
   mutable std::uint64_t snapshot_refreshes_ = 0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "k8s/objects.hpp"
 
 namespace ks::k8s {
@@ -312,6 +316,121 @@ TEST_F(StoreTest, FencingGateRejectsBelowFloorAdmitsUnfenced) {
             StatusCode::kConflict);
   EXPECT_TRUE(store_.Contains("a"));
   EXPECT_EQ(store_.fencing().rejected(), 3u);
+}
+
+// ---- Write observers: the store's synchronous index ----------------------
+
+/// "name@version", or "null".
+std::string Describe(const Pod* pod) {
+  return pod == nullptr ? "null"
+                        : pod->meta.name + "@" +
+                              std::to_string(pod->meta.resource_version);
+}
+
+TEST_F(StoreTest, ObserverSeesEachWriteInsideIt) {
+  std::vector<std::string> seen;
+  store_.Observe([&](const Pod* before, const Pod* after) {
+    // What the store itself holds while the observer runs.
+    const Pod* stored = store_.Find(before != nullptr ? before->meta.name
+                                                      : after->meta.name);
+    seen.push_back(Describe(before) + " -> " + Describe(after) +
+                   " stored " + Describe(stored));
+  });
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  EXPECT_EQ(seen, std::vector<std::string>{"null -> a@1 stored a@1"});
+  Pod pod = *store_.Get("a");
+  pod.status.phase = PodPhase::kRunning;
+  ASSERT_TRUE(store_.Update(pod).ok());
+  ASSERT_TRUE(store_.Delete("a").ok());
+  // Update runs before the assignment and Delete before the erase, all
+  // before the engine runs a single event.
+  EXPECT_EQ(seen, (std::vector<std::string>{"null -> a@1 stored a@1",
+                                            "a@1 -> a@2 stored a@1",
+                                            "a@2 -> null stored a@2"}));
+  EXPECT_EQ(sim_.executed(), 0u);
+}
+
+TEST_F(StoreTest, ObserverSeesBeforeAndAfterStates) {
+  std::vector<std::pair<PodPhase, PodPhase>> phases;
+  store_.Observe([&](const Pod* before, const Pod* after) {
+    if (before != nullptr && after != nullptr) {
+      phases.emplace_back(before->status.phase, after->status.phase);
+    }
+  });
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  Pod pod = *store_.Get("a");
+  pod.status.phase = PodPhase::kSucceeded;
+  ASSERT_TRUE(store_.Update(pod).ok());
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].first, PodPhase::kPending);
+  EXPECT_EQ(phases[0].second, PodPhase::kSucceeded);
+}
+
+TEST_F(StoreTest, RejectedWritesCallNoObserver) {
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  const Pod read = *store_.Get("a");
+  ASSERT_TRUE(store_.Update(read).ok());  // read is now stale
+  int calls = 0;
+  store_.Observe([&](const Pod*, const Pod*) { ++calls; });
+  ASSERT_EQ(calls, 1);  // the replay of "a"
+  calls = 0;
+  EXPECT_EQ(store_.Create(MakePod("a")).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(store_.Create(MakePod("")).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.Update(MakePod("ghost")).code(), StatusCode::kNotFound);
+  EXPECT_EQ(store_.Delete("ghost").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store_.Update(read).code(), StatusCode::kConflict);
+  EXPECT_EQ(store_.Delete("a", read.meta.resource_version).code(),
+            StatusCode::kConflict);
+  store_.fencing().Raise(5);
+  EXPECT_EQ(store_.Create(MakePod("b"), /*fencing_token=*/3).code(),
+            StatusCode::kConflict);
+  EXPECT_EQ(store_.Update(*store_.Get("a"), /*fencing_token=*/3).code(),
+            StatusCode::kConflict);
+  EXPECT_EQ(store_.Delete("a", 0, /*fencing_token=*/3).code(),
+            StatusCode::kConflict);
+  EXPECT_EQ(calls, 0);
+}
+
+TEST_F(StoreTest, DroppedWatchEventStillReachesObservers) {
+  int watched = 0;
+  int observed = 0;
+  store_.Watch([&](const WatchEvent<Pod>&) { ++watched; });
+  store_.Observe([&](const Pod*, const Pod*) { ++observed; });
+  store_.DropEvents(1);
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  ASSERT_TRUE(store_.Delete("a").ok());
+  sim_.Run();
+  EXPECT_EQ(store_.dropped_events(), 1u);
+  EXPECT_EQ(watched, 1);   // only the Delete reached the watcher
+  EXPECT_EQ(observed, 2);  // the observer saw both writes
+}
+
+TEST_F(StoreTest, ObserveReplaysStoredObjectsInNameOrder) {
+  ASSERT_TRUE(store_.Create(MakePod("c")).ok());
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  ASSERT_TRUE(store_.Create(MakePod("b")).ok());
+  std::vector<std::string> seen;
+  store_.Observe([&](const Pod* before, const Pod* after) {
+    seen.push_back(Describe(before) + " -> " + Describe(after));
+  });
+  EXPECT_EQ(seen, (std::vector<std::string>{"null -> a@2", "null -> b@3",
+                                            "null -> c@1"}));
+}
+
+TEST_F(StoreTest, UnobserveStopsDelivery) {
+  int first = 0;
+  int second = 0;
+  const ObserverId a = store_.Observe([&](const Pod*, const Pod*) { ++first; });
+  const ObserverId b =
+      store_.Observe([&](const Pod*, const Pod*) { ++second; });
+  EXPECT_NE(a, b);
+  ASSERT_TRUE(store_.Create(MakePod("x")).ok());
+  store_.Unobserve(a);
+  ASSERT_TRUE(store_.Create(MakePod("y")).ok());
+  store_.Unobserve(b);
+  ASSERT_TRUE(store_.Delete("x").ok());
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 2);
 }
 
 }  // namespace

@@ -292,6 +292,17 @@ TEST_F(GangTest, GroupBeyondPhysicalSupplyIsUnavailable) {
   EXPECT_EQ(kubeshare_.sharepods().size(), 0u);
 }
 
+TEST_F(GangTest, NoSupplyWhileSchedulerIsDown) {
+  // The dry run reads KubeShare-Sched's free-GPU view, which a crashed
+  // scheduler does not have: a group that needs a new vGPU waits for it.
+  kubeshare_.sched().Crash();
+  EXPECT_EQ(kubeshare_.CreateSharePodGroup(Workers(2, 0.2)).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(kubeshare_.sharepods().size(), 0u);
+  ASSERT_TRUE(kubeshare_.sched().Restart().ok());
+  EXPECT_TRUE(kubeshare_.CreateSharePodGroup(Workers(2, 0.2)).ok());
+}
+
 TEST_F(GangTest, InvalidMembersRejected) {
   EXPECT_FALSE(kubeshare_.CreateSharePodGroup({}).ok());
   std::vector<SharePod> dup = Workers(1, 0.2);
