@@ -11,6 +11,10 @@
 //                           drained (workload arrival generation)
 //   timeout-90pct           batches of request timeouts, 90% cancelled
 //                           before firing (RPC / eviction timeouts)
+//   fixed-timeout-90pct     the same churn with one fixed delay through
+//                           ScheduleAfterFixed: the token daemon's quota
+//                           expiry shape, on a fixed-delay lane instead of
+//                           the heap
 //   watchdog-100k           per-node detection timer reset (cancel +
 //                           reschedule) on every heartbeat — the node
 //                           failure-detection shape, tombstone-heavy
@@ -91,7 +95,10 @@ double BulkPattern(std::uint64_t n) {
   return static_cast<double>(n) / (NowSec() - t0);
 }
 
-double TimeoutPattern(std::uint64_t n) {
+/// Batches of 1000 timeouts, 90% cancelled. `fixed_lane` arms every one
+/// with the same 10 s delay on a fixed-delay lane; otherwise the delays
+/// spread over 13 values on the heap.
+double TimeoutPattern(std::uint64_t n, bool fixed_lane) {
   ks::sim::Simulation sim;
   struct Fire {
     Payload p;
@@ -102,10 +109,12 @@ double TimeoutPattern(std::uint64_t n) {
   std::uint64_t done = 0;
   while (done < n) {
     for (int i = 0; i < 1000; ++i) {
-      ids[static_cast<std::size_t>(i)] = sim.ScheduleAfter(
-          Seconds(10 + i % 13),
-          Fire{Payload{nullptr, done + static_cast<std::uint64_t>(i),
-                       "req-" + std::to_string(i % 31)}});
+      Fire fire{Payload{nullptr, done + static_cast<std::uint64_t>(i),
+                        "req-" + std::to_string(i % 31)}};
+      ids[static_cast<std::size_t>(i)] =
+          fixed_lane ? sim.ScheduleAfterFixed(Seconds(10), std::move(fire))
+                     : sim.ScheduleAfter(Seconds(10 + i % 13),
+                                         std::move(fire));
     }
     for (int i = 0; i < 1000; ++i) {
       if (i % 10 != 0) sim.Cancel(ids[static_cast<std::size_t>(i)]);
@@ -264,7 +273,8 @@ int main() {
       {"churn-1k", ChurnPattern(1000, kEvents)},
       {"churn-100k", ChurnPattern(100000, kEvents)},
       {"bulk-3M", BulkPattern(kEvents)},
-      {"timeout-90pct", TimeoutPattern(kEvents)},
+      {"timeout-90pct", TimeoutPattern(kEvents, /*fixed_lane=*/false)},
+      {"fixed-timeout-90pct", TimeoutPattern(kEvents, /*fixed_lane=*/true)},
       {"watchdog-100k", WatchdogPattern(100000, kEvents)},
   };
 

@@ -83,8 +83,11 @@ Checks, per file:
     non-negative integer "pairs_faster" no larger than "pairs", positive
     wall_s quartiles with "wall_s_q1" <= "wall_s_median" <= "wall_s_q3",
     a positive "peak_rss_mb_median", and a "digest" of 16 hex digits;
-    every (pr, workload, seed) has exactly one parent and one change row,
-    so no measured gain loses its baseline.
+    newer rows also carry cpu_s and done_per_wall_s quartiles, checked
+    the same way wherever any of them is present (older rows lack them
+    and stay valid); every (pr, workload, seed) has exactly one
+    parent and one change row with the same fields, so no measured gain
+    loses its baseline.
 
 Exit status 0 when every file passes, 1 otherwise. Stdlib only.
 """
@@ -294,14 +297,18 @@ def check_perfbench_row(path, i, row):
     pairs, faster = integer("pairs", True), integer("pairs_faster", False)
     if pairs is not None and faster is not None and faster > pairs:
         ok = fail(path, f"row {i} pairs_faster {faster} > pairs {pairs}")
-    quartiles = [number(f, True)
-                 for f in ("wall_s_q1", "wall_s_median", "wall_s_q3")]
-    if None in quartiles:
-        ok = fail(path, f"row {i} wall_s quartiles missing or not positive: "
-                        f"{quartiles!r}")
-    elif not quartiles[0] <= quartiles[1] <= quartiles[2]:
-        ok = fail(path, f"row {i} wall_s quartiles out of order "
-                        f"(want q1 <= median <= q3): {quartiles!r}")
+    for metric in PERFBENCH_QUARTILES:
+        fields = [metric + s for s in ("_q1", "_median", "_q3")]
+        if metric in PERFBENCH_OPTIONAL_QUARTILES and \
+                not any(f in row for f in fields):
+            continue
+        quartiles = [number(f, True) for f in fields]
+        if None in quartiles:
+            ok = fail(path, f"row {i} {metric} quartiles missing or not "
+                            f"positive: {quartiles!r}")
+        elif not quartiles[0] <= quartiles[1] <= quartiles[2]:
+            ok = fail(path, f"row {i} {metric} quartiles out of order "
+                            f"(want q1 <= median <= q3): {quartiles!r}")
     if number("peak_rss_mb_median", True) is None:
         ok = fail(path, f"row {i} \"peak_rss_mb_median\" missing or not "
                         f"positive: {row.get('peak_rss_mb_median')!r}")
@@ -315,20 +322,30 @@ def check_perfbench_row(path, i, row):
 
 def check_perfbench_pairs(path, rows):
     """Every measured (pr, workload, seed) has one parent and one change
-    row."""
+    row, and the two carry the same fields."""
     ok = True
     roles = {}
+    fields = {}
     for r in rows:
         if isinstance(r, dict):
             key = (r.get("pr"), r.get("workload"), r.get("seed"))
             roles.setdefault(key, []).append(r.get("role"))
+            fields.setdefault(key, set()).add(frozenset(r.keys()))
     for key, seen in sorted(roles.items(), key=lambda kv: str(kv[0])):
         if sorted(seen, key=str) != ["change", "parent"]:
             ok = fail(path, f"(pr, workload, seed) {key!r} has roles "
                             f"{sorted(seen, key=str)!r}, want one parent "
                             f"and one change row")
+        elif len(fields[key]) != 1:
+            ok = fail(path, f"(pr, workload, seed) {key!r}: the parent and "
+                            f"change rows carry different fields")
     return ok
 
+
+# Host metrics a perfbench row reports as q1/median/q3; older rows carry
+# only wall_s's, so the others are checked when present.
+PERFBENCH_QUARTILES = ("wall_s", "cpu_s", "done_per_wall_s")
+PERFBENCH_OPTIONAL_QUARTILES = ("cpu_s", "done_per_wall_s")
 
 # Studies whose every row is produced by a whole-cluster run and must carry
 # the engine's scheduled-event count.
@@ -650,6 +667,12 @@ def check_file(path):
         # that are present.
         kind = (row.get("pattern"), row.get("mode"), row.get("policy"))
         keys = frozenset(row.keys())
+        if study == "perfbench":
+            # The optional quartiles vary by PR; check_perfbench_pairs
+            # keeps each parent/change pair alike.
+            keys = frozenset(
+                k for k in keys
+                if not k.rsplit("_", 1)[0] in PERFBENCH_OPTIONAL_QUARTILES)
         if kind in key_sets and key_sets[kind] != keys:
             ok = fail(
                 path,

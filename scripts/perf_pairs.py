@@ -18,10 +18,11 @@ change that claims no modeled effect must keep it.
 
 It writes two rows per (workload, seed) into the ks-bench/1 report --out,
 study "perfbench": role "parent" and role "change". pairs_faster counts
-the pairs that role won on wall_s. wall_s quartiles use the inclusive
-method, so q1 <= median <= q3. Rows already in the file with the same
-(pr, role, workload, seed) are replaced; every other row is kept, so the
-file accumulates one block of rows per PR.
+the pairs that role won on wall_s. Each row carries the median and
+quartiles of wall_s, cpu_s and done_per_wall_s (inclusive method, so
+q1 <= median <= q3) and the median peak_rss_mb. Rows already in the file
+with the same (pr, role, workload, seed) are replaced; every other row is
+kept, so the file accumulates one block of rows per PR.
 """
 
 import argparse
@@ -33,6 +34,8 @@ import sys
 
 STUDY = "perfbench"
 SCHEMA = "ks-bench/1"
+# Host metrics recorded as median and quartiles.
+TIMED = ("wall_s", "cpu_s", "done_per_wall_s")
 
 
 def run_once(binary, workload, seed):
@@ -54,9 +57,7 @@ def summarize(reps, wins, args, role, workload, seed):
     if len(digests) != 1:
         sys.exit("perf_pairs: %s digest differs between runs of %s seed %d: "
                  "%s" % (role, workload, seed, sorted(digests)))
-    walls = [r["host"]["wall_s"] for r in reps]
-    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
-    return {
+    row = {
         "pr": args.pr,
         "role": role,
         "parent_commit": args.parent_commit,
@@ -64,13 +65,16 @@ def summarize(reps, wins, args, role, workload, seed):
         "seed": seed,
         "pairs": len(reps),
         "pairs_faster": wins,
-        "wall_s_median": median,
-        "wall_s_q1": q1,
-        "wall_s_q3": q3,
-        "peak_rss_mb_median": statistics.median(
-            r["host"]["peak_rss_mb"] for r in reps),
-        "digest": digests.pop(),
     }
+    for name in TIMED:
+        values = [r["host"][name] for r in reps]
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        row.update({name + "_median": median, name + "_q1": q1,
+                    name + "_q3": q3})
+    row["peak_rss_mb_median"] = statistics.median(
+        r["host"]["peak_rss_mb"] for r in reps)
+    row["digest"] = digests.pop()
+    return row
 
 
 def measure(args, workload, seed):
@@ -90,21 +94,24 @@ def measure(args, workload, seed):
             summarize(change, change_wins, args, "change", workload, seed)]
     p, c = rows
     note = "" if p["digest"] == c["digest"] else "  DIGEST DIFFERS"
-    print("%-10s seed %-5d parent %.3f [%.3f-%.3f]  change %.3f [%.3f-%.3f]"
-          "  %+.1f%%  change faster %d/%d%s"
-          % (workload, seed, p["wall_s_median"], p["wall_s_q1"],
-             p["wall_s_q3"], c["wall_s_median"], c["wall_s_q1"],
-             c["wall_s_q3"],
-             100.0 * (c["wall_s_median"] / p["wall_s_median"] - 1.0),
-             change_wins, args.pairs, note), flush=True)
-    # The other host metrics, medians parent -> change, for the record.
+    print("%-10s seed %-5d change faster %d/%d%s"
+          % (workload, seed, change_wins, args.pairs, note), flush=True)
+    for name in TIMED:
+        print("    %-15s parent %.4g [%.4g-%.4g]  change %.4g [%.4g-%.4g]"
+              "  %+.1f%%"
+              % (name, p[name + "_median"], p[name + "_q1"],
+                 p[name + "_q3"], c[name + "_median"], c[name + "_q1"],
+                 c[name + "_q3"],
+                 100.0 * (c[name + "_median"] / p[name + "_median"] - 1.0)),
+              flush=True)
+    # The untimed host metrics, medians parent -> change, for the record.
     print("    " + "  ".join(
         "%s %.6g -> %.6g" % (name,
                              statistics.median(r["host"][name]
                                                for r in parent),
                              statistics.median(r["host"][name]
                                                for r in change))
-        for name in ("cpu_s", "setup_s", "peak_rss_mb")), flush=True)
+        for name in ("setup_s", "peak_rss_mb")), flush=True)
     return rows
 
 

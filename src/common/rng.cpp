@@ -5,11 +5,6 @@
 
 namespace ks {
 
-double Rng::Uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
-}
-
 std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
   std::uniform_int_distribution<std::int64_t> dist(lo, hi);
   return dist(engine_);
@@ -32,14 +27,6 @@ double Rng::TruncatedNormal(double mean, double stddev, double lo, double hi) {
     if (x >= lo && x <= hi) return x;
   }
   return std::clamp(mean, lo, hi);
-}
-
-Duration Rng::ExponentialInterarrival(Duration mean) {
-  assert(mean.count() > 0);
-  std::exponential_distribution<double> dist(1.0 /
-                                             static_cast<double>(mean.count()));
-  const double us = dist(engine_);
-  return Duration{std::max<std::int64_t>(1, static_cast<std::int64_t>(us))};
 }
 
 bool Rng::Chance(double p) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <random>
 
@@ -14,8 +16,12 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Uniform double in [lo, hi).
-  double Uniform(double lo, double hi);
+  /// Uniform double in [lo, hi). Inline with ExponentialInterarrival: the
+  /// arrival generators draw both once per thinning candidate.
+  double Uniform(double lo, double hi) {
+    std::uniform_real_distribution<double> dist(lo, hi);
+    return dist(engine_);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
@@ -30,7 +36,13 @@ class Rng {
   /// Exponential sample with the given mean — inter-arrival times of a
   /// Poisson process (paper §5.3: "job inter-arrival time follows a Poisson
   /// process").
-  Duration ExponentialInterarrival(Duration mean);
+  Duration ExponentialInterarrival(Duration mean) {
+    assert(mean.count() > 0);
+    std::exponential_distribution<double> dist(
+        1.0 / static_cast<double>(mean.count()));
+    const double us = dist(engine_);
+    return Duration{std::max<std::int64_t>(1, static_cast<std::int64_t>(us))};
+  }
 
   /// Bernoulli trial.
   bool Chance(double p);

@@ -87,25 +87,38 @@ RateEnvelope RateEnvelope::Scaled(double factor) const {
 }
 
 ThinningSequence::ThinningSequence(RateEnvelope envelope, std::uint64_t seed)
-    : envelope_(std::move(envelope)), rng_(seed) {}
+    : envelope_(std::move(envelope)),
+      rng_(seed),
+      max_rate_(envelope_.max_rate_hz()) {
+  if (max_rate_ > 0.0) mean_gap_ = Seconds(1.0 / max_rate_);
+}
 
 Time ThinningSequence::Next() {
-  const double max_rate = envelope_.max_rate_hz();
-  if (max_rate <= 0.0) return kNoArrival;
-  const Duration mean = Seconds(1.0 / max_rate);
+  if (max_rate_ <= 0.0) return kNoArrival;
   for (;;) {
     // Lewis-Shedler: candidate gaps at the majorant rate, accepted with
     // probability lambda(t)/majorant. One exponential + one uniform draw
     // per candidate, in this exact order — the contract both generators
     // share.
-    Duration gap = rng_.ExponentialInterarrival(mean);
+    Duration gap = rng_.ExponentialInterarrival(mean_gap_);
     // The sim clock is integral microseconds; a zero-rounded gap must
     // still advance time or two arrivals would coincide.
     if (gap.count() <= 0) gap = Duration{1};
     cursor_ += gap;
     const double u = rng_.Uniform(0.0, 1.0);
-    if (u * max_rate < envelope_.RateAt(cursor_)) return cursor_;
+    if (u * max_rate_ < RateAt(cursor_)) return cursor_;
   }
+}
+
+double ThinningSequence::RateAt(Time t) {
+  const std::vector<RateEnvelope::Segment>& segs = envelope_.segments();
+  const Duration period = envelope_.period();
+  if (period.count() > 0) t = Time{t.count() % period.count()};
+  if (t < segs[segment_].start) segment_ = 0;  // the envelope wrapped
+  while (segment_ + 1 < segs.size() && segs[segment_ + 1].start <= t) {
+    ++segment_;
+  }
+  return segs[segment_].rate_hz;
 }
 
 BatchedArrivalStream::BatchedArrivalStream(sim::Simulation* sim,
@@ -123,7 +136,12 @@ BatchedArrivalStream::BatchedArrivalStream(sim::Simulation* sim,
 void BatchedArrivalStream::Start() {
   if (started_) return;
   started_ = true;
-  next_ = seq_.Next();
+  if (!primed_) {
+    primed_ = true;
+    next_ = seq_.Next();
+  } else {
+    while (next_ < sim_->Now()) next_ = seq_.Next();
+  }
   if (next_ < until_) ArmFor(next_);
 }
 

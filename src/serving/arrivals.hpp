@@ -80,8 +80,17 @@ class ThinningSequence {
   Time Next();
 
  private:
+  /// lambda(t), equal to RateEnvelope::RateAt. Candidates only move
+  /// forward, so a cursor over the segments replaces the binary search; it
+  /// rewinds when a repeating envelope wraps.
+  double RateAt(Time t);
+
   RateEnvelope envelope_;
   Rng rng_;
+  /// The majorant and the mean candidate gap at it, fixed per sequence.
+  double max_rate_;
+  Duration mean_gap_{0};
+  std::size_t segment_ = 0;
   Time cursor_{0};
 };
 
@@ -110,6 +119,9 @@ class BatchedArrivalStream {
   BatchedArrivalStream(const BatchedArrivalStream&) = delete;
   BatchedArrivalStream& operator=(const BatchedArrivalStream&) = delete;
 
+  /// Starts the stream. After Stop() it resumes the same sequence at
+  /// Now(): arrivals that fell while stopped, and those of the window the
+  /// stop left open, are never generated. A no-op while running.
   void Start();
   void Stop();
 
@@ -135,6 +147,7 @@ class BatchedArrivalStream {
   std::uint64_t batches_ = 0;
   std::uint64_t engine_events_ = 0;
   bool started_ = false;
+  bool primed_ = false;  // next_ holds a drawn arrival
 };
 
 }  // namespace ks::serving

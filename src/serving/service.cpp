@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "vgpu/frontend_hook.hpp"
@@ -10,12 +11,19 @@
 
 namespace ks::serving {
 
+namespace {
+/// The replica name of generator-level trace records.
+const std::string kNoReplica;
+}  // namespace
+
 struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
   k8s::Cluster* cluster = nullptr;
   workload::WorkloadHost* host = nullptr;
   sim::Simulation* sim = nullptr;
   ServiceConfig cfg;
 
+  /// One replica name's record. It lives while some job of that name
+  /// holds a served callback into it, so a serve updates it directly.
   struct Replica {
     std::string name;
     workload::RequestServerJob* job = nullptr;
@@ -24,10 +32,19 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
     /// the daemon's admission control is off.
     vgpu::TokenBackend::ServingState* serving = nullptr;
     std::uint64_t outstanding = 0;  // dispatched, not yet served
+    /// Listed in `replicas`. A job of this name that is still up after
+    /// the record left the list (a relaunch came up before the old
+    /// container went down) serves without touching it.
+    bool ready = false;
+    /// Up jobs whose served callback points here: one, or two across such
+    /// a relaunch.
+    std::vector<workload::RequestServerJob*> fed;
   };
+  /// Node-based, so records never move.
+  std::map<std::string, Replica> records;
   /// Ready replicas, name-sorted so round-robin order is deterministic
   /// regardless of container start interleaving.
-  std::vector<Replica> replicas;
+  std::vector<Replica*> replicas;
   std::size_t rr = 0;
 
   std::unique_ptr<BatchedArrivalStream> stream;
@@ -57,7 +74,7 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
 
   void OnArrival(Time arrival) {
     ++arrived;
-    Trace("arrive", arrival, sim->Now(), "");
+    Trace("arrive", arrival, sim->Now(), kNoReplica);
     Dispatch(arrival);
   }
 
@@ -65,21 +82,14 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
     for (Time t : batch) OnArrival(t);
   }
 
-  Replica* FindReplica(const std::string& name) {
-    for (Replica& r : replicas) {
-      if (r.name == name) return &r;
-    }
-    return nullptr;
-  }
-
   void Dispatch(Time arrival) {
     if (replicas.empty()) {
-      Trace("wait", arrival, sim->Now(), "");
+      Trace("wait", arrival, sim->Now(), kNoReplica);
       waiting.push_back(arrival);
       return;
     }
     if (rr >= replicas.size()) rr = 0;
-    Replica& r = replicas[rr];
+    Replica& r = *replicas[rr];
     ++rr;
     const Time now = sim->Now();
     if (r.serving != nullptr) {
@@ -105,57 +115,61 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
         }
       }
     }
-    std::weak_ptr<Core> weak = weak_from_this();
-    const std::string name = r.name;
-    const bool ok =
-        r.job->Submit(arrival, [weak, name](Time a, Time finish) {
-          if (auto core = weak.lock()) core->OnServed(name, a, finish);
-        });
-    if (!ok) {
+    if (!r.job->Submit(arrival)) {
       // Replica raced down between registry update and dispatch; park the
       // request for the next replica-up.
-      Trace("wait", arrival, now, name);
+      Trace("wait", arrival, now, r.name);
       waiting.push_back(arrival);
       return;
     }
     ++r.outstanding;
-    Trace("dispatch", arrival, now, name);
+    Trace("dispatch", arrival, now, r.name);
   }
 
-  void OnServed(const std::string& replica, Time arrival, Time finish) {
+  void OnServed(Replica& r, Time arrival, Time finish) {
     ++served;
     const Duration latency = finish - arrival;
     digest.Record(latency);
     windowed.Record(sim->Now(), latency);
     if (latency > cfg.slo_p99) ++violations;
-    if (Replica* r = FindReplica(replica)) {
-      if (r->outstanding > 0) --r->outstanding;
-      if (r->serving != nullptr) {
-        r->backend->ReportRequestLatency(r->serving, sim->Now(), latency);
+    if (r.ready) {
+      if (r.outstanding > 0) --r.outstanding;
+      if (r.serving != nullptr) {
+        r.backend->ReportRequestLatency(r.serving, sim->Now(), latency);
       }
     }
-    Trace("serve", arrival, finish, replica);
+    Trace("serve", arrival, finish, r.name);
   }
 
   void OnReplica(const std::string& name, workload::RequestServerJob* job,
                  bool up) {
     if (up) {
-      Replica r;
+      Replica& r = records[name];
+      // A relaunched replica (crash requeue) reuses its name's record,
+      // reset like a new one.
       r.name = name;
       r.job = job;
+      r.backend = nullptr;
+      r.serving = nullptr;
+      r.outstanding = 0;
       if (vgpu::FrontendHook* hook = host->MutableRunningHook(name)) {
         r.backend = cluster->BackendForGpu(hook->device());
         if (r.backend != nullptr) {
           r.serving = r.backend->SetServiceSlo(hook->container(), cfg.slo_p99);
         }
       }
-      auto pos = std::lower_bound(
-          replicas.begin(), replicas.end(), name,
-          [](const Replica& a, const std::string& n) { return a.name < n; });
-      if (pos != replicas.end() && pos->name == name) {
-        *pos = std::move(r);  // relaunched replica (crash requeue)
-      } else {
-        replicas.insert(pos, std::move(r));
+      r.fed.push_back(job);
+      job->SetServedFn([this, rec = &r](Time arrival, Time finish) {
+        OnServed(*rec, arrival, finish);
+      });
+      if (!r.ready) {
+        r.ready = true;
+        replicas.insert(
+            std::lower_bound(replicas.begin(), replicas.end(), name,
+                             [](const Replica* a, const std::string& n) {
+                               return a->name < n;
+                             }),
+            &r);
       }
       // Drain the cold-start buffer now that someone can serve.
       std::deque<Time> flush;
@@ -163,17 +177,29 @@ struct ServiceFrontend::Core : std::enable_shared_from_this<Core> {
       for (Time t : flush) Dispatch(t);
       return;
     }
-    auto pos = std::find_if(replicas.begin(), replicas.end(),
-                            [&](const Replica& r) { return r.name == name; });
-    if (pos == replicas.end()) return;
-    if (pos->outstanding > 0) {
-      // Requests queued on the dying replica die with it (the job's
-      // stopped_ guard keeps their ServedFns from ever firing).
-      lost += pos->outstanding;
-      Trace("lost", Time{0}, sim->Now(), name);
+    auto it = records.find(name);
+    if (it == records.end()) return;
+    Replica& r = it->second;
+    // The job is stopping: its stopped_ guard keeps it from serving again.
+    r.fed.erase(std::remove(r.fed.begin(), r.fed.end(), job), r.fed.end());
+    if (r.ready) {
+      if (r.outstanding > 0) {
+        // Requests queued on the dying replica die with it.
+        lost += r.outstanding;
+        Trace("lost", Time{0}, sim->Now(), name);
+      }
+      r.ready = false;
+      replicas.erase(std::find(replicas.begin(), replicas.end(), &r));
+      if (rr >= replicas.size()) rr = 0;
     }
-    replicas.erase(pos);
-    if (rr >= replicas.size()) rr = 0;
+    if (r.fed.empty()) records.erase(it);
+  }
+
+  /// Detaches every job still feeding this core; the destructor runs it.
+  void ClearServedFns() {
+    for (auto& [name, r] : records) {
+      for (workload::RequestServerJob* job : r.fed) job->SetServedFn(nullptr);
+    }
   }
 };
 
@@ -187,7 +213,11 @@ ServiceFrontend::ServiceFrontend(k8s::Cluster* cluster,
   core_->sim = &cluster->sim();
 }
 
-ServiceFrontend::~ServiceFrontend() { Stop(); }
+ServiceFrontend::~ServiceFrontend() {
+  Stop();
+  // Served callbacks point into core_, which dies with this frontend.
+  core_->ClearServedFns();
+}
 
 std::function<void(const std::string&)> ServiceFrontend::MakeReplicaHook() {
   std::weak_ptr<Core> weak = core_;
@@ -208,12 +238,14 @@ std::function<void(const std::string&)> ServiceFrontend::MakeReplicaHook() {
 }
 
 void ServiceFrontend::Start() {
-  std::weak_ptr<Core> weak = core_;
-  core_->stream = std::make_unique<BatchedArrivalStream>(
-      core_->sim, config_.envelope, config_.seed, config_.until,
-      config_.batch_window, [weak](const std::vector<Time>& batch) {
-        if (auto core = weak.lock()) core->OnArrivals(batch);
-      });
+  if (core_->stream == nullptr) {
+    std::weak_ptr<Core> weak = core_;
+    core_->stream = std::make_unique<BatchedArrivalStream>(
+        core_->sim, config_.envelope, config_.seed, config_.until,
+        config_.batch_window, [weak](const std::vector<Time>& batch) {
+          if (auto core = weak.lock()) core->OnArrivals(batch);
+        });
+  }
   core_->stream->Start();
 }
 

@@ -75,6 +75,8 @@ class ServiceFrontend {
 
   /// Starts the arrival generator. Call after the replicaset is started
   /// (requests arriving before the first replica is ready are buffered).
+  /// After Stop() it resumes the same arrival sequence at Now(); it is a
+  /// no-op while running.
   void Start();
   /// Stops generating arrivals; dispatched work keeps draining.
   void Stop();
@@ -121,7 +123,9 @@ class ServiceFrontend {
   /// All mutable state lives behind a shared_ptr: job factories, replica
   /// lifecycle callbacks and queue-retry events capture weak references,
   /// so callbacks firing during cluster teardown (after this frontend is
-  /// gone) degrade to no-ops instead of use-after-free.
+  /// gone) degrade to no-ops instead of use-after-free. Served callbacks,
+  /// which run once per request, point at the replica records directly;
+  /// the destructor clears them.
   std::shared_ptr<Core> core_;
 };
 

@@ -16,14 +16,8 @@ Simulation::~Simulation() { FreeHeap(); }
 EventId Simulation::ScheduleAt(Time t, EventCallback fn) {
   assert(fn && "cannot schedule an empty callback");
   if (t < now_) t = now_;  // clamp: scheduling in the past fires "now"
-  if (!HasCapacity()) return kInvalidEvent;
-  const std::uint32_t slot = AcquireSlot();
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  const std::uint64_t key = (next_seq_++ << kSlotBits) | slot;
-  s.key = key;
-  ++live_;
-  PushHeap(HeapEntry{t, key});
+  const EventId key = Emplace(std::move(fn));
+  if (key != kInvalidEvent) PushHeap(HeapEntry{t, key});
   return key;
 }
 
@@ -42,20 +36,42 @@ bool Simulation::Cancel(EventId id) {
   if (s.key != id) return false;
   ReleaseSlot(slot);
   --live_;
-  // The heap entry dies lazily when it surfaces; purge when dead entries
-  // outnumber live ones so cancel/reschedule churn cannot grow the heap
-  // unboundedly.
-  if (heap_size_ - live_ > live_ + kPurgeSlack) PurgeStale();
+  // The entry dies lazily when it surfaces; purge when dead entries
+  // outnumber live ones so cancel/reschedule churn cannot grow the queues
+  // unboundedly. Every live event has exactly one entry, on the heap or on
+  // a lane, so the sum never drops below live_.
+  if (heap_size_ + lane_entries_ - live_ > live_ + kPurgeSlack) PurgeStale();
   return true;
 }
 
-bool Simulation::Step() {
-  DropStaleRoots();
-  if (heap_size_ == 0) {
-    CompactIfDrained();
-    return false;
+// PeekLive() and Fire() run once per event; defined ahead of their callers
+// so the compiler can fold them into the drain loops.
+inline const Simulation::HeapEntry* Simulation::PeekLive(Lane** lane) {
+  // Only the minimum needs a liveness check: when it is live, it precedes
+  // every other entry, dead or alive.
+  for (;;) {
+    const HeapEntry* best = heap_size_ > 0 ? heap_ : nullptr;
+    Lane* from = nullptr;
+    for (Lane& l : lanes_) {
+      if (l.size != 0 && (best == nullptr || Earlier(l.Front(), *best))) {
+        best = &l.Front();
+        from = &l;
+      }
+    }
+    if (best == nullptr || Live(*best)) {
+      *lane = from;
+      return best;
+    }
+    if (from != nullptr) {
+      from->Pop();
+      --lane_entries_;
+    } else {
+      PopRoot();
+    }
   }
-  const HeapEntry top = heap_[0];
+}
+
+inline void Simulation::Fire(HeapEntry top, Lane* lane) {
   assert(top.at >= now_);
   Slot& s = slots_[top.key & kSlotMask];
   EventCallback fn = std::move(s.fn);
@@ -63,10 +79,32 @@ bool Simulation::Step() {
   // reschedules itself (the usual timer pattern) reuses its own slot.
   ReleaseSlot(top.key & kSlotMask);
   --live_;
-  PopRoot();
+  if (lane != nullptr) {
+    lane->Pop();
+    --lane_entries_;
+  } else {
+    PopRoot();
+  }
   now_ = top.at;
   ++executed_;
   fn();
+}
+
+std::optional<Time> Simulation::NextEventTime() {
+  Lane* lane = nullptr;
+  const HeapEntry* next = PeekLive(&lane);
+  if (next == nullptr) return std::nullopt;
+  return next->at;
+}
+
+bool Simulation::Step() {
+  Lane* lane = nullptr;
+  const HeapEntry* next = PeekLive(&lane);
+  if (next == nullptr) {
+    CompactIfDrained();
+    return false;
+  }
+  Fire(*next, lane);
   return true;
 }
 
@@ -76,15 +114,36 @@ void Simulation::Run(std::uint64_t max_events) {
 }
 
 void Simulation::RunUntil(Time t) {
-  // Single drain path: Step() is the only place live events are popped.
-  // DropStaleRoots() keeps the root live, so peeking its time is exact.
+  // Fire() is the only place live events are popped; one PeekLive() per
+  // step picks the source and bounds the slice.
   for (;;) {
-    DropStaleRoots();
-    if (heap_size_ == 0 || heap_[0].at > t) break;
-    Step();
+    Lane* lane = nullptr;
+    const HeapEntry* next = PeekLive(&lane);
+    if (next == nullptr || next->at > t) break;
+    Fire(*next, lane);
   }
   if (now_ < t) now_ = t;
   CompactIfDrained();
+}
+
+Simulation::Lane* Simulation::LaneFor(Duration delay) {
+  for (Lane& lane : lanes_) {
+    if (lane.delay == delay) return &lane;
+  }
+  if (lanes_.size() == kMaxLanes) return nullptr;
+  Lane& lane = lanes_.emplace_back();
+  lane.delay = delay;
+  return &lane;
+}
+
+void Simulation::Lane::Grow() {
+  // Unrolls the ring into a buffer twice the size, oldest entry first.
+  std::vector<HeapEntry> bigger(ring.empty() ? 16 : ring.size() * 2);
+  for (std::uint32_t i = 0; i < size; ++i) {
+    bigger[i] = ring[(head + i) & (ring.size() - 1)];
+  }
+  ring.swap(bigger);
+  head = 0;
 }
 
 void Simulation::PushHeap(HeapEntry e) {
@@ -152,13 +211,6 @@ void Simulation::SiftDown(std::uint32_t pos) {
   heap_[pos] = e;
 }
 
-void Simulation::DropStaleRoots() {
-  while (heap_size_ > 0 &&
-         slots_[heap_[0].key & kSlotMask].key != heap_[0].key) {
-    PopRoot();
-  }
-}
-
 void Simulation::PurgeStale() {
   // Compact live entries in place, then heapify. Deterministic: the
   // comparator is a strict total order (keys are unique), so any valid
@@ -166,7 +218,7 @@ void Simulation::PurgeStale() {
   std::uint32_t kept = 0;
   for (std::uint32_t i = 0; i < heap_size_; ++i) {
     const HeapEntry e = heap_[i];
-    if (slots_[e.key & kSlotMask].key == e.key) heap_[kept++] = e;
+    if (Live(e)) heap_[kept++] = e;
   }
   heap_size_ = kept;
   if (kept > 1) {
@@ -174,6 +226,18 @@ void Simulation::PurgeStale() {
       SiftDown(i);
       if (i == 0) break;
     }
+  }
+  // Lanes keep their order: live entries slide toward the head.
+  lane_entries_ = 0;
+  for (Lane& lane : lanes_) {
+    const auto mask = static_cast<std::uint32_t>(lane.ring.size() - 1);
+    std::uint32_t live = 0;
+    for (std::uint32_t i = 0; i < lane.size; ++i) {
+      const HeapEntry e = lane.ring[(lane.head + i) & mask];
+      if (Live(e)) lane.ring[(lane.head + live++) & mask] = e;
+    }
+    lane.size = live;
+    lane_entries_ += live;
   }
 }
 
@@ -263,13 +327,17 @@ void Simulation::CompactIfDrained() {
   // Amortized compaction point: with nothing in flight both arenas can be
   // dropped wholesale. The sequence counter survives the reset, so ids
   // minted before compaction can never alias events scheduled after it.
-  if (heap_size_ != 0 || slots_.size() < kCompactThreshold) return;
+  if (heap_size_ + lane_entries_ != 0 || slots_.size() < kCompactThreshold) {
+    return;
+  }
   slots_.clear();
   slots_.shrink_to_fit();
   free_slots_.clear();
   free_slots_.shrink_to_fit();
   FreeHeap();
   heap_size_ = 0;
+  lanes_.clear();
+  lanes_.shrink_to_fit();
 }
 
 }  // namespace ks::sim

@@ -40,16 +40,24 @@ inline constexpr EventId kInvalidEvent = 0;
 ///    then sifts up a short distance — roughly half the comparisons of the
 ///    textbook algorithm;
 ///  - every slot is generation-stamped: Cancel() invalidates the slot in
-///    O(1) and the heap entry dies lazily when it surfaces (or at the next
+///    O(1) and the queue entry dies lazily when it surfaces (or at the next
 ///    purge, which keeps dead entries bounded by the live count). There is
 ///    no tombstone set, and pending() is an exact live counter by
 ///    construction, so cancelling a fired id is a correct no-op and
-///    pending() can never underflow.
+///    pending() can never underflow;
+///  - ScheduleAfterFixed() bypasses the heap: events scheduled with one
+///    fixed delay go on a FIFO lane kept for that delay. Now() never
+///    decreases and sequence numbers only grow, so appending
+///    (Now() + delay, key) keeps every lane sorted by the heap's own
+///    order. Each step fires the earliest of the heap root and the lane
+///    heads under the same Earlier() comparison, so the firing order is
+///    exactly the one a heap-only engine would produce; a lane costs one
+///    append and one pop instead of a sift up and a delete-min.
 ///
 /// Capacity limits of the packed event key (documented, checked at
 /// runtime): at most 2^24 - 1 events pending at once, at most 2^40 - 1
 /// events scheduled over a Simulation's lifetime. Hitting either limit is
-/// not a crash: ScheduleAt/ScheduleAfter return kInvalidEvent, the engine
+/// not a crash: every Schedule call returns kInvalidEvent, the engine
 /// latches into an exhausted state (CapacityStatus() reports which limit
 /// tripped and the counts), and a single diagnostic goes to stderr.
 class Simulation {
@@ -77,14 +85,8 @@ class Simulation {
                 int> = 0>
   EventId ScheduleAt(Time t, F&& fn) {
     if (t < now_) t = now_;
-    if (!HasCapacity()) return kInvalidEvent;
-    const std::uint32_t slot = AcquireSlot();
-    Slot& s = slots_[slot];
-    s.fn.emplace(std::forward<F>(fn));
-    const std::uint64_t key = (next_seq_++ << kSlotBits) | slot;
-    s.key = key;
-    ++live_;
-    PushHeap(HeapEntry{t, key});
+    const EventId key = Emplace(std::forward<F>(fn));
+    if (key != kInvalidEvent) PushHeap(HeapEntry{t, key});
     return key;
   }
 
@@ -96,6 +98,27 @@ class Simulation {
   EventId ScheduleAfter(Duration delay, F&& fn) {
     if (delay.count() < 0) delay = Duration{0};
     return ScheduleAt(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Schedules `fn` after `delay` from now on the FIFO lane kept for that
+  /// delay (a negative delay counts as zero). Same ids, Cancel(), pending()
+  /// and capacity limits as ScheduleAfter(), and the same firing order; it
+  /// is cheaper for a deadline armed again and again with one constant
+  /// delay (a hand-off latency, a quota). An engine keeps at most kMaxLanes
+  /// lanes; further distinct delays go on the heap.
+  template <typename F,
+            std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F>&>,
+                             int> = 0>
+  EventId ScheduleAfterFixed(Duration delay, F&& fn) {
+    if (delay.count() < 0) delay = Duration{0};
+    Lane* lane = LaneFor(delay);
+    if (lane == nullptr) return ScheduleAt(now_ + delay, std::forward<F>(fn));
+    const EventId key = Emplace(std::forward<F>(fn));
+    if (key != kInvalidEvent) {
+      lane->Push(HeapEntry{now_ + delay, key});
+      ++lane_entries_;
+    }
+    return key;
   }
 
   /// Cancels a pending event. Safe to call with an id that already fired or
@@ -115,14 +138,11 @@ class Simulation {
   void RunUntil(Time t);
 
   /// Fire time of the earliest pending event, or nullopt when the queue is
-  /// empty. Purges stale (cancelled) roots first, so the answer is exact.
+  /// empty. Drops dead heap roots and lane heads first, so the answer is
+  /// exact.
   /// A caller that drives the engine one Step() at a time uses it to stop
   /// at a time bound without running past it.
-  std::optional<Time> NextEventTime() {
-    DropStaleRoots();
-    if (heap_size_ == 0) return std::nullopt;
-    return heap_[0].at;
-  }
+  std::optional<Time> NextEventTime();
 
   /// Exact count of live (scheduled, not yet fired or cancelled) events.
   std::size_t pending() const { return live_; }
@@ -171,16 +191,70 @@ class Simulation {
   /// ones by this margin.
   static constexpr std::uint32_t kPurgeSlack = 64;
 
+  /// Most fixed-delay lanes an engine keeps. Every step compares each
+  /// lane's head, so the lanes are for a few hot delays, not for all.
+  static constexpr std::size_t kMaxLanes = 8;
+
+  /// One fixed-delay lane: a ring of entries in (time, key) order.
+  struct Lane {
+    Duration delay{0};
+    std::vector<HeapEntry> ring;  // capacity is a power of two
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+
+    const HeapEntry& Front() const { return ring[head]; }
+    void Pop() {
+      head = (head + 1) & static_cast<std::uint32_t>(ring.size() - 1);
+      --size;
+    }
+    void Push(HeapEntry e) {
+      if (size == ring.size()) Grow();
+      ring[(head + size) & (ring.size() - 1)] = e;
+      ++size;
+    }
+    void Grow();
+  };
+
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.key < b.key;  // FIFO among same-time events
   }
 
+  /// Builds `fn` in a fresh slot and mints its key; kInvalidEvent (and no
+  /// slot) once a capacity limit is spent. The caller queues the entry.
+  template <typename F>
+  EventId Emplace(F&& fn) {
+    if (!HasCapacity()) return kInvalidEvent;
+    const std::uint32_t slot = AcquireSlot();
+    Slot& s = slots_[slot];
+    if constexpr (std::is_same_v<std::decay_t<F>, EventCallback>) {
+      s.fn = std::forward<F>(fn);
+    } else {
+      s.fn.emplace(std::forward<F>(fn));
+    }
+    const std::uint64_t key = (next_seq_++ << kSlotBits) | slot;
+    s.key = key;
+    ++live_;
+    return key;
+  }
+
+  bool Live(const HeapEntry& e) const {
+    return slots_[e.key & kSlotMask].key == e.key;
+  }
+
+  /// The lane for `delay`, created on first use; nullptr once kMaxLanes
+  /// other delays have lanes.
+  Lane* LaneFor(Duration delay);
+  /// The earliest live entry, dropping dead heap roots and lane heads on
+  /// the way; `*lane` is the lane holding it, or nullptr for the heap.
+  /// nullptr when nothing is pending.
+  const HeapEntry* PeekLive(Lane** lane);
+  /// Fires the entry PeekLive() returned and removes it from its source.
+  void Fire(HeapEntry top, Lane* lane);
+
   void PushHeap(HeapEntry e);
   void PopRoot();
   void SiftDown(std::uint32_t pos);
-  /// Pops stale roots so heap_[0], when present, is always live.
-  void DropStaleRoots();
   void PurgeStale();
   void GrowHeap();
   void FreeHeap();
@@ -207,6 +281,11 @@ class Simulation {
   void* raw_heap_ = nullptr;
   std::uint32_t heap_size_ = 0;
   std::uint32_t heap_cap_ = 0;
+
+  std::vector<Lane> lanes_;
+  /// Entries on all lanes, live and dead: heap_size_ + lane_entries_ -
+  /// live_ is the dead-entry count the purge trigger reads.
+  std::uint32_t lane_entries_ = 0;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -95,9 +95,8 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
       d->ClearMemoryQuota(container);
     }
   }
-  auto hit = dev.holds.find(container);
-  const bool held = hit != dev.holds.end();
-  if (held) EndHold(dev, hit, nullptr, sim_->Now());
+  const bool held = it->second.holding;
+  if (held) EndHold(it->second, /*settle=*/false, sim_->Now());
   containers_.erase(it);
   if (held) TryGrant(dev);
   return Status::Ok();
@@ -124,8 +123,7 @@ Status TokenBackend::RequestToken(const ContainerId& container) {
   }
   ContainerState& state = it->second;
   DeviceState& dev = *state.dev;
-  const auto hit = dev.holds.find(container);
-  if (hit != dev.holds.end() && (hit->second.valid || hit->second.in_flight)) {
+  if (state.holding && (state.hold.valid || state.hold.in_flight)) {
     return Status::Ok();  // already holding (or being granted) a valid token
   }
   // An expired holder may queue BEFORE it releases: its re-request must be
@@ -148,13 +146,12 @@ Status TokenBackend::ReleaseToken(const ContainerId& container) {
   }
   ContainerState& state = it->second;
   DeviceState& dev = *state.dev;
-  auto hit = dev.holds.find(container);
-  if (hit == dev.holds.end()) {
+  if (!state.holding) {
     return FailedPreconditionError("container does not hold the token: " +
                                    container.value());
   }
   const Time now = sim_->Now();
-  EndHold(dev, hit, &state, now);
+  EndHold(state, /*settle=*/true, now);
   if (Enforcing()) {
     // Clean close of the gate: submits between this release and the next
     // grant are rejected (that is the flood containment), without counting
@@ -181,15 +178,14 @@ Status TokenBackend::ExtendQuota(const ContainerId& container,
   if (it == containers_.end()) {
     return NotFoundError("container not registered: " + container.value());
   }
-  DeviceState& dev = *it->second.dev;
-  auto hit = dev.holds.find(container);
-  if (hit == dev.holds.end() || !hit->second.valid) {
+  ContainerState& state = it->second;
+  if (!state.holding || !state.hold.valid) {
     return FailedPreconditionError("container holds no valid token: " +
                                    container.value());
   }
   if (extra.count() <= 0) return Status::Ok();
-  hit->second.expiry += extra;
-  ArmExpiry(dev, hit->second);
+  state.hold.expiry += extra;
+  ArmExpiry(state, /*at_handoff=*/false);
   return Status::Ok();
 }
 
@@ -201,13 +197,19 @@ double TokenBackend::UsageOf(const ContainerId& container) const {
 
 std::optional<ContainerId> TokenBackend::HolderOf(const GpuUuid& device) const {
   auto it = devices_.find(device);
-  if (it == devices_.end() || it->second.holds.empty()) return std::nullopt;
-  return it->second.holds.begin()->first;
+  if (it == devices_.end() || it->second.holders.empty()) return std::nullopt;
+  const std::vector<ContainerState*>& holders = it->second.holders;
+  return (*std::min_element(holders.begin(), holders.end(),
+                            [](const ContainerState* a,
+                               const ContainerState* b) {
+                              return a->id < b->id;
+                            }))
+      ->id;
 }
 
 std::size_t TokenBackend::ActiveHolders(const GpuUuid& device) const {
   auto it = devices_.find(device);
-  return it == devices_.end() ? 0 : it->second.holds.size();
+  return it == devices_.end() ? 0 : it->second.holders.size();
 }
 
 std::size_t TokenBackend::QueueLength(const GpuUuid& device) const {
@@ -220,7 +222,8 @@ std::size_t TokenBackend::pending_timers() const {
   std::size_t n = down_ ? 1 : 0;  // the restart come-back deadline
   for (const auto& [device_id, dev] : devices_) {
     if (dev.reeval_event != sim::kInvalidEvent) ++n;
-    for (const auto& [container, hold] : dev.holds) {
+    for (const ContainerState* holder : dev.holders) {
+      const Hold& hold = holder->hold;
       if (hold.in_flight) ++n;  // the grant hand-off
       if (hold.expiry_event != sim::kInvalidEvent) ++n;
       if (hold.fence_event != sim::kInvalidEvent) ++n;
@@ -278,7 +281,7 @@ void TokenBackend::TryGrant(DeviceState& dev) {
     double best_usage = 0.0;
     std::uint64_t usage_seq = 0;
     for (ContainerState* s : dev.queue) {
-      if (dev.holds.count(s->id) > 0) continue;
+      if (s->holding) continue;
       if (ClaimOf(*s) > free) continue;
       fits = true;
       const double usage = SchedulingUsage(*s, now);
@@ -314,91 +317,111 @@ void TokenBackend::GrantTo(DeviceState& dev, ContainerState& state) {
   dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), &state),
                   dev.queue.end());
   state.queued = false;
-  Hold& hold = dev.holds[state.id];
-  hold.state = &state;
+  state.holding = true;
+  Hold& hold = state.hold;
+  hold = Hold{};
   hold.serial = ++grants_;
   hold.in_flight = true;
-  hold.valid = false;
   hold.groups = ClaimOf(state);
   dev.groups_held += hold.groups;
-  peak_holders_ = std::max(peak_holders_, dev.holds.size());
+  dev.holders.push_back(&state);
+  peak_holders_ = std::max(peak_holders_, dev.holders.size());
 
   // The hand-off costs one exchange latency, during which the holder's
   // groups sit idle; the token is valid from the end of the exchange for
   // one quota.
-  sim_->ScheduleAfter(config_.exchange_latency, [this, d = &dev,
-                                                 granted = state.id,
-                                                 serial = hold.serial] {
+  sim_->ScheduleAfterFixed(config_.exchange_latency, [this,
+                                                      granted = state.id,
+                                                      serial = hold.serial] {
     // The hold may have ended meanwhile (released, unregistered, dropped
     // by a restart), and a later grant may hold the same id by now.
-    auto hit = d->holds.find(granted);
-    if (hit == d->holds.end() || hit->second.serial != serial) return;
-    Hold& h = hit->second;
-    ContainerState& s = *h.state;
+    ContainerState* s = HolderBySerial(granted, serial);
+    if (s == nullptr) return;
+    Hold& h = s->hold;
     const Time now = sim_->Now();
     h.in_flight = false;
     h.valid = true;
-    h.expiry = now + GrantQuotaFor(d->id, h.groups);
-    s.grant_time = now;
-    ++s.stats.grants;
-    s.usage.Start(now);
+    h.expiry = now + GrantQuotaFor(s->dev->id, h.groups);
+    s->grant_time = now;
+    ++s->stats.grants;
+    s->usage.Start(now);
     if (Enforcing()) {
       // Open the device gate for this grant only: a fresh monotonic epoch
       // is admitted, and the overstay deadline (armed with the expiry) sits
       // one fence_grace past the quota so a polite overrun (one
       // non-preemptive kernel) never trips it.
-      if (gpu::GpuDevice* gd = ResolveDevice(d->id)) {
+      if (gpu::GpuDevice* gd = ResolveDevice(s->dev->id)) {
         gd->AdmitTokenEpoch(granted, ++token_epoch_);
       }
     }
-    ArmExpiry(*d, h);
+    ArmExpiry(*s, /*at_handoff=*/true);
     Trace("grant", granted, h.expiry);
-    s.client->OnTokenGranted(h.expiry);
+    s->client->OnTokenGranted(h.expiry);
   });
 }
 
-void TokenBackend::ArmExpiry(DeviceState& dev, Hold& hold) {
-  const ContainerId& container = hold.state->id;
-  sim_->Cancel(hold.expiry_event);
-  hold.expiry_event = sim_->ScheduleAt(
-      hold.expiry, [this, d = &dev, container] { OnExpiry(*d, container); });
-  if (!Enforcing()) return;
-  sim_->Cancel(hold.fence_event);
-  hold.fence_event = sim_->ScheduleAt(
-      hold.expiry + config_.enforcement.fence_grace,
-      [this, d = &dev, container] { OnFenceDeadline(*d, container); });
+TokenBackend::ContainerState* TokenBackend::HolderBySerial(
+    const ContainerId& container, std::uint64_t serial) {
+  auto it = containers_.find(container);
+  if (it == containers_.end() || !it->second.holding ||
+      it->second.hold.serial != serial) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
-void TokenBackend::EndHold(DeviceState& dev,
-                           std::map<ContainerId, Hold>::iterator hit,
-                           ContainerState* state, Time now) {
-  const Hold& hold = hit->second;
-  if (state != nullptr) {
+void TokenBackend::ArmExpiry(ContainerState& holder, bool at_handoff) {
+  Hold& hold = holder.hold;
+  const auto on_expiry = [this, container = holder.id, serial = hold.serial] {
+    if (ContainerState* s = HolderBySerial(container, serial)) OnExpiry(*s);
+  };
+  sim_->Cancel(hold.expiry_event);
+  hold.expiry_event =
+      at_handoff ? sim_->ScheduleAfterFixed(hold.expiry - sim_->Now(),
+                                            on_expiry)
+                 : sim_->ScheduleAt(hold.expiry, on_expiry);
+  if (!Enforcing()) return;
+  const auto on_fence = [this, container = holder.id, serial = hold.serial] {
+    if (ContainerState* s = HolderBySerial(container, serial)) {
+      OnFenceDeadline(*s);
+    }
+  };
+  const Time fence_at = hold.expiry + config_.enforcement.fence_grace;
+  sim_->Cancel(hold.fence_event);
+  hold.fence_event =
+      at_handoff ? sim_->ScheduleAfterFixed(fence_at - sim_->Now(), on_fence)
+                 : sim_->ScheduleAt(fence_at, on_fence);
+}
+
+void TokenBackend::EndHold(ContainerState& holder, bool settle, Time now) {
+  const Hold& hold = holder.hold;
+  if (settle) {
     // Hold accounting: total hold time and the slice past the quota
     // deadline (overrun from non-preemptive kernels).
-    state->usage.Stop(now);
-    if (now > state->grant_time) {
-      state->stats.held_total += now - state->grant_time;
+    holder.usage.Stop(now);
+    if (now > holder.grant_time) {
+      holder.stats.held_total += now - holder.grant_time;
     }
     if (!hold.valid && !hold.in_flight && now > hold.expiry) {
-      state->stats.overrun_total += now - hold.expiry;
+      holder.stats.overrun_total += now - hold.expiry;
     }
   }
   sim_->Cancel(hold.expiry_event);
   sim_->Cancel(hold.fence_event);
+  DeviceState& dev = *holder.dev;
   dev.groups_held -= hold.groups;
-  dev.holds.erase(hit);
+  dev.holders.erase(
+      std::find(dev.holders.begin(), dev.holders.end(), &holder));
+  holder.holding = false;
 }
 
-void TokenBackend::OnExpiry(DeviceState& dev, const ContainerId& container) {
-  auto hit = dev.holds.find(container);
-  if (hit == dev.holds.end()) return;
-  hit->second.expiry_event = sim::kInvalidEvent;
-  hit->second.valid = false;
+void TokenBackend::OnExpiry(ContainerState& holder) {
+  holder.hold.expiry_event = sim::kInvalidEvent;
+  holder.hold.valid = false;
   // The holder keeps its groups (and keeps accruing usage) until it
   // releases — its in-flight kernel is non-preemptive.
-  Trace("expire", container, sim_->Now());
-  hit->second.state->client->OnTokenExpired();
+  Trace("expire", holder.id, sim_->Now());
+  holder.client->OnTokenExpired();
 }
 
 void TokenBackend::Restart() {
@@ -410,20 +433,20 @@ void TokenBackend::Restart() {
   // cancelled so nothing from the old incarnation fires into the new one.
   for (auto& [device_id, dev] : devices_) {
     gpu::GpuDevice* d = Enforcing() ? ResolveDevice(device_id) : nullptr;
-    for (const auto& [container, hold] : dev.holds) {
+    for (const ContainerState* holder : dev.holders) {
       // Every outstanding token dies with the daemon: fence the holders'
       // epochs at the device so nothing can submit on a zombie token
       // during the downtime. Grants of the new incarnation admit fresh
       // (still-monotonic) epochs. Per-owner fencing is order-independent,
       // so iterating the unordered device map here is deterministic.
-      if (d != nullptr) d->FenceTokenEpoch(container);
-      sim_->Cancel(hold.expiry_event);
-      sim_->Cancel(hold.fence_event);
+      if (d != nullptr) d->FenceTokenEpoch(holder->id);
+      sim_->Cancel(holder->hold.expiry_event);
+      sim_->Cancel(holder->hold.fence_event);
     }
     sim_->Cancel(dev.reeval_event);
     dev.reeval_event = sim::kInvalidEvent;
     dev.queue.clear();
-    dev.holds.clear();
+    dev.holders.clear();
     dev.groups_held = 0;
   }
   // Registered frontends become reattach candidates: their sockets
@@ -554,25 +577,23 @@ void TokenBackend::ReportUsage(const ContainerId& container, double claimed) {
   }
 }
 
-void TokenBackend::OnFenceDeadline(DeviceState& dev,
-                                   const ContainerId& container) {
-  auto hit = dev.holds.find(container);
-  if (hit == dev.holds.end()) return;
-  hit->second.fence_event = sim::kInvalidEvent;
+void TokenBackend::OnFenceDeadline(ContainerState& holder) {
+  holder.hold.fence_event = sim::kInvalidEvent;
   // A clean release or an ExtendQuota re-arm cancels this timer, so firing
   // with a valid token means a stale deadline — ignore it.
-  if (hit->second.valid || hit->second.in_flight) return;
+  if (holder.hold.valid || holder.hold.in_flight) return;
   // The holder sat on an expired token a full fence_grace past the quota:
   // declare the overstay, fence its epoch at the device (in-flight kernels
   // finish, nothing new is admitted), and reclaim the token so polite
   // waiters stop starving.
   const Time now = sim_->Now();
-  EndHold(dev, hit, hit->second.state, now);
+  DeviceState& dev = *holder.dev;
+  EndHold(holder, /*settle=*/true, now);
   if (gpu::GpuDevice* d = ResolveDevice(dev.id)) {
-    d->FenceTokenEpoch(container);
+    d->FenceTokenEpoch(holder.id);
   }
-  Trace("fence", container, now);
-  RecordViolation(container, ViolationKind::kOverstay);
+  Trace("fence", holder.id, now);
+  RecordViolation(holder.id, ViolationKind::kOverstay);
   TryGrant(dev);
 }
 

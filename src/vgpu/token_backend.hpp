@@ -183,7 +183,9 @@ class TokenClient {
 /// Every deadline the daemon owns (grant hand-off, quota expiry, overstay
 /// fence, throttle re-evaluation, restart downtime) is its own engine
 /// event at its exact microsecond; tests/golden/token_daemon.golden pins
-/// the resulting traces.
+/// the resulting traces. The hand-off, the expiry armed at the hand-off
+/// and the overstay fence always lie a constant delay ahead, so they ride
+/// the engine's fixed-delay lanes (Simulation::ScheduleAfterFixed).
 class TokenBackend {
  public:
   TokenBackend(sim::Simulation* sim, BackendConfig config = {});
@@ -392,6 +394,21 @@ class TokenBackend {
  private:
   struct DeviceState;
 
+  /// One granted token, kept in its holder's ContainerState: the claim on
+  /// the device's SM groups and the deadlines armed for it.
+  struct Hold {
+    /// Numbers the grant that created the hold: a timer completes only the
+    /// hold that scheduled it, never a later hold of the same id.
+    std::uint64_t serial = 0;
+    bool valid = false;      // false while mid-exchange or in overrun
+    bool in_flight = false;  // exchange latency elapsing
+    Time expiry{0};
+    sim::EventId expiry_event = sim::kInvalidEvent;
+    /// Enforcement only: overstay deadline at expiry + fence_grace.
+    sim::EventId fence_event = sim::kInvalidEvent;
+    int groups = 0;  // SM groups the hold occupies
+  };
+
   struct ContainerState {
     ContainerState(ContainerId id, DeviceState* dev, Duration window)
         : id(std::move(id)), dev(dev), usage(window) {}
@@ -403,6 +420,10 @@ class TokenBackend {
     TokenClient* client = nullptr;
     SlidingWindowUsage usage;
     bool queued = false;
+    /// True while the container holds a token (valid, in overrun or
+    /// mid-exchange); `hold` describes it.
+    bool holding = false;
+    Hold hold;
     std::uint64_t enqueue_seq = 0;  // FIFO tie-break
     Time grant_time{0};             // of the current hold
     ContainerStats stats;
@@ -411,28 +432,13 @@ class TokenBackend {
     std::optional<double> claimed_usage;
   };
 
-  /// One granted token: the holder's claim on the device's SM groups.
-  struct Hold {
-    /// The holder. A hold ends before its container is unregistered, so
-    /// the pointer is valid for the hold's lifetime.
-    ContainerState* state = nullptr;
-    /// Numbers the grant that created the hold: a hand-off completes only
-    /// the hold that scheduled it, never a later hold of the same id.
-    std::uint64_t serial = 0;
-    bool valid = false;      // false while mid-exchange or in overrun
-    bool in_flight = false;  // exchange latency elapsing
-    Time expiry{0};
-    sim::EventId expiry_event = sim::kInvalidEvent;
-    /// Enforcement only: overstay deadline at expiry + fence_grace.
-    sim::EventId fence_event = sim::kInvalidEvent;
-    int groups = 0;  // SM groups the hold occupies
-  };
-
   struct DeviceState {
     GpuUuid id;
     std::deque<ContainerState*> queue;
-    /// ContainerId-sorted for deterministic iteration.
-    std::map<ContainerId, Hold> holds;
+    /// Containers holding this device's tokens, in grant order. A hold
+    /// ends before its container is unregistered, so the pointers stay
+    /// valid while listed.
+    std::vector<ContainerState*> holders;
     int groups_held = 0;
     sim::EventId reeval_event = sim::kInvalidEvent;
   };
@@ -448,12 +454,20 @@ class TokenBackend {
   /// TQ quantum while the thrash detector has the device in rotation and
   /// the hold is exclusive, the normal quota otherwise.
   Duration GrantQuotaFor(const GpuUuid& device_id, int groups);
-  void ArmExpiry(DeviceState& dev, Hold& hold);
-  void OnExpiry(DeviceState& dev, const ContainerId& container);
-  /// Drops a hold: cancels its timers and frees its SM groups. The
-  /// container's hold accounting (held / overrun time) is settled first.
-  void EndHold(DeviceState& dev, std::map<ContainerId, Hold>::iterator hit,
-               ContainerState* state, Time now);
+  /// The holder of the hold numbered `serial`, looked up by id: nullptr
+  /// once that hold has ended, even if the id holds a later one.
+  ContainerState* HolderBySerial(const ContainerId& container,
+                                 std::uint64_t serial);
+  /// Arms the hold's quota expiry and, under enforcement, its overstay
+  /// fence. At the hand-off both lie a constant delay ahead (the quota, and
+  /// the quota plus fence_grace), so they ride fixed-delay lanes; an
+  /// ExtendQuota re-arm moves the deadline and goes on the heap.
+  void ArmExpiry(ContainerState& holder, bool at_handoff);
+  void OnExpiry(ContainerState& holder);
+  /// Drops a hold: cancels its timers and frees its SM groups. With
+  /// `settle`, the container's hold accounting (held / overrun time) is
+  /// settled first.
+  void EndHold(ContainerState& holder, bool settle, Time now);
   void ScheduleReeval(DeviceState& dev);
   void CancelIdleReeval(DeviceState& dev);
   void Trace(const char* what, const ContainerId& container, Time when) {
@@ -470,7 +484,7 @@ class TokenBackend {
   double SchedulingUsage(const ContainerState& state, Time now) const;
   double EffectiveLimit(const ContainerState& state) const;
   double EffectiveRequest(const ContainerState& state) const;
-  void OnFenceDeadline(DeviceState& dev, const ContainerId& container);
+  void OnFenceDeadline(ContainerState& holder);
 
   /// What the daemon needs to re-admit a surviving frontend after a
   /// restart. Keyed by a sorted map so reattach order is deterministic.

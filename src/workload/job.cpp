@@ -215,7 +215,7 @@ void RequestServerJob::Stop() {
   if (was_up && lifecycle_) lifecycle_(this, false);
 }
 
-bool RequestServerJob::Submit(Time arrival, ServedFn on_served) {
+bool RequestServerJob::Submit(Time arrival) {
   if (!up_ || stopped_ || api_ == nullptr) return false;
   gpu::KernelDesc kernel;
   kernel.nominal_duration = spec_.kernel_per_request;
@@ -223,14 +223,15 @@ bool RequestServerJob::Submit(Time arrival, ServedFn on_served) {
   kernel.sm_demand = spec_.sm_demand;
   kernel.name = "serve";
   ++inflight_;
-  // One kernel per request, as in InferenceJob.
-  const cuda::CudaResult r = api_->LaunchKernel(
-      kernel, cuda::kDefaultStream,
-      [this, arrival, fn = std::move(on_served)] {
+  // One kernel per request, as in InferenceJob. The completion captures
+  // only what fits std::function's inline buffer, so a request costs no
+  // callback allocation.
+  const cuda::CudaResult r =
+      api_->LaunchKernel(kernel, cuda::kDefaultStream, [this, arrival] {
         if (stopped_) return;
         --inflight_;
         ++served_;
-        if (fn) fn(arrival, api_->Now());
+        if (served_fn_) served_fn_(arrival, api_->Now());
       });
   if (r != cuda::CudaResult::kSuccess) {
     --inflight_;

@@ -216,10 +216,15 @@ class RequestServerJob final : public Job {
   void Start(cuda::CudaApi* api, sim::Simulation* sim, DoneFn done) override;
   void Stop() override;
 
+  /// Where served requests are reported: set once per replica by the
+  /// frontend that feeds it, and cleared (null) when that frontend goes
+  /// away. Requests retiring without one are counted here only.
+  void SetServedFn(ServedFn fn) { served_fn_ = std::move(fn); }
+
   /// Enqueues one request (one forward-propagation kernel). Returns false
   /// if the replica is not up — the caller keeps ownership of the request
   /// and must re-dispatch or account for it.
-  bool Submit(Time arrival, ServedFn on_served);
+  bool Submit(Time arrival);
 
   bool up() const { return up_; }
   std::uint64_t served() const { return served_; }
@@ -229,6 +234,7 @@ class RequestServerJob final : public Job {
  private:
   RequestServerSpec spec_;
   LifecycleFn lifecycle_;
+  ServedFn served_fn_;
   cuda::CudaApi* api_ = nullptr;
   DoneFn done_;
   bool stopped_ = false;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "k8s/cluster.hpp"
 #include "kubeshare/autoscaler.hpp"
 #include "kubeshare/replicaset.hpp"
@@ -79,6 +80,37 @@ TEST(ThinningSequenceTest, StrictlyIncreasingAndRateAccurate) {
   }
   // 200 rps over 100s = 20000 expected; Poisson sd ~141. 10 sds of slack.
   EXPECT_NEAR(static_cast<double>(n), 20000.0, 1400.0);
+}
+
+TEST(ThinningSequenceTest, SegmentCursorMatchesTheEnvelopeLookup) {
+  // The same thinning written with RateEnvelope::RateAt's binary search:
+  // the sequence's segment cursor must accept exactly the same candidates,
+  // across the flash crowd's ramps and across many wraps of a short
+  // diurnal period.
+  const RateEnvelope envelopes[] = {
+      RateEnvelope::FlashCrowd(30.0, 200.0, Seconds(4.0), Seconds(1.0),
+                               Seconds(3.0)),
+      RateEnvelope::Diurnal(20.0, 180.0, Seconds(2.0), /*steps=*/7),
+  };
+  for (const RateEnvelope& env : envelopes) {
+    ThinningSequence seq(env, /*seed=*/23);
+    Rng rng(23);
+    const double max_rate = env.max_rate_hz();
+    const Duration mean = Seconds(1.0 / max_rate);
+    Time cursor{0};
+    for (int i = 0; i < 5000; ++i) {
+      Time want{0};
+      for (;;) {
+        cursor += rng.ExponentialInterarrival(mean);
+        if (rng.Uniform(0.0, 1.0) * max_rate < env.RateAt(cursor)) {
+          want = cursor;
+          break;
+        }
+      }
+      ASSERT_EQ(seq.Next(), want) << "arrival " << i;
+    }
+    EXPECT_GT(cursor, Seconds(20.0));  // many diurnal periods covered
+  }
 }
 
 TEST(BatchedArrivalStreamTest, BatchesMatchReferenceArrivalsExactly) {
@@ -278,6 +310,72 @@ TEST(ServiceFrontendTest, ScaleToZeroLosesOnlyInflight) {
   EXPECT_GT(frontend.lost(), 0u);
   EXPECT_EQ(frontend.arrived(), frontend.served() + frontend.lost());
   EXPECT_TRUE(frontend.Drained());
+}
+
+TEST(ServiceFrontendTest, DestroyedWithRequestsInFlightLeavesEngineSafe) {
+  k8s::ClusterConfig config;
+  config.nodes = 1;
+  config.gpus_per_node = 2;
+  Harness h(config);
+
+  ServiceConfig cfg = SmallService();
+  cfg.envelope = RateEnvelope::Steady(150.0);
+  cfg.until = Seconds(20.0);
+  cfg.replica.kernel_per_request = Millis(40);  // builds a backlog
+  kubeshare::SharePodReplicaSet rs(&h.kubeshare, h.ReplicaSpec("svc", 2));
+  auto frontend = std::make_unique<ServiceFrontend>(&h.cluster, &h.host, cfg);
+  rs.SetReplicaHook(frontend->MakeReplicaHook());
+  ASSERT_TRUE(rs.Start().ok());
+  frontend->Start();
+  h.AwaitReplicas(*frontend, 2);
+  if (testing::Test::HasFatalFailure()) return;
+  h.cluster.sim().RunUntil(h.cluster.sim().Now() + Seconds(1.0));
+  ASSERT_GT(frontend->arrived(), frontend->served());  // requests in flight
+
+  // The replicas keep serving the queued requests after their frontend is
+  // gone; their served callbacks must not reach it. Scaling afterwards
+  // starts and stops replicas whose hook outlived the frontend.
+  frontend.reset();
+  h.cluster.sim().RunUntil(h.cluster.sim().Now() + Seconds(10.0));
+  rs.Scale(3);
+  h.cluster.sim().RunUntil(h.cluster.sim().Now() + Seconds(10.0));
+  rs.Scale(0);
+  h.cluster.sim().RunUntil(h.cluster.sim().Now() + Seconds(10.0));
+  EXPECT_EQ(h.host.RunningKubeShareJobs().size(), 0u);
+}
+
+TEST(ServiceFrontendTest, StartAfterStopResumesTheArrivalSequence) {
+  k8s::ClusterConfig config;
+  config.nodes = 1;
+  config.gpus_per_node = 1;
+  Harness h(config);
+
+  // No replicas: every arrival is traced and buffered, nothing is served.
+  ServiceConfig cfg = SmallService();
+  cfg.until = Seconds(30.0);
+  ServiceFrontend frontend(&h.cluster, &h.host, cfg);
+  std::vector<Time> arrivals;
+  frontend.SetTraceFn(
+      [&](const char* what, Time arrival, Time, const std::string&) {
+        if (std::string(what) == "arrive") arrivals.push_back(arrival);
+      });
+  frontend.Start();
+  h.cluster.sim().RunUntil(Seconds(5.0));
+  frontend.Stop();
+  h.cluster.sim().RunUntil(Seconds(10.0));
+  frontend.Start();
+  frontend.Start();  // already running: a no-op
+  h.cluster.sim().RunUntil(Seconds(15.0));
+
+  // The uninterrupted sequence of the same envelope and seed, minus what
+  // fell while the generator was stopped: nothing is replayed from t=0.
+  ThinningSequence seq(cfg.envelope, cfg.seed);
+  std::vector<Time> want;
+  for (Time t = seq.Next(); t <= Seconds(15.0); t = seq.Next()) {
+    if (t <= Seconds(5.0) || t >= Seconds(10.0)) want.push_back(t);
+  }
+  EXPECT_EQ(arrivals, want);
+  EXPECT_EQ(frontend.arrived(), want.size());
 }
 
 TEST(ServiceFrontendTest, AdmissionShedPolicyShedsUnderOverload) {
