@@ -37,7 +37,7 @@ LifecycleResult RunBursty(kubeshare::PoolPolicy policy) {
   (void)cluster.Start();
   (void)kubeshare.Start();
 
-  metrics::PeriodicSampler held(&cluster.sim(), Seconds(1), [&] {
+  metrics::PeriodicSampler held(cluster.tick_hub(), Seconds(1), [&] {
     return static_cast<double>(kubeshare.pool().size());
   });
   held.Start();

@@ -21,20 +21,17 @@ namespace ks::k8s {
 class ApiServer {
  public:
   /// Every store on this apiserver delivers watch events through one shared
-  /// hub, which coalesces same-time deliveries into one engine event (see
-  /// WatchFanout). Extension stores that can interleave deliveries with the
-  /// built-in kinds (KubeShare's sharePod store) must join the same hub via
-  /// watch_hub().
+  /// hub, which runs same-time deliveries from one engine event in enqueue
+  /// order (see WatchHub). Extension stores that can interleave deliveries
+  /// with the built-in kinds (KubeShare's sharePod store) must join the same
+  /// hub via watch_hub().
   explicit ApiServer(sim::Simulation* sim, LatencyModel latency = {})
       : sim_(sim),
         latency_(latency),
         watch_hub_(sim),
-        pods_(sim, latency.watch_propagation, WatchFanout::kBatched,
-              &watch_hub_),
-        nodes_(sim, latency.watch_propagation, WatchFanout::kBatched,
-               &watch_hub_),
-        leases_(sim, latency.watch_propagation, WatchFanout::kBatched,
-                &watch_hub_),
+        pods_(sim, latency.watch_propagation, &watch_hub_),
+        nodes_(sim, latency.watch_propagation, &watch_hub_),
+        leases_(sim, latency.watch_propagation, &watch_hub_),
         events_(sim) {}
 
   ObjectStore<Pod>& pods() { return pods_; }
@@ -50,8 +47,8 @@ class ApiServer {
   const LatencyModel& latency() const { return latency_; }
 
   /// The delivery hub shared by every store on this apiserver. Extension
-  /// stores pass this to their ObjectStore constructor so cross-store
-  /// same-time deliveries keep the unbatched path's exact order.
+  /// stores pass this to their ObjectStore constructor so same-time
+  /// deliveries across stores run in the order they were written.
   WatchHub& watch_hub() { return watch_hub_; }
   const WatchHub& watch_hub() const { return watch_hub_; }
 

@@ -86,7 +86,7 @@ class Cluster {
   ApiServer& api() { return *api_; }
   KubeScheduler& scheduler() { return *scheduler_; }
   gpu::NvmlMonitor& nvml() { return *nvml_; }
-  /// Shared 1 ms sampler tick the NVML poll and every pull-mode instrument
+  /// Shared 1 ms sampler tick the NVML poll and every periodic instrument
   /// multiplex onto.
   sim::TickHub* tick_hub() { return &tick_hub_; }
   const ClusterConfig& config() const { return config_; }

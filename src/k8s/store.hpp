@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,25 +25,15 @@ struct WatchEvent {
 using WatchId = std::uint64_t;
 using ObserverId = std::uint64_t;
 
-/// Watch notification delivery strategy.
+/// Delivery scheduler for watch events. Every store enqueues its watch
+/// deliveries on a hub; stores whose deliveries can fall on the same virtual
+/// time share one (the ApiServer's built-in stores and KubeShare's sharePod
+/// store do), so one order holds across them.
 ///
-/// kUnbatched is the original path: every (event, watcher) pair gets its own
-/// engine event at now + notify_latency. At 100k sharePods the fan-out
-/// dominates the engine — events × watchers heap pushes per sync window.
-///
-/// kBatched coalesces deliveries through a WatchHub: all deliveries landing
-/// on the same virtual time share ONE engine event, executed in exactly the
-/// order the unbatched path would have run them (the hub preserves enqueue
-/// order, and enqueue order equals the legacy schedule order). Delivery
-/// times and watcher-visible ordering are identical by construction — only
-/// the engine event count drops.
-enum class WatchFanout { kUnbatched, kBatched };
-
-/// Shared delivery scheduler for batched watch fan-out. One hub serves all
-/// stores that can interleave deliveries at the same virtual time (the
-/// ApiServer's built-in stores and KubeShare's sharePod store share one);
-/// per-time batching across stores is what keeps cross-store delivery order
-/// byte-identical to the unbatched path.
+/// Contract: deliveries due at one instant run in enqueue order from one
+/// engine event, and a delivery that a flush enqueues for its own instant
+/// (a zero-latency cascade) arms a fresh event at that instant, which the
+/// engine runs after the current one.
 class WatchHub {
  public:
   explicit WatchHub(sim::Simulation* sim) : sim_(sim) {}
@@ -52,11 +43,8 @@ class WatchHub {
 
   /// Enqueues a delivery closure for absolute time `at`. The first closure
   /// for a given time arms one engine event; later closures for the same
-  /// time ride it. Closures enqueued *during* a flush for the same time
-  /// (zero-latency cascades) arm a fresh event, which the engine runs after
-  /// the current one — the same FIFO order the unbatched path yields.
+  /// time ride it.
   void Enqueue(Time at, std::function<void()> fn) {
-    ++deliveries_;
     auto [it, fresh] = pending_.try_emplace(at);
     it->second.push_back(std::move(fn));
     if (fresh) {
@@ -65,11 +53,9 @@ class WatchHub {
     }
   }
 
-  /// Engine events actually armed (one per distinct delivery time).
+  /// Engine events armed: one per delivery instant, plus one per
+  /// same-instant cascade.
   std::uint64_t batches() const { return batches_; }
-  /// Individual (event, watcher) deliveries carried — what the engine event
-  /// count would have been unbatched.
-  std::uint64_t deliveries() const { return deliveries_; }
 
  private:
   void Flush(Time at) {
@@ -81,7 +67,6 @@ class WatchHub {
   sim::Simulation* sim_;
   std::map<Time, std::vector<std::function<void()>>> pending_;
   std::uint64_t batches_ = 0;
-  std::uint64_t deliveries_ = 0;
 };
 
 /// Write-fencing gate shared by a store's mutating operations. A leader
@@ -118,6 +103,11 @@ class FencingGate {
 /// through the event queue after a small propagation latency, never
 /// synchronously, mirroring how real controllers see a delayed cache).
 ///
+/// Watch contract: each watcher a write selects gets it at write time +
+/// notify latency, in write order with the store's other writes. When the
+/// latency drops, a delivery waits for the store's last scheduled one, so a
+/// stream never overtakes itself.
+///
 /// Every API object kind gets its own store; adding a custom resource kind
 /// (KubeShare's sharePod) is just instantiating another store — the
 /// "operator pattern" needs no apiserver change.
@@ -130,18 +120,15 @@ class ObjectStore {
   using WatchSelector = std::function<bool(const T&)>;
   using ObserveFn = std::function<void(const T* before, const T* after)>;
 
-  /// `fanout` selects the delivery path; kBatched coalesces same-time
-  /// deliveries through `hub`. Stores whose deliveries can interleave at
-  /// the same virtual time must share one hub to keep cross-store order
-  /// identical to the unbatched path; a null hub under kBatched gets a
-  /// private one (fine for a store alone on its engine, as in most tests).
+  /// Deliveries ride `hub`. Stores whose deliveries can fall on the same
+  /// virtual time share one hub, which keeps one order across them; a null
+  /// hub gets a private one (fine for a store alone on its engine, as in
+  /// most tests).
   explicit ObjectStore(sim::Simulation* sim,
                        Duration notify_latency = Millis(1),
-                       WatchFanout fanout = WatchFanout::kUnbatched,
                        WatchHub* hub = nullptr)
-      : sim_(sim), notify_latency_(notify_latency), fanout_(fanout),
-        hub_(hub) {
-    if (fanout_ == WatchFanout::kBatched && hub_ == nullptr) {
+      : sim_(sim), notify_latency_(notify_latency), hub_(hub) {
+    if (hub_ == nullptr) {
       owned_hub_ = std::make_unique<WatchHub>(sim);
       hub_ = owned_hub_.get();
     }
@@ -265,7 +252,7 @@ class ObjectStore {
   /// A `selector` scopes the watch server-side, as a field selector such as
   /// spec.nodeName does: it is evaluated once per event on the event's
   /// object, and an event it rejects costs this watcher nothing — no
-  /// delivery, no engine or hub slot.
+  /// delivery, no hub slot.
   ///
   /// Every watcher a write selects is handed the same immutable event; a
   /// watcher that keeps the object past its callback copies it.
@@ -305,8 +292,8 @@ class ObjectStore {
 
   /// Fault injection: overrides the watch-notification latency (an
   /// apiserver latency spike degrades every informer downstream). The
-  /// change applies to notifications issued after the call; in-flight
-  /// deliveries keep the latency they were scheduled with.
+  /// change applies to notifications sent after the call; after a drop,
+  /// they wait for the last in-flight delivery (see the watch contract).
   void SetNotifyLatency(Duration latency) { notify_latency_ = latency; }
   Duration notify_latency() const { return notify_latency_; }
 
@@ -321,20 +308,12 @@ class ObjectStore {
   /// Optimistic-concurrency rejections issued by Update/Delete.
   std::uint64_t update_conflicts() const { return update_conflicts_; }
 
-  WatchFanout fanout() const { return fanout_; }
-  /// The hub carrying this store's batched deliveries (null when
-  /// unbatched). Shared hubs aggregate across every store wired to them.
+  /// The hub carrying this store's deliveries. Shared hubs aggregate
+  /// across every store wired to them.
   WatchHub* watch_hub() { return hub_; }
 
-  /// Individual (event, selected watcher) deliveries issued by this store —
-  /// the engine-event count the unbatched path would have spent. Counted in
-  /// both modes, so batched-vs-unbatched comparisons share a denominator.
+  /// Individual (event, selected watcher) deliveries this store has made.
   std::uint64_t watch_deliveries() const { return watch_deliveries_; }
-  /// Engine events this store actually armed for fan-out (unbatched mode
-  /// only; in batched mode the shared hub's batches() is the analogue).
-  std::uint64_t unbatched_fanout_events() const {
-    return unbatched_fanout_events_;
-  }
 
   FencingGate& fencing() { return fencing_; }
   const FencingGate& fencing() const { return fencing_; }
@@ -368,34 +347,25 @@ class ObjectStore {
     for (const WatchId id : ids) Deliver(id, shared);
   }
 
-  /// One (event, watcher) delivery at now + notify_latency. Both fan-out
-  /// modes run the same closure at the same virtual time; they differ only
-  /// in whether the closure gets a private engine event or rides the hub's
-  /// per-time batch. Enqueue order equals legacy schedule order, so the
-  /// watcher-visible sequence is identical across modes.
+  /// One (event, watcher) delivery. Clamping to the last delivery time keeps
+  /// the watch contract when the latency drops, because the hub runs
+  /// same-instant deliveries in enqueue order.
   void Deliver(WatchId id, std::shared_ptr<const WatchEvent<T>> event) {
     ++watch_deliveries_;
-    const Time at = sim_->Now() + notify_latency_;
-    auto closure = [this, id, event = std::move(event)] {
+    last_delivery_ = std::max(last_delivery_, sim_->Now() + notify_latency_);
+    hub_->Enqueue(last_delivery_, [this, id, event = std::move(event)] {
       auto it = watchers_.find(id);
       if (it == watchers_.end()) return;
       it->second.fn(*event);
-    };
-    if (fanout_ == WatchFanout::kBatched) {
-      hub_->Enqueue(at, std::move(closure));
-    } else {
-      ++unbatched_fanout_events_;
-      sim_->ScheduleAt(at, std::move(closure));
-    }
+    });
   }
 
   sim::Simulation* sim_;
   Duration notify_latency_;
-  WatchFanout fanout_;
   WatchHub* hub_ = nullptr;
   std::unique_ptr<WatchHub> owned_hub_;
+  Time last_delivery_ = kTimeZero;
   std::uint64_t watch_deliveries_ = 0;
-  std::uint64_t unbatched_fanout_events_ = 0;
 
   struct Watcher {
     WatchFn fn;

@@ -12,10 +12,9 @@ KubeShare::KubeShare(k8s::Cluster* cluster, KubeShareConfig config)
       config_(config),
       // The sharePod store joins the apiserver's delivery hub: its watch
       // events interleave with pod/node events at the same virtual times,
-      // and sharing the hub is what keeps that order byte-identical to the
-      // unbatched path.
+      // and one hub runs them in the order they were written.
       sharepods_(&cluster->sim(), cluster->api().latency().watch_propagation,
-                 k8s::WatchFanout::kBatched, &cluster->api().watch_hub()) {
+                 &cluster->api().watch_hub()) {
   const vgpu::OversubscriptionConfig& oversub = cluster_->config().oversub;
   pool_.set_memory_overcommit(oversub.enabled,
                               oversub.swap.oversubscription_factor);

@@ -5,17 +5,9 @@
 
 namespace ks::metrics {
 
-PeriodicSampler::PeriodicSampler(sim::Simulation* sim, Duration period,
-                                 Probe probe)
-    : sim_(sim), period_(period), probe_(std::move(probe)) {
-  assert(sim_ != nullptr);
-  assert(period_.count() > 0);
-  assert(probe_);
-}
-
 PeriodicSampler::PeriodicSampler(sim::TickHub* hub, Duration period,
                                  Probe probe)
-    : sim_(hub->sim()), hub_(hub), period_(period), probe_(std::move(probe)) {
+    : hub_(hub), period_(period), probe_(std::move(probe)) {
   assert(period_.count() > 0);
   assert(probe_);
 }
@@ -23,33 +15,16 @@ PeriodicSampler::PeriodicSampler(sim::TickHub* hub, Duration period,
 PeriodicSampler::~PeriodicSampler() { Stop(); }
 
 void PeriodicSampler::Start() {
-  if (running_) return;
-  running_ = true;
-  if (hub_ != nullptr) {
-    sub_ = hub_->Subscribe(period_, [this] { Tick(); });
-  } else {
-    event_ = sim_->ScheduleAfter(period_, [this] { Tick(); });
-  }
+  if (sub_ != 0) return;
+  sub_ = hub_->Subscribe(period_, [this] {
+    series_.push_back({hub_->sim()->Now(), probe_()});
+  });
 }
 
 void PeriodicSampler::Stop() {
-  if (!running_) return;
-  running_ = false;
-  if (hub_ != nullptr) {
-    hub_->Unsubscribe(sub_);
-    sub_ = 0;
-  } else {
-    sim_->Cancel(event_);
-    event_ = sim::kInvalidEvent;
-  }
-}
-
-void PeriodicSampler::Tick() {
-  series_.push_back({sim_->Now(), probe_()});
-  // In pull mode the hub re-arms; push mode self-reschedules.
-  if (hub_ == nullptr && running_) {
-    event_ = sim_->ScheduleAfter(period_, [this] { Tick(); });
-  }
+  if (sub_ == 0) return;
+  hub_->Unsubscribe(sub_);
+  sub_ = 0;
 }
 
 double PeriodicSampler::MaxValue() const {

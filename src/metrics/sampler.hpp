@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "sim/simulation.hpp"
 #include "sim/tick_hub.hpp"
 
 namespace ks::metrics {
@@ -12,23 +11,15 @@ namespace ks::metrics {
 /// Periodically samples a scalar (pool size, active GPUs, queue depth, ...)
 /// into a time series — the generic instrument behind the Fig 9 timelines.
 ///
-/// Two sampling modes:
-///  - push (reference): the sampler keeps a private self-rescheduling
-///    engine event — one event per sample. This is the original behaviour,
-///    kept as the oracle for the pull mode.
-///  - pull: the sampler subscribes to a shared sim::TickHub, so all
-///    instruments on a hub multiplex onto (at most) one armed engine
-///    event. Probes are read-only, so samples are byte-identical to push
-///    mode whenever the period sits on the hub's grid
-///    (tests/metrics/sampler_pull_test.cpp locks this in).
+/// The sampler subscribes to a shared sim::TickHub, so all instruments on a
+/// hub multiplex onto (at most) one armed engine event. It samples at exact
+/// multiples of its period from Start() whenever the period sits on the
+/// hub's grid (a granularity-0 hub is exact to the microsecond). Probes must
+/// be read-only: a sampler then leaves the run it watches unchanged.
 class PeriodicSampler {
  public:
   using Probe = std::function<double()>;
 
-  /// Push mode (reference): one engine event per sample.
-  PeriodicSampler(sim::Simulation* sim, Duration period, Probe probe);
-
-  /// Pull mode: rides `hub`'s shared tick.
   PeriodicSampler(sim::TickHub* hub, Duration period, Probe probe);
 
   ~PeriodicSampler();
@@ -48,15 +39,10 @@ class PeriodicSampler {
   double MeanValue() const;
 
  private:
-  void Tick();
-
-  sim::Simulation* sim_;
-  sim::TickHub* hub_ = nullptr;
+  sim::TickHub* hub_;
   Duration period_;
   Probe probe_;
-  bool running_ = false;
-  sim::EventId event_ = sim::kInvalidEvent;
-  sim::TickHub::SubId sub_ = 0;
+  sim::TickHub::SubId sub_ = 0;  // 0: stopped
   std::vector<Sample> series_;
 };
 

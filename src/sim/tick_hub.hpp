@@ -10,20 +10,17 @@
 
 namespace ks::sim {
 
-/// Repeating-callback multiplexer: the "single shared sampler tick". Every
-/// periodic instrument (metrics samplers, the NVML poller) used to keep a
-/// private self-rescheduling event — one engine event per sample per
-/// instrument. A TickHub subscription instead rides the hub: deadlines are
-/// rounded up to the hub's `granularity` grid, subscribers due at the same
-/// grid instant fire from one engine event, and the hub keeps at most one
-/// event armed — at the earliest due instant — no matter how many
-/// instruments it carries.
+/// Repeating-callback multiplexer: the "single shared sampler tick" that
+/// every periodic instrument (metrics samplers, the NVML poller, the SLO
+/// autoscaler) rides. Deadlines are rounded up to the hub's `granularity`
+/// grid, subscribers due at the same grid instant fire from one engine
+/// event, and the hub keeps at most one event armed — at the earliest due
+/// instant — no matter how many instruments it carries.
 ///
 /// Each subscription fires at exact multiples of its period from the
 /// subscription time (next_due advances by period, never from the fire
-/// time), so a pull-mode sampler records byte-identical timestamps to the
-/// push-mode one whenever its period sits on the hub's grid. Subscribers
-/// sharing an instant fire in (due time, arming order) order.
+/// time) whenever its period sits on the hub's grid. Subscribers sharing an
+/// instant fire in (due time, arming order) order.
 class TickHub {
  public:
   using SubId = std::uint64_t;

@@ -1,13 +1,16 @@
-// Batched watch fan-out (WatchFanout::kBatched + WatchHub): the delivery
-// economy must be invisible to watchers. These tests pin the three claims
-// the scale path rests on: (1) watcher-visible streams are byte-identical
-// to the unbatched path, (2) resource versions inside a batch arrive in
-// store order, and (3) an informer that loses its watch and resyncs ends
-// byte-equal to the store without losing or double-applying an event.
+// Watch delivery through the WatchHub, pinned by explicit sequences: per
+// store, each selected watcher gets every write in write order at write
+// time + latency; deliveries due at one instant on one hub run in enqueue
+// order from one engine event; a delivery that a flush enqueues for its own
+// instant arms a fresh event; and an informer that loses its watch and
+// resyncs ends byte-equal to the store without losing or double-applying
+// an event.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,10 +21,18 @@
 namespace ks::k8s {
 namespace {
 
+using Lines = std::vector<std::string>;
+
 Pod MakePod(const std::string& name) {
   Pod p;
   p.meta.name = name;
   return p;
+}
+
+Node MakeNode(const std::string& name) {
+  Node n;
+  n.meta.name = name;
+  return n;
 }
 
 const char* TypeName(WatchEventType type) {
@@ -36,103 +47,157 @@ const char* TypeName(WatchEventType type) {
   return "?";
 }
 
-/// Runs a fixed mutation script against a store in the given fan-out mode
-/// and returns the full watcher-visible trace: every (watcher, event) with
-/// its delivery time and resource version, in execution order.
-struct ScriptResult {
-  std::string trace;
-  std::uint64_t engine_events = 0;  // fan-out events actually armed
-  std::uint64_t deliveries = 0;
-  std::string selected_trace;  // the selector watcher's stream, if any
+/// One delivery as its watcher saw it.
+struct Seen {
+  std::string watcher;
+  std::string line;  // "<type> <name> v<resource version> @<delivery µs>"
+  std::int64_t at_us = 0;
+  std::uint64_t engine_event = 0;  // sim.executed() while it ran
 };
 
-ScriptResult RunScript(WatchFanout fanout, bool selector_watcher = false) {
-  sim::Simulation sim;
-  ObjectStore<Pod> store(&sim, Millis(1), fanout);
-  ScriptResult out;
+struct ScriptRun {
+  std::vector<Seen> seen;  // execution order
+  std::uint64_t hub_batches = 0;
+  std::uint64_t deliveries = 0;  // both stores
 
-  auto watcher = [&](const char* tag, std::string* trace) {
-    return [&, tag, trace](const WatchEvent<Pod>& ev) {
-      *trace += tag;
-      *trace += TypeName(ev.type);
-      *trace += " " + ev.object.meta.name + " v" +
-                std::to_string(ev.object.meta.resource_version) + " @" +
-                std::to_string(sim.Now().count()) + "\n";
+  Lines Log(const std::string& watcher) const {
+    Lines out;
+    for (const Seen& s : seen) {
+      if (s.watcher == watcher) out.push_back(s.line);
+    }
+    return out;
+  }
+
+  /// The watchers served at one instant, in execution order.
+  std::string WatchersAt(std::int64_t at_us) const {
+    std::string out;
+    for (const Seen& s : seen) {
+      if (s.at_us != at_us) continue;
+      if (!out.empty()) out += " ";
+      out += s.watcher;
+    }
+    return out;
+  }
+
+  /// Engine events that carried deliveries, per delivery instant.
+  std::map<std::int64_t, std::size_t> EngineEventsPerInstant() const {
+    std::map<std::int64_t, std::set<std::uint64_t>> events;
+    for (const Seen& s : seen) events[s.at_us].insert(s.engine_event);
+    std::map<std::int64_t, std::size_t> out;
+    for (const auto& [at, ids] : events) out[at] = ids.size();
+    return out;
+  }
+};
+
+/// A pod store and a node store sharing one hub, 1 ms notify latency.
+/// Pod watchers w1 and w2 see everything; `sel` (registered between them)
+/// selects pod-1 and pod-3; `n` watches the nodes. Writes interleave the
+/// two stores: creates at 5 ms, an update, a delete and a node update at
+/// 9 ms, an update and a delete at 20 ms.
+ScriptRun RunScript(bool selector_watcher = true) {
+  sim::Simulation sim;
+  WatchHub hub(&sim);
+  ObjectStore<Pod> pods(&sim, Millis(1), &hub);
+  ObjectStore<Node> nodes(&sim, Millis(1), &hub);
+  ScriptRun out;
+
+  auto log = [&](const char* watcher) {
+    return [&, watcher](const auto& ev) {
+      out.seen.push_back(
+          {watcher,
+           std::string(TypeName(ev.type)) + " " + ev.object.meta.name +
+               " v" + std::to_string(ev.object.meta.resource_version) +
+               " @" + std::to_string(sim.Now().count()),
+           sim.Now().count(), sim.executed()});
     };
   };
-  store.Watch(watcher("w1:", &out.trace));
+  pods.Watch(log("w1"));
   if (selector_watcher) {
-    // Registered between the two plain watchers, so its deliveries would
-    // interleave with theirs in every batch it joins.
-    store.Watch(watcher("sel:", &out.selected_trace), [](const Pod& pod) {
-      return pod.meta.name == "pod-3" || pod.meta.name == "pod-5";
+    pods.Watch(log("sel"), [](const Pod& pod) {
+      return pod.meta.name == "pod-1" || pod.meta.name == "pod-3";
     });
   }
-  store.Watch(watcher("w2:", &out.trace));
+  pods.Watch(log("w2"));
+  nodes.Watch(log("n"));
 
-  // Burst of same-time mutations (the fan-out hot case), then spread-out
-  // ones, then deletes — all three event types, two watchers.
   sim.ScheduleAt(Millis(5), [&] {
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(store.Create(MakePod("pod-" + std::to_string(i))).ok());
-    }
+    ASSERT_TRUE(pods.Create(MakePod("pod-0")).ok());
+    ASSERT_TRUE(nodes.Create(MakeNode("node-a")).ok());
+    ASSERT_TRUE(pods.Create(MakePod("pod-1")).ok());
+    ASSERT_TRUE(pods.Create(MakePod("pod-2")).ok());
+    ASSERT_TRUE(nodes.Create(MakeNode("node-b")).ok());
+    ASSERT_TRUE(pods.Create(MakePod("pod-3")).ok());
   });
   sim.ScheduleAt(Millis(9), [&] {
-    auto pod = store.Get("pod-3");
+    auto pod = pods.Get("pod-1");
     pod->status.phase = PodPhase::kRunning;
-    ASSERT_TRUE(store.Update(*pod).ok());
-    ASSERT_TRUE(store.Delete("pod-5").ok());
+    ASSERT_TRUE(pods.Update(*pod).ok());
+    ASSERT_TRUE(pods.Delete("pod-3").ok());
+    auto node = nodes.Get("node-a");
+    node->ready = false;
+    ASSERT_TRUE(nodes.Update(*node).ok());
   });
   sim.ScheduleAt(Millis(20), [&] {
-    auto pod = store.Get("pod-0");
+    auto pod = pods.Get("pod-0");
     pod->status.phase = PodPhase::kSucceeded;
-    ASSERT_TRUE(store.Update(*pod).ok());
+    ASSERT_TRUE(pods.Update(*pod).ok());
+    ASSERT_TRUE(pods.Delete("pod-2").ok());
   });
   sim.RunUntil(Millis(50));
 
-  out.deliveries = store.watch_deliveries();
-  out.engine_events = fanout == WatchFanout::kBatched
-                          ? store.watch_hub()->batches()
-                          : store.unbatched_fanout_events();
+  out.hub_batches = hub.batches();
+  out.deliveries = pods.watch_deliveries() + nodes.watch_deliveries();
   return out;
 }
 
-TEST(StoreBatch, WatcherStreamByteEqualToUnbatched) {
-  const ScriptResult unbatched = RunScript(WatchFanout::kUnbatched);
-  const ScriptResult batched = RunScript(WatchFanout::kBatched);
-  ASSERT_FALSE(unbatched.trace.empty());
-  EXPECT_EQ(batched.trace, unbatched.trace);
-  EXPECT_EQ(batched.deliveries, unbatched.deliveries);
-  // The economy is real: one engine event per distinct delivery time
-  // instead of one per (event, watcher) pair.
-  EXPECT_EQ(unbatched.engine_events, unbatched.deliveries);
-  EXPECT_LT(batched.engine_events, batched.deliveries);
+TEST(StoreBatch, WatcherStreamsFollowScriptedSequence) {
+  const ScriptRun run = RunScript();
+  const Lines all_pods = {
+      "A pod-0 v1 @6000",  "A pod-1 v2 @6000",  "A pod-2 v3 @6000",
+      "A pod-3 v4 @6000",  "M pod-1 v5 @10000", "D pod-3 v6 @10000",
+      "M pod-0 v7 @21000", "D pod-2 v8 @21000"};
+  EXPECT_EQ(run.Log("w1"), all_pods);
+  EXPECT_EQ(run.Log("w2"), all_pods);
+  EXPECT_EQ(run.Log("sel"), (Lines{"A pod-1 v2 @6000", "A pod-3 v4 @6000",
+                                   "M pod-1 v5 @10000",
+                                   "D pod-3 v6 @10000"}));
+  EXPECT_EQ(run.Log("n"), (Lines{"A node-a v1 @6000", "A node-b v2 @6000",
+                                 "M node-a v3 @10000"}));
+  // 8 pod writes to w1 and w2, 4 to sel, 3 node writes to n: 23 deliveries
+  // on one engine event per instant.
+  EXPECT_EQ(run.deliveries, 23u);
+  EXPECT_EQ(run.EngineEventsPerInstant(),
+            (std::map<std::int64_t, std::size_t>{
+                {6000, 1}, {10000, 1}, {21000, 1}}));
+  EXPECT_EQ(run.hub_batches, 3u);
+}
+
+TEST(StoreBatch, SharedHubPreservesCrossStoreOrder) {
+  // At one instant the hub runs both stores' deliveries in the order they
+  // were enqueued: write order across the stores, then watcher order.
+  const ScriptRun run = RunScript();
+  EXPECT_EQ(run.WatchersAt(6000), "w1 w2 n w1 sel w2 w1 w2 n w1 sel w2");
+  EXPECT_EQ(run.WatchersAt(10000), "w1 sel w2 w1 sel w2 n");
+  EXPECT_EQ(run.WatchersAt(21000), "w1 w2 w1 w2");
 }
 
 TEST(StoreBatch, SelectorWatcherIsInvisibleToOtherWatchers) {
-  for (const WatchFanout fanout :
-       {WatchFanout::kUnbatched, WatchFanout::kBatched}) {
-    const ScriptResult plain = RunScript(fanout);
-    const ScriptResult scoped = RunScript(fanout, /*selector_watcher=*/true);
-    // The selector watcher gets exactly its objects' Added, Modified and
-    // Deleted events...
-    EXPECT_EQ(scoped.selected_trace,
-              "sel:A pod-3 v4 @6000\n"
-              "sel:A pod-5 v6 @6000\n"
-              "sel:M pod-3 v9 @10000\n"
-              "sel:D pod-5 v10 @10000\n");
-    EXPECT_EQ(scoped.deliveries, plain.deliveries + 4);
-    // ...and the plain watchers cannot tell it is there.
-    EXPECT_EQ(scoped.trace, plain.trace);
-    if (fanout == WatchFanout::kBatched) {
-      EXPECT_EQ(scoped.engine_events, plain.engine_events);
-    }
+  const ScriptRun plain = RunScript(/*selector_watcher=*/false);
+  const ScriptRun scoped = RunScript(/*selector_watcher=*/true);
+  EXPECT_TRUE(plain.Log("sel").empty());
+  EXPECT_EQ(scoped.Log("sel").size(), 4u);
+  EXPECT_EQ(scoped.deliveries, plain.deliveries + 4);
+  // The other watchers cannot tell it is there, and it rides the batches
+  // that already exist.
+  for (const char* watcher : {"w1", "w2", "n"}) {
+    EXPECT_EQ(scoped.Log(watcher), plain.Log(watcher)) << watcher;
   }
+  EXPECT_EQ(scoped.hub_batches, plain.hub_batches);
 }
 
 TEST(StoreBatch, ResourceVersionsOrderedWithinBatch) {
   sim::Simulation sim;
-  ObjectStore<Pod> store(&sim, Millis(1), WatchFanout::kBatched);
+  ObjectStore<Pod> store(&sim);
   std::vector<std::uint64_t> versions;
   Time batch_time = kTimeZero;
   store.Watch([&](const WatchEvent<Pod>& ev) {
@@ -153,41 +218,43 @@ TEST(StoreBatch, ResourceVersionsOrderedWithinBatch) {
   }
 }
 
-TEST(StoreBatch, SharedHubPreservesCrossStoreOrder) {
-  // Two stores interleaving same-time mutations: with a shared hub the
-  // combined stream must match the unbatched interleaving exactly.
-  auto run = [](WatchFanout fanout) {
-    sim::Simulation sim;
-    WatchHub hub(&sim);
-    WatchHub* hub_ptr = fanout == WatchFanout::kBatched ? &hub : nullptr;
-    ObjectStore<Pod> pods(&sim, Millis(1), fanout, hub_ptr);
-    ObjectStore<Node> nodes(&sim, Millis(1), fanout, hub_ptr);
-    std::string trace;
-    pods.Watch([&](const WatchEvent<Pod>& ev) {
-      trace += "pod:" + ev.object.meta.name + "\n";
-    });
-    nodes.Watch([&](const WatchEvent<Node>& ev) {
-      trace += "node:" + ev.object.meta.name + "\n";
-    });
-    sim.ScheduleAt(Millis(2), [&] {
-      for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(pods.Create(MakePod("p" + std::to_string(i))).ok());
-        Node n;
-        n.meta.name = "n" + std::to_string(i);
-        ASSERT_TRUE(nodes.Create(std::move(n)).ok());
+TEST(StoreBatch, ZeroLatencyCascadeRunsAfterTheBatchFromASecondEvent) {
+  // At notify latency 0 a watcher that writes inside its callback enqueues
+  // a delivery for the instant being flushed. It runs after the rest of
+  // the current batch, from a fresh engine event at the same microsecond.
+  sim::Simulation sim;
+  ObjectStore<Pod> store(&sim, Duration{0});
+  Lines seen;
+  auto log = [&](const char* watcher) {
+    return [&, watcher](const WatchEvent<Pod>& ev) {
+      seen.push_back(std::string(watcher) + " " + TypeName(ev.type) + " " +
+                     ev.object.meta.name + " @" +
+                     std::to_string(sim.Now().count()) + " e" +
+                     std::to_string(sim.executed()));
+      if (ev.object.meta.name == "a" && ev.type == WatchEventType::kAdded &&
+          std::string(watcher) == "w1") {
+        ASSERT_TRUE(store.Create(MakePod("cascade")).ok());
       }
-    });
-    sim.RunUntil(Millis(10));
-    return trace;
+    };
   };
-  const std::string unbatched = run(WatchFanout::kUnbatched);
-  ASSERT_FALSE(unbatched.empty());
-  EXPECT_EQ(run(WatchFanout::kBatched), unbatched);
+  store.Watch(log("w1"));
+  store.Watch(log("w2"));
+  sim.ScheduleAt(Millis(3), [&] {
+    ASSERT_TRUE(store.Create(MakePod("a")).ok());
+    ASSERT_TRUE(store.Create(MakePod("b")).ok());
+  });
+  sim.RunUntil(Millis(10));
+  // e1 is the scripted write at 3 ms, e2 the batch it enqueued, e3 the
+  // cascade's own event.
+  EXPECT_EQ(seen, (Lines{"w1 A a @3000 e2", "w2 A a @3000 e2",
+                         "w1 A b @3000 e2", "w2 A b @3000 e2",
+                         "w1 A cascade @3000 e3", "w2 A cascade @3000 e3"}));
+  EXPECT_EQ(store.watch_hub()->batches(), 2u);
 }
 
 TEST(StoreBatch, WatcherRegisteredDuringBatchSeesNoDuplicate) {
   sim::Simulation sim;
-  ObjectStore<Pod> store(&sim, Millis(1), WatchFanout::kBatched);
+  ObjectStore<Pod> store(&sim);
   std::map<std::string, int> late_seen;
   int first_events = 0;
   store.Watch([&](const WatchEvent<Pod>&) {
@@ -212,10 +279,10 @@ TEST(StoreBatch, WatcherRegisteredDuringBatchSeesNoDuplicate) {
 // The informer crash/resync invariant the DevMgr path relies on: a watcher
 // that loses its watch (crash), misses mutations, and resyncs by
 // re-watching (the list+watch replay) converges to the store byte-for-byte
-// — nothing lost, nothing applied twice — under batched fan-out.
+// — nothing lost, nothing applied twice.
 TEST(StoreBatch, CrashResyncLosesNothingDuplicatesNothing) {
   sim::Simulation sim;
-  ObjectStore<Pod> store(&sim, Millis(1), WatchFanout::kBatched);
+  ObjectStore<Pod> store(&sim);
 
   // The mirror is version-guarded exactly like DevMgr's: replayed events
   // older than what it already holds are skipped, so a resync replay can
@@ -282,10 +349,10 @@ TEST(StoreBatch, CrashResyncLosesNothingDuplicatesNothing) {
 }
 
 TEST(StoreBatch, DroppedEventsRepairedByResync) {
-  // The apiserver-side loss mode (DropEvents) composed with batching: the
-  // mutation is silently unnotified, and only a relist repairs the mirror.
+  // The apiserver-side loss mode (DropEvents): the mutation is silently
+  // unnotified, and only a relist repairs the mirror.
   sim::Simulation sim;
-  ObjectStore<Pod> store(&sim, Millis(1), WatchFanout::kBatched);
+  ObjectStore<Pod> store(&sim);
   std::map<std::string, std::uint64_t> mirror;
   auto on_event = [&](const WatchEvent<Pod>& ev) {
     if (ev.type == WatchEventType::kDeleted) {

@@ -90,6 +90,27 @@ TEST_F(StoreTest, WatchDeliversEventsAsynchronously) {
   EXPECT_EQ(events[2], WatchEventType::kDeleted);
 }
 
+TEST_F(StoreTest, LatencyDropKeepsWatchStreamInWriteOrder) {
+  // An apiserver latency spike ends while a slow delivery is in flight:
+  // the next write's delivery waits for it instead of overtaking it.
+  std::vector<std::string> seen;
+  store_.Watch([&](const WatchEvent<Pod>& ev) {
+    seen.push_back("v" + std::to_string(ev.object.meta.resource_version) +
+                   "@" + std::to_string(sim_.Now().count()) + "us");
+  });
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  auto update = [&](Duration latency) {
+    store_.SetNotifyLatency(latency);
+    auto pod = store_.Get("a");
+    ASSERT_TRUE(store_.Update(*pod).ok());
+  };
+  sim_.ScheduleAt(Millis(5), [&] { update(Millis(250)); });
+  sim_.ScheduleAt(Millis(10), [&] { update(Millis(1)); });
+  sim_.Run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"v1@1000us", "v2@255000us",
+                                            "v3@255000us"}));
+}
+
 TEST_F(StoreTest, LateWatcherReplaysExistingObjects) {
   store_.Create(MakePod("a"));
   store_.Create(MakePod("b"));

@@ -1,60 +1,72 @@
-// Differential tests for the pull-mode PeriodicSampler: riding the shared
-// sim::TickHub must produce samples byte-equal to the push-mode (one event
-// per sample) reference — first in isolation, then through a full KubeShare
-// workload with a DevMgr crash-and-rebuild in the middle.
+// PeriodicSampler on the shared sim::TickHub, pinned by explicit series:
+// samples land at exact multiples of the period from Start(), instruments
+// of one period share one engine event per instant, and a read-only
+// sampler leaves a full KubeShare run (with a DevMgr crash-and-rebuild in
+// the middle) unchanged.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
 #include "chaos/injector.hpp"
+#include "gpu/nvml.hpp"
 #include "k8s/cluster.hpp"
 #include "kubeshare/kubeshare.hpp"
 #include "metrics/sampler.hpp"
 #include "sim/simulation.hpp"
 #include "sim/tick_hub.hpp"
+#include "support/golden.hpp"
 #include "workload/generator.hpp"
 #include "workload/host.hpp"
 
 namespace ks::metrics {
 namespace {
 
-void ExpectSeriesEqual(const std::vector<PeriodicSampler::Sample>& a,
-                       const std::vector<PeriodicSampler::Sample>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].at, b[i].at) << "sample " << i;
-    EXPECT_EQ(a[i].value, b[i].value) << "sample " << i;  // bit-equal
+using Series = std::vector<PeriodicSampler::Sample>;
+
+void ExpectSeriesEqual(const Series& actual, const Series& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].at, expected[i].at) << "sample " << i;
+    EXPECT_EQ(actual[i].value, expected[i].value) << "sample " << i;
   }
 }
 
-/// Push and pull samplers watching the same mutating value in one
-/// simulation. The value changes strictly between sample instants, so both
-/// modes must record the same timestamps and the same bits.
-TEST(SamplerPull, PullSamplesAreByteEqualToPush) {
+/// A value that changes strictly between sample instants, sampled on the
+/// cluster's 1 ms grid by one sampler started at 0 and one started late.
+TEST(SamplerPull, SamplesFollowScriptedSeries) {
   sim::Simulation sim;
   sim::TickHub hub(&sim, Millis(1));
   double value = 0.0;
-  // Mutations at 50 ms + k*100 ms — never on the 100 ms sample grid.
-  for (int k = 0; k < 40; ++k) {
+  // value = 1/(k+1) from 50 ms + k*100 ms on.
+  for (int k = 0; k < 6; ++k) {
     sim.ScheduleAt(Millis(50 + 100 * k),
                    [&value, k] { value = 1.0 / (1.0 + k); });
   }
 
-  PeriodicSampler push(&sim, Millis(100), [&value] { return value; });
-  PeriodicSampler pull(&hub, Millis(100), [&value] { return value; });
-  push.Start();
-  pull.Start();
-  sim.RunUntil(Seconds(4));
-  push.Stop();
-  pull.Stop();
+  PeriodicSampler early(&hub, Millis(100), [&value] { return value; });
+  PeriodicSampler late(&hub, Millis(150), [&value] { return value; });
+  early.Start();
+  sim.ScheduleAt(Millis(230), [&late] { late.Start(); });
+  sim.RunUntil(Millis(650));
+  early.Stop();
+  late.Stop();
 
-  ASSERT_EQ(push.series().size(), 40u);
-  ExpectSeriesEqual(push.series(), pull.series());
-  EXPECT_EQ(push.MeanValue(), pull.MeanValue());
-  EXPECT_EQ(push.MaxValue(), pull.MaxValue());
+  ExpectSeriesEqual(early.series(), {{Millis(100), 1.0},
+                                     {Millis(200), 1.0 / 2},
+                                     {Millis(300), 1.0 / 3},
+                                     {Millis(400), 1.0 / 4},
+                                     {Millis(500), 1.0 / 5},
+                                     {Millis(600), 1.0 / 6}});
+  ExpectSeriesEqual(late.series(),
+                    {{Millis(380), 1.0 / 4}, {Millis(530), 1.0 / 5}});
+  EXPECT_EQ(early.MaxValue(), 1.0);
+  EXPECT_DOUBLE_EQ(early.MeanValue(),
+                   (1.0 + 1.0 / 2 + 1.0 / 3 + 1.0 / 4 + 1.0 / 5 + 1.0 / 6) /
+                       6);
 }
 
 /// The point of the hub: N same-period instruments share ONE engine event
@@ -97,25 +109,31 @@ TEST(SamplerPull, StopUnsubscribesWithoutDisturbingOthers) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-stack differential: two identical KubeShare runs with a DevMgr crash
-// mid-flight; one watches the cluster with a push-mode sampler, the other
-// with pull-mode instruments on the cluster's shared tick. Probes are
-// read-only, so the runs are bit-deterministic twins and the series must be
-// byte-equal — including across the crash, the rebuild, and the requeues.
+// Full stack: one KubeShare run with a DevMgr crash mid-flight, watched by
+// zero or two samplers on the cluster's shared tick, which also carries the
+// NVML poll. Probes are read-only, so every kernel lifetime, token
+// transition, NVML sample and completion must be the same with and without
+// them.
 
-struct ClusterRunResult {
-  std::vector<PeriodicSampler::Sample> running_pods;
+struct ClusterRun {
+  std::string digests;  // golden::ClusterDigests summary
   std::size_t completed = 0;
   std::uint64_t devmgr_crashes = 0;
+  Series running_pods;
+  double running_pods_max = 0.0;
+  Series co_tenant;
   std::uint64_t hub_fires = 0;
   std::uint64_t hub_ticks = 0;
 };
 
-ClusterRunResult RunClusterWatched(bool pull_mode) {
+ClusterRun RunCluster(bool watched) {
+  golden::ClusterDigests traces;
+  ClusterRun result;
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 4;
   ccfg.gpus_per_node = 2;
   k8s::Cluster cluster(ccfg);
+  traces.Attach(cluster);
   kubeshare::KubeShare kubeshare(&cluster);
   workload::WorkloadHost host(&cluster);
   workload::WorkloadConfig wcfg;
@@ -141,62 +159,64 @@ ClusterRunResult RunClusterWatched(bool pull_mode) {
   EXPECT_TRUE(cluster.Start().ok());
   EXPECT_TRUE(kubeshare.Start().ok());
   EXPECT_TRUE(injector.Arm().ok());
+  cluster.nvml().Start();
   driver.Start();
 
   auto probe = [&cluster] {
     double running = 0.0;
-    for (const k8s::Pod& pod : cluster.api().pods().List()) {
+    cluster.api().pods().ForEach([&running](const k8s::Pod& pod) {
       if (pod.status.phase == k8s::PodPhase::kRunning) running += 1.0;
-    }
+    });
     return running;
   };
   // 1003 ms: on the hub's 1 ms grid but off the second-aligned cadences of
   // the cluster components, so no cluster event shares a sample's instant
   // (first collision at ~1003 s, far past the horizon).
   const Duration period = Millis(1003);
-  std::unique_ptr<PeriodicSampler> sampler;
-  std::unique_ptr<PeriodicSampler> extra;  // pull-only co-tenant
-  if (pull_mode) {
-    sampler = std::make_unique<PeriodicSampler>(cluster.tick_hub(), period,
-                                                probe);
-    extra = std::make_unique<PeriodicSampler>(cluster.tick_hub(), period,
-                                              probe);
-    extra->Start();
-  } else {
-    sampler = std::make_unique<PeriodicSampler>(&cluster.sim(), period,
-                                                probe);
+  PeriodicSampler sampler(cluster.tick_hub(), period, probe);
+  PeriodicSampler co_tenant(cluster.tick_hub(), period, probe);
+  if (watched) {
+    sampler.Start();
+    co_tenant.Start();
   }
-  sampler->Start();
 
   cluster.sim().RunUntil(Seconds(40));
-  sampler->Stop();
+  sampler.Stop();
+  co_tenant.Stop();
+  cluster.nvml().Stop();
 
-  ClusterRunResult result;
-  result.running_pods = sampler->series();
+  traces.AddNvml(cluster);
+  result.digests = traces.str();
   result.completed = host.completed();
   result.devmgr_crashes = injector.stats().devmgr_crashes;
-  if (pull_mode && extra != nullptr) {
-    extra->Stop();
-    // The co-tenant saw the same cluster through the same tick...
-    ExpectSeriesEqual(sampler->series(), extra->series());
-    result.hub_fires = cluster.tick_hub()->fires();
-    result.hub_ticks = cluster.tick_hub()->ticks();
-  }
+  result.running_pods = sampler.series();
+  result.running_pods_max = sampler.MaxValue();
+  result.co_tenant = co_tenant.series();
+  result.hub_fires = cluster.tick_hub()->fires();
+  result.hub_ticks = cluster.tick_hub()->ticks();
   return result;
 }
 
-TEST(SamplerPull, ClusterSeriesByteEqualAcrossDevMgrCrash) {
-  const ClusterRunResult push = RunClusterWatched(/*pull_mode=*/false);
-  const ClusterRunResult pull = RunClusterWatched(/*pull_mode=*/true);
+TEST(SamplerPull, ReadOnlySamplerLeavesClusterRunUnchanged) {
+  const ClusterRun bare = RunCluster(/*watched=*/false);
+  const ClusterRun watched = RunCluster(/*watched=*/true);
 
-  ASSERT_EQ(push.devmgr_crashes, 1u);
-  ASSERT_EQ(pull.devmgr_crashes, 1u);
-  EXPECT_EQ(push.completed, pull.completed);
-  ASSERT_GE(push.running_pods.size(), 30u);
-  ExpectSeriesEqual(push.running_pods, pull.running_pods);
-  // ...and the two pull instruments cost one engine event per instant, not
-  // two: the fires/ticks ratio is exactly the instrument count.
-  EXPECT_EQ(pull.hub_fires, 2 * pull.hub_ticks);
+  ASSERT_EQ(bare.devmgr_crashes, 1u);
+  ASSERT_EQ(watched.devmgr_crashes, 1u);
+  EXPECT_GT(bare.completed, 0u);
+  EXPECT_EQ(watched.completed, bare.completed);
+  EXPECT_EQ(watched.digests, bare.digests);
+
+  // 39 samples at k * 1003 ms up to the 40 s horizon, and the co-tenant
+  // saw the same cluster through the same ticks...
+  ASSERT_EQ(watched.running_pods.size(), 39u);
+  EXPECT_EQ(watched.running_pods.back().at, Millis(39 * 1003));
+  EXPECT_GT(watched.running_pods_max, 0.0);
+  ExpectSeriesEqual(watched.co_tenant, watched.running_pods);
+  // ...at one engine event per instant for both instruments, never on an
+  // NVML tick.
+  EXPECT_EQ(watched.hub_ticks - bare.hub_ticks, 39u);
+  EXPECT_EQ(watched.hub_fires - bare.hub_fires, 2 * 39u);
 }
 
 }  // namespace
