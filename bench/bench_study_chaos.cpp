@@ -48,7 +48,6 @@ ks::bench::RunOptions BaseOptions() {
   opt.workload.gpu_mem = 0.2;
   opt.workload.seed = 7;
   opt.kubeshare.reconcile_period = ks::Seconds(2);
-  opt.kubeshare.requeue_lost_workloads = true;
   opt.horizon = ks::Minutes(30);
   return opt;
 }

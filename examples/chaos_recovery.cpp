@@ -33,7 +33,6 @@ int main() {
 
   kubeshare::KubeShareConfig kcfg;
   kcfg.reconcile_period = Seconds(2);
-  kcfg.requeue_lost_workloads = true;
   kubeshare::KubeShare kubeshare(&cluster, kcfg);
   workload::WorkloadHost host(&cluster);
   if (!cluster.Start().ok() || !kubeshare.Start().ok()) return 1;

@@ -52,47 +52,17 @@ class MemoryOnlyHook final : public cuda::CudaApi {
     return MemAlloc(out, width * height * element_bytes);
   }
 
-  cuda::CudaResult StreamCreate(cuda::StreamId* out) override {
-    return inner_->StreamCreate(out);
-  }
-  cuda::CudaResult StreamDestroy(cuda::StreamId stream) override {
-    return inner_->StreamDestroy(stream);
+  cuda::CudaResult MemPrefetch(std::uint64_t bytes, Duration duration,
+                               cuda::HostFn on_complete) override {
+    return inner_->MemPrefetch(bytes, duration, std::move(on_complete));
   }
   cuda::CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
-                                      cuda::StreamId stream,
                                       cuda::HostFn on_unit) override {
     // No token, no throttling: the Aliyun baseline cannot bound compute.
-    return inner_->LaunchKernelStream(desc, count, stream,
-                                      std::move(on_unit));
+    return inner_->LaunchKernelStream(desc, count, std::move(on_unit));
   }
-  std::size_t CancelPending(cuda::StreamId stream) override {
-    return inner_->CancelPending(stream);
-  }
+  std::size_t CancelPending() override { return inner_->CancelPending(); }
   Time Now() const override { return inner_->Now(); }
-  cuda::CudaResult Synchronize(cuda::HostFn fn) override {
-    return inner_->Synchronize(std::move(fn));
-  }
-  cuda::CudaResult EventCreate(cuda::EventId* out) override {
-    return inner_->EventCreate(out);
-  }
-  cuda::CudaResult EventRecord(cuda::EventId event,
-                               cuda::StreamId stream) override {
-    return inner_->EventRecord(event, stream);
-  }
-  cuda::CudaResult EventQuery(cuda::EventId event) override {
-    return inner_->EventQuery(event);
-  }
-  cuda::CudaResult EventSynchronize(cuda::EventId event,
-                                    cuda::HostFn fn) override {
-    return inner_->EventSynchronize(event, std::move(fn));
-  }
-  cuda::CudaResult EventElapsedTime(Duration* out, cuda::EventId start,
-                                    cuda::EventId end) override {
-    return inner_->EventElapsedTime(out, start, end);
-  }
-  cuda::CudaResult EventDestroy(cuda::EventId event) override {
-    return inner_->EventDestroy(event);
-  }
   std::uint64_t AllocatedBytes() const override { return allocated_; }
   std::size_t PendingKernels() const override {
     return inner_->PendingKernels();

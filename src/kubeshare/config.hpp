@@ -38,10 +38,6 @@ struct KubeShareConfig {
   /// whose terminal workload-pod transition was missed (a dropped watch
   /// event), and adopts scheduled sharePods the watch never delivered.
   Duration reconcile_period = Millis(0);
-  /// Requeue a sharePod through KubeShare-Sched when its workload pod was
-  /// killed by infrastructure failure ("NodeLost" eviction, "OOMKilled")
-  /// instead of marking it Failed. Application failures still fail it.
-  bool requeue_lost_workloads = true;
   /// Run the control plane behind a Lease-based leader election. The
   /// facade campaigns for the "kubeshare-controller" lease and stamps the
   /// won fencing token into every controller write, so a deposed replica's

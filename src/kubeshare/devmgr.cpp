@@ -450,9 +450,8 @@ void KubeShareDevMgr::OnPodEvent(const k8s::WatchEvent<k8s::Pod>& event) {
     if (pod.status.phase == k8s::PodPhase::kRunning) {
       ActivateVgpuFromPod(vgpu, pod);
     } else if (pod.status.phase == k8s::PodPhase::kFailed) {
-      if (config_.requeue_lost_workloads &&
-          (pod.status.message == "NodeLost" ||
-           pod.status.message == "OOMKilled")) {
+      if (pod.status.message == "NodeLost" ||
+          pod.status.message == "OOMKilled") {
         // Infrastructure killed the acquisition pod (node loss, kernel
         // OOM); the GPUID<->UUID binding died with it. Recoverable:
         // reclaim the vGPU and let the sharePods be placed elsewhere.
@@ -512,8 +511,7 @@ void KubeShareDevMgr::OnWorkloadPodFailed(const std::string& sharepod_name,
                                           const std::string& message) {
   // Infrastructure kills are recoverable — the job did nothing wrong; send
   // it back through KubeShare-Sched. Application failures stay failures.
-  if (config_.requeue_lost_workloads &&
-      (message == "NodeLost" || message == "OOMKilled")) {
+  if (message == "NodeLost" || message == "OOMKilled") {
     Requeue(sharepod_name, message);
     return;
   }

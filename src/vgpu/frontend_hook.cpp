@@ -20,7 +20,6 @@ FrontendHook::FrontendHook(cuda::CudaApi* inner, TokenBackend* backend,
           static_cast<double>(device_memory_bytes) * spec.gpu_mem)) {
   assert(inner_ != nullptr);
   assert(backend_ != nullptr);
-  streams_.Emplace(cuda::kDefaultStream);
   const Status s =
       backend_->RegisterContainer(container_, device_, spec_, this);
   if (!s.ok()) {
@@ -79,8 +78,7 @@ void FrontendHook::AttackTick() {
   if (spec.kernel_flood) {
     // Straight to the driver, bypassing the hook's token-gated queues —
     // the device-side token gate is the only thing standing.
-    (void)inner_->LaunchKernel(spec.flood_kernel, cuda::kDefaultStream,
-                               nullptr);
+    (void)inner_->LaunchKernel(spec.flood_kernel, nullptr);
   }
   if (spec.memory_probe) {
     // Probe past the quota without touching this hook's ledger (the
@@ -191,38 +189,14 @@ cuda::CudaResult FrontendHook::MemPrefetch(std::uint64_t bytes,
   return inner_->MemPrefetch(bytes, duration, std::move(on_complete));
 }
 
-cuda::CudaResult FrontendHook::StreamCreate(cuda::StreamId* out) {
-  const cuda::CudaResult r = inner_->StreamCreate(out);
-  if (r == cuda::CudaResult::kSuccess) streams_.Emplace(*out);
-  return r;
-}
-
-cuda::CudaResult FrontendHook::StreamDestroy(cuda::StreamId stream) {
-  const StreamQueue* q = streams_.Find(stream);
-  if (q == nullptr) return cuda::CudaResult::kErrorInvalidHandle;
-  if (q->in_flight || !q->pending.empty()) {
-    return cuda::CudaResult::kErrorNotReady;
-  }
-  const cuda::CudaResult r = inner_->StreamDestroy(stream);
-  if (r == cuda::CudaResult::kSuccess) streams_.Erase(stream);
-  return r;
-}
-
 cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
                                                   int count,
-                                                  cuda::StreamId stream,
                                                   cuda::HostFn on_unit) {
-  StreamQueue* q = streams_.Find(stream);
-  if (q == nullptr) return cuda::CudaResult::kErrorInvalidHandle;
   if (desc.nominal_duration.count() <= 0 || count <= 0) {
     return cuda::CudaResult::kErrorInvalidValue;
   }
   pending_kernels_ += static_cast<std::size_t>(count);
-  PendingEntry entry;
-  entry.count = count;
-  entry.desc = desc;
-  entry.fn = std::move(on_unit);
-  q->pending.push_back(std::move(entry));
+  pending_.push_back(PendingEntry{count, desc, std::move(on_unit)});
   if (token_valid_) {
     Drain();
   } else if (!token_held_ && !token_requested_) {
@@ -232,111 +206,48 @@ cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
   return cuda::CudaResult::kSuccess;
 }
 
-std::size_t FrontendHook::CancelPending(cuda::StreamId stream) {
-  StreamQueue* found = streams_.Find(stream);
-  if (found == nullptr) return 0;
-  StreamQueue& q = *found;
+std::size_t FrontendHook::CancelPending() {
   std::size_t cancelled = 0;
-  for (auto qit = q.pending.begin(); qit != q.pending.end();) {
-    if (qit->is_event) {
-      ++qit;
-      continue;
-    }
-    const auto units = static_cast<std::size_t>(qit->count);
-    pending_kernels_ -= units;
-    cancelled += units;
-    qit = q.pending.erase(qit);
+  for (const PendingEntry& e : pending_) {
+    cancelled += static_cast<std::size_t>(e.count);
   }
-  FlushMarkers();  // markers at queue heads have nothing ahead of them now
+  pending_.clear();
+  pending_kernels_ -= cancelled;
   MaybeReleaseOrRerequest();
-  MaybeFireSync();
   return cancelled;
 }
 
 Time FrontendHook::Now() const { return inner_->Now(); }
 
-void FrontendHook::FlushMarkers() {
-  // Ids rather than iterators, and a fresh lookup per marker: the waiters
-  // a forwarded marker runs may create or destroy streams.
-  for (cuda::StreamId id = 0; id < streams_.id_bound(); ++id) {
-    for (;;) {
-      StreamQueue* q = streams_.Find(id);
-      if (q == nullptr || q->in_flight || q->pending.empty() ||
-          !q->pending.front().is_event) {
-        break;
-      }
-      const cuda::EventId event = q->pending.front().event;
-      q->pending.pop_front();
-      (void)inner_->EventRecord(event, id);
-      // Waiters registered while the marker was still queued here.
-      auto wit = queued_events_.find(event);
-      if (wit != queued_events_.end()) {
-        auto waiters = std::move(wit->second);
-        queued_events_.erase(wit);
-        for (auto& fn : waiters) {
-          (void)inner_->EventSynchronize(event, std::move(fn));
-        }
-      }
-    }
-  }
-}
-
 void FrontendHook::Drain() {
-  FlushMarkers();
-  if (!token_valid_ || swap_pending_) return;
-  for (cuda::StreamId sid = 0; sid < streams_.id_bound(); ++sid) {
-    StreamQueue* q = streams_.Find(sid);
-    if (q == nullptr || q->in_flight || q->pending.empty()) continue;
-    PendingEntry& head = q->pending.front();
-    if (head.is_event) continue;  // handled by FlushMarkers
-    q->in_flight = true;
-    ++in_flight_;
-    const cuda::CudaResult r = inner_->LaunchKernel(
-        head.desc, sid, [this, sid] { OnKernelRetired(sid); });
+  while (token_valid_ && !swap_pending_ && !in_flight_ && !pending_.empty()) {
+    PendingEntry& head = pending_.front();
+    in_flight_ = true;
+    const cuda::CudaResult r =
+        inner_->LaunchKernel(head.desc, [this] { OnKernelRetired(); });
     if (r != cuda::CudaResult::kSuccess) {
       KS_LOG(kError) << "inner launch failed: " << cuda::CudaResultName(r);
-      q->in_flight = false;
-      --in_flight_;
+      in_flight_ = false;
       pending_kernels_ -= static_cast<std::size_t>(head.count);
-      q->pending.pop_front();
+      pending_.pop_front();
       continue;
     }
     if (--head.count == 0) {
-      q->fn = std::move(head.fn);
-      q->pending.pop_front();
+      in_flight_fn_ = std::move(head.fn);
+      pending_.pop_front();
     } else {
-      q->fn = head.fn;  // more units of this entry follow
+      in_flight_fn_ = head.fn;  // more units of this entry follow
     }
   }
 }
 
-void FrontendHook::OnKernelRetired(cuda::StreamId stream) {
-  cuda::HostFn fn;
-  if (StreamQueue* q = streams_.Find(stream)) {
-    q->in_flight = false;
-    fn = std::move(q->fn);
-  }
-  --in_flight_;
+void FrontendHook::OnKernelRetired() {
+  in_flight_ = false;
+  cuda::HostFn fn = std::move(in_flight_fn_);
   --pending_kernels_;
   if (fn) fn();
-  FlushMarkers();  // events behind the retired kernel are now orderable
-  if (token_valid_) {
-    Drain();
-  }
+  Drain();
   MaybeReleaseOrRerequest();
-  MaybeFireSync();
-}
-
-bool FrontendHook::HasQueuedWork() const {
-  // Event markers don't need the token; only kernels count as work.
-  for (cuda::StreamId id = 0; id < streams_.id_bound(); ++id) {
-    const StreamQueue* q = streams_.Find(id);
-    if (q == nullptr) continue;
-    for (const PendingEntry& e : q->pending) {
-      if (!e.is_event) return true;
-    }
-  }
-  return false;
 }
 
 void FrontendHook::MaybeReleaseOrRerequest() {
@@ -349,7 +260,7 @@ void FrontendHook::MaybeReleaseOrRerequest() {
     }
     return;
   }
-  if (in_flight_ > 0) return;
+  if (in_flight_) return;
   if (token_valid_ && HasQueuedWork()) return;  // keep running
   // Either the quota expired (yield once in-flight work retired) or the
   // queues drained (early release — "revoked by its holder").
@@ -371,9 +282,9 @@ void FrontendHook::OnTokenGranted(Time expiry) {
   token_held_ = true;
   token_valid_ = true;
   expiry_ = expiry;
-  if (!HasQueuedWork() && in_flight_ == 0) {
-    // Work evaporated between request and grant (possible via Synchronize
-    // bookkeeping); give the token straight back.
+  if (!HasQueuedWork() && !in_flight_) {
+    // The workload cancelled its queued kernels (CancelPending) while the
+    // request waited; give the token straight back.
     token_held_ = false;
     token_valid_ = false;
     (void)backend_->ReleaseToken(container_);
@@ -430,72 +341,6 @@ void FrontendHook::OnBackendRestart() {
     token_requested_ = true;
     (void)backend_->RequestToken(container_);
   }
-}
-
-cuda::CudaResult FrontendHook::Synchronize(cuda::HostFn fn) {
-  if (!fn) return cuda::CudaResult::kErrorInvalidValue;
-  if (pending_kernels_ == 0) {
-    fn();
-    return cuda::CudaResult::kSuccess;
-  }
-  sync_waiters_.push_back(std::move(fn));
-  return cuda::CudaResult::kSuccess;
-}
-
-void FrontendHook::MaybeFireSync() {
-  if (pending_kernels_ != 0 || sync_waiters_.empty()) return;
-  auto waiters = std::move(sync_waiters_);
-  sync_waiters_.clear();
-  for (auto& fn : waiters) fn();
-}
-
-cuda::CudaResult FrontendHook::EventCreate(cuda::EventId* out) {
-  return inner_->EventCreate(out);
-}
-
-cuda::CudaResult FrontendHook::EventRecord(cuda::EventId event,
-                                           cuda::StreamId stream) {
-  StreamQueue* q = streams_.Find(stream);
-  if (q == nullptr) return cuda::CudaResult::kErrorInvalidHandle;
-  if (!q->in_flight && q->pending.empty()) {
-    // Nothing ahead of it in our queue; the driver orders against its own
-    // (already drained) stream.
-    return inner_->EventRecord(event, stream);
-  }
-  PendingEntry marker;
-  marker.is_event = true;
-  marker.event = event;
-  q->pending.push_back(std::move(marker));
-  queued_events_.try_emplace(event);
-  return cuda::CudaResult::kSuccess;
-}
-
-cuda::CudaResult FrontendHook::EventQuery(cuda::EventId event) {
-  if (queued_events_.count(event) > 0) {
-    return cuda::CudaResult::kErrorNotReady;  // marker not forwarded yet
-  }
-  return inner_->EventQuery(event);
-}
-
-cuda::CudaResult FrontendHook::EventSynchronize(cuda::EventId event,
-                                                cuda::HostFn fn) {
-  if (!fn) return cuda::CudaResult::kErrorInvalidValue;
-  auto it = queued_events_.find(event);
-  if (it != queued_events_.end()) {
-    it->second.push_back(std::move(fn));
-    return cuda::CudaResult::kSuccess;
-  }
-  return inner_->EventSynchronize(event, std::move(fn));
-}
-
-cuda::CudaResult FrontendHook::EventElapsedTime(Duration* out,
-                                                cuda::EventId start,
-                                                cuda::EventId end) {
-  return inner_->EventElapsedTime(out, start, end);
-}
-
-cuda::CudaResult FrontendHook::EventDestroy(cuda::EventId event) {
-  return inner_->EventDestroy(event);
 }
 
 }  // namespace ks::vgpu

@@ -4,11 +4,9 @@
 #include <deque>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "cuda/api.hpp"
-#include "cuda/id_table.hpp"
 #include "vgpu/resource_spec.hpp"
 #include "vgpu/swap.hpp"
 #include "vgpu/token_backend.hpp"
@@ -52,17 +50,12 @@ struct AdversarialSpec {
 ///  - memory calls (MemAlloc / ArrayCreate) are rejected with
 ///    CUDA_ERROR_OUT_OF_MEMORY once the container's gpu_mem quota would be
 ///    exceeded (no over-commitment, per the paper);
-///  - kernel launches are held in per-stream queues until the container
-///    holds a valid token from the node's TokenBackend; when the token
-///    expires the frontend stops submitting, lets the in-flight kernels
-///    retire, and releases the token; when its queues drain it releases
-///    the token early ("revoked by its holder").
-///
-/// The hook's stream table mirrors the CudaContext's stream ids: indexed
-/// by id, assigned in increasing order and never reused. A destroyed id
-/// answers kErrorInvalidHandle for good, and each id ever created keeps
-/// one table slot (a pointer) for the hook's life. When a grant arrives,
-/// streams forward their queued heads in id order.
+///  - kernel launches are held in one FIFO until the container holds a
+///    valid token from the node's TokenBackend, then forwarded to the
+///    driver one unit at a time; when the token expires the frontend stops
+///    submitting, lets the in-flight kernel retire, and releases the
+///    token; when its queue drains it releases the token early ("revoked
+///    by its holder").
 class FrontendHook final : public cuda::CudaApi, public TokenClient {
  public:
   /// `inner` is the driver-level API (not owned). `device_memory_bytes` is
@@ -85,30 +78,16 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
                                std::uint64_t element_bytes) override;
   cuda::CudaResult MemPrefetch(std::uint64_t bytes, Duration duration,
                                cuda::HostFn on_complete) override;
-  cuda::CudaResult StreamCreate(cuda::StreamId* out) override;
-  cuda::CudaResult StreamDestroy(cuda::StreamId stream) override;
-  /// A launch waits in its stream's queue as one counted entry; its units
-  /// are forwarded to the driver one at a time while the token is valid.
+  /// A launch waits in the queue as one counted entry; its units are
+  /// forwarded to the driver one at a time while the token is valid.
   cuda::CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
-                                      cuda::StreamId stream,
                                       cuda::HostFn on_unit) override;
-  std::size_t CancelPending(cuda::StreamId stream) override;
+  /// Drops the queued units; the one forwarded to the driver retires and
+  /// fires its callback. A hook left with nothing queued or in flight
+  /// releases its token, and a grant that lands after the cancel is
+  /// handed straight back.
+  std::size_t CancelPending() override;
   Time Now() const override;
-  cuda::CudaResult Synchronize(cuda::HostFn fn) override;
-
-  // Events keep stream order through the hook's own queues: a record is
-  // forwarded to the driver only after every kernel launched before it on
-  // the same stream has been forwarded and retired. Forwarding a marker
-  // needs no token — events consume no GPU time.
-  cuda::CudaResult EventCreate(cuda::EventId* out) override;
-  cuda::CudaResult EventRecord(cuda::EventId event,
-                               cuda::StreamId stream) override;
-  cuda::CudaResult EventQuery(cuda::EventId event) override;
-  cuda::CudaResult EventSynchronize(cuda::EventId event,
-                                    cuda::HostFn fn) override;
-  cuda::CudaResult EventElapsedTime(Duration* out, cuda::EventId start,
-                                    cuda::EventId end) override;
-  cuda::CudaResult EventDestroy(cuda::EventId event) override;
 
   std::uint64_t AllocatedBytes() const override { return allocated_bytes_; }
   std::size_t PendingKernels() const override { return pending_kernels_; }
@@ -151,38 +130,26 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   std::uint64_t memory_quota_bytes() const { return memory_quota_bytes_; }
   const ContainerId& container() const { return container_; }
   const GpuUuid& device() const { return device_; }
-  /// Count of launches rejected before reaching the driver (should stay 0;
-  /// launches are queued, never rejected, but kept for failure injection).
+  /// Allocations rejected with CUDA_ERROR_OUT_OF_MEMORY before they reach
+  /// the driver: over the gpu_mem quota or, under memory over-commitment,
+  /// over the oversubscription bound.
   std::uint64_t oom_rejections() const { return oom_rejections_; }
 
  private:
-  /// A queued launch (`count` not-yet-forwarded units and their per-unit
-  /// callback) or an event marker.
+  /// A queued launch: `count` not-yet-forwarded units and their per-unit
+  /// callback.
   struct PendingEntry {
-    bool is_event = false;
     int count = 1;
     gpu::KernelDesc desc;
     cuda::HostFn fn;
-    cuda::EventId event = 0;
-  };
-  struct StreamQueue {
-    std::deque<PendingEntry> pending;
-    /// The kernel forwarded to the driver and its callback (taken from its
-    /// entry); at most one per stream.
-    bool in_flight = false;
-    cuda::HostFn fn;
   };
 
-  /// Forwards the next kernel of every stream that has one, in stream-id
-  /// order, while the token is valid.
+  /// Forwards the next unit while the token is valid and nothing is in
+  /// flight.
   void Drain();
-  /// Forwards event markers at queue heads (token-independent), in
-  /// stream-id order.
-  void FlushMarkers();
-  void OnKernelRetired(cuda::StreamId stream);
+  void OnKernelRetired();
   void MaybeReleaseOrRerequest();
-  void MaybeFireSync();
-  bool HasQueuedWork() const;
+  bool HasQueuedWork() const { return !pending_.empty(); }
   void AttackTick();
 
   cuda::CudaApi* inner_;
@@ -196,15 +163,12 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   std::unordered_map<gpu::DevicePtr, std::uint64_t> ptr_bytes_;
   std::uint64_t oom_rejections_ = 0;
 
-  /// Indexed by the inner context's stream id; stream 0 is the default
-  /// stream.
-  cuda::IdTable<StreamQueue> streams_;
-  /// Events recorded through the hook whose marker has not reached the
-  /// driver yet, with any synchronize-waiters registered meanwhile.
-  std::unordered_map<cuda::EventId, std::vector<cuda::HostFn>>
-      queued_events_;
+  std::deque<PendingEntry> pending_;
+  /// A unit forwarded to the driver and not yet retired, and its callback
+  /// (taken from its entry).
+  bool in_flight_ = false;
+  cuda::HostFn in_flight_fn_;
   std::size_t pending_kernels_ = 0;  // queued here + in flight below
-  std::size_t in_flight_ = 0;
 
   bool token_valid_ = false;
   bool token_held_ = false;  // holder (valid or overrun) per backend
@@ -224,8 +188,6 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   sim::Simulation* adv_sim_ = nullptr;
   sim::EventId adv_event_ = sim::kInvalidEvent;
   std::uint64_t attack_ticks_ = 0;
-
-  std::vector<cuda::HostFn> sync_waiters_;
 };
 
 }  // namespace ks::vgpu

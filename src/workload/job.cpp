@@ -32,8 +32,8 @@ void TrainingJob::Start(cuda::CudaApi* api, sim::Simulation* /*sim*/,
   kernel.name = "train-step";
   // The whole run is one kernel stream: the steps are identical and back
   // to back.
-  const cuda::CudaResult r = api_->LaunchKernelStream(
-      kernel, spec_.steps, cuda::kDefaultStream, [this] {
+  const cuda::CudaResult r =
+      api_->LaunchKernelStream(kernel, spec_.steps, [this] {
         if (stopped_) return;
         if (++completed_steps_ >= spec_.steps && done_) done_(true);
       });
@@ -42,7 +42,7 @@ void TrainingJob::Start(cuda::CudaApi* api, sim::Simulation* /*sim*/,
 
 void TrainingJob::Stop() {
   stopped_ = true;
-  if (api_ != nullptr) (void)api_->CancelPending(cuda::kDefaultStream);
+  if (api_ != nullptr) (void)api_->CancelPending();
 }
 
 // ---- PhasedTrainingJob ------------------------------------------------------
@@ -72,7 +72,7 @@ void PhasedTrainingJob::Stop() {
     sim_->Cancel(io_event_);
     io_event_ = sim::kInvalidEvent;
   }
-  if (api_ != nullptr) (void)api_->CancelPending(cuda::kDefaultStream);
+  if (api_ != nullptr) (void)api_->CancelPending();
 }
 
 void PhasedTrainingJob::NextEpoch() {
@@ -84,8 +84,8 @@ void PhasedTrainingJob::NextEpoch() {
   kernel.name = "phased-step";
   // Each compute burst is one kernel stream; the off-GPU phase follows the
   // burst's last step.
-  const cuda::CudaResult r = api_->LaunchKernelStream(
-      kernel, spec_.steps_per_epoch, cuda::kDefaultStream, [this] {
+  const cuda::CudaResult r =
+      api_->LaunchKernelStream(kernel, spec_.steps_per_epoch, [this] {
         if (stopped_) return;
         if (++steps_in_epoch_ >= spec_.steps_per_epoch) FinishEpoch();
       });
@@ -144,7 +144,7 @@ void InferenceJob::Stop() {
     sim_->Cancel(next_arrival_);
     next_arrival_ = sim::kInvalidEvent;
   }
-  if (api_ != nullptr) (void)api_->CancelPending(cuda::kDefaultStream);
+  if (api_ != nullptr) (void)api_->CancelPending();
 }
 
 void InferenceJob::ScheduleNextArrival() {
@@ -167,8 +167,7 @@ void InferenceJob::OnArrival() {
   const Time arrival = sim_->Now();
   // One forward-propagation kernel; its callback runs when it retires.
   const cuda::CudaResult r = api_->LaunchKernel(
-      kernel, cuda::kDefaultStream,
-      [this, arrival] { OnServed(arrival, sim_->Now()); });
+      kernel, [this, arrival] { OnServed(arrival, sim_->Now()); });
   if (r != cuda::CudaResult::kSuccess) {
     if (done_) done_(false);
     return;
@@ -211,7 +210,7 @@ void RequestServerJob::Stop() {
   stopped_ = true;
   const bool was_up = up_;
   up_ = false;
-  if (api_ != nullptr) (void)api_->CancelPending(cuda::kDefaultStream);
+  if (api_ != nullptr) (void)api_->CancelPending();
   if (was_up && lifecycle_) lifecycle_(this, false);
 }
 
@@ -226,13 +225,12 @@ bool RequestServerJob::Submit(Time arrival) {
   // One kernel per request, as in InferenceJob. The completion captures
   // only what fits std::function's inline buffer, so a request costs no
   // callback allocation.
-  const cuda::CudaResult r =
-      api_->LaunchKernel(kernel, cuda::kDefaultStream, [this, arrival] {
-        if (stopped_) return;
-        --inflight_;
-        ++served_;
-        if (served_fn_) served_fn_(arrival, api_->Now());
-      });
+  const cuda::CudaResult r = api_->LaunchKernel(kernel, [this, arrival] {
+    if (stopped_) return;
+    --inflight_;
+    ++served_;
+    if (served_fn_) served_fn_(arrival, api_->Now());
+  });
   if (r != cuda::CudaResult::kSuccess) {
     --inflight_;
     return false;

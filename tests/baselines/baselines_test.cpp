@@ -69,11 +69,29 @@ TEST_F(MemoryHookTest, ArrayCreateCountsAgainstQuota) {
 TEST_F(MemoryHookTest, KernelsPassThroughUnthrottled) {
   MemoryOnlyHook hook(&ctx_, 1000);
   bool done = false;
-  EXPECT_EQ(hook.LaunchKernel({Millis(5), 0.0, "k"}, cuda::kDefaultStream,
-                              [&] { done = true; }),
+  EXPECT_EQ(hook.LaunchKernel({Millis(5), 0.0, "k"}, [&] { done = true; }),
             cuda::CudaResult::kSuccess);
   sim_.Run();
   EXPECT_TRUE(done);  // no token protocol in the way
+}
+
+TEST_F(MemoryHookTest, PrefetchReachesTheDeviceMigrationLane) {
+  MemoryOnlyHook hook(&ctx_, 1000);
+  sim_.RunUntil(Millis(3));
+  Time landed{0};
+  bool fired = false;
+  ASSERT_EQ(hook.MemPrefetch(1 << 20, Millis(40),
+                             [&] {
+                               fired = true;
+                               landed = sim_.Now();
+                             }),
+            cuda::CudaResult::kSuccess);
+  // The transfer is charged to the device, not completed on the spot.
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(dev_.migrations_charged(), 1u);
+  sim_.Run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(landed, Millis(43));
 }
 
 class FractionalClientTest : public ::testing::Test {

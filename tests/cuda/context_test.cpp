@@ -50,102 +50,37 @@ TEST_F(CudaContextTest, ArrayCreateAllocatesProduct) {
 
 TEST_F(CudaContextTest, DefaultStreamKernelsRunFifo) {
   std::vector<int> order;
-  ASSERT_EQ(ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream,
-                              [&] { order.push_back(1); }),
-            CudaResult::kSuccess);
-  ASSERT_EQ(ctx_.LaunchKernel({Millis(10), 0.0, "b"}, kDefaultStream,
-                              [&] { order.push_back(2); }),
-            CudaResult::kSuccess);
+  ASSERT_EQ(
+      ctx_.LaunchKernel({Millis(10), 0.0, "a"}, [&] { order.push_back(1); }),
+      CudaResult::kSuccess);
+  ASSERT_EQ(
+      ctx_.LaunchKernel({Millis(10), 0.0, "b"}, [&] { order.push_back(2); }),
+      CudaResult::kSuccess);
   sim_.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   // FIFO: serialized, so ~20ms total, not 20ms of 2-way sharing.
   EXPECT_NEAR(ToMillis(Duration(sim_.Now())), 20.0, 0.1);
 }
 
-TEST_F(CudaContextTest, DistinctStreamsOverlap) {
-  StreamId s = 0;
-  ASSERT_EQ(ctx_.StreamCreate(&s), CudaResult::kSuccess);
+TEST_F(CudaContextTest, TwoContextsOverlapOnOneDevice) {
+  CudaContext other(&dev_, ContainerId("job-2"));
   Time t1{0}, t2{0};
-  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream,
-                    [&] { t1 = sim_.Now(); });
-  ctx_.LaunchKernel({Millis(10), 0.0, "b"}, s, [&] { t2 = sim_.Now(); });
+  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, [&] { t1 = sim_.Now(); });
+  other.LaunchKernel({Millis(10), 0.0, "b"}, [&] { t2 = sim_.Now(); });
   sim_.Run();
   // Overlapping processor-sharing: both finish at ~20ms.
   EXPECT_NEAR(ToMillis(Duration(t1)), 20.0, 0.1);
   EXPECT_NEAR(ToMillis(Duration(t2)), 20.0, 0.1);
 }
 
-TEST_F(CudaContextTest, LaunchOnUnknownStreamFails) {
-  EXPECT_EQ(ctx_.LaunchKernel({Millis(1), 0.0, "x"}, 999, nullptr),
-            CudaResult::kErrorInvalidHandle);
-}
-
 TEST_F(CudaContextTest, LaunchZeroDurationFails) {
-  EXPECT_EQ(ctx_.LaunchKernel({Duration{0}, 0.0, "x"}, kDefaultStream, nullptr),
+  EXPECT_EQ(ctx_.LaunchKernel({Duration{0}, 0.0, "x"}, nullptr),
             CudaResult::kErrorInvalidValue);
 }
 
-TEST_F(CudaContextTest, StreamDestroyRules) {
-  StreamId s = 0;
-  ASSERT_EQ(ctx_.StreamCreate(&s), CudaResult::kSuccess);
-  EXPECT_EQ(ctx_.StreamDestroy(kDefaultStream), CudaResult::kErrorInvalidValue);
-  EXPECT_EQ(ctx_.StreamDestroy(999), CudaResult::kErrorInvalidHandle);
-  ctx_.LaunchKernel({Millis(5), 0.0, "x"}, s, nullptr);
-  EXPECT_EQ(ctx_.StreamDestroy(s), CudaResult::kErrorNotReady);
-  sim_.Run();
-  EXPECT_EQ(ctx_.StreamDestroy(s), CudaResult::kSuccess);
-}
-
-TEST_F(CudaContextTest, DestroyedIdsStayInvalidAndAreNeverReused) {
-  StreamId s = 0;
-  EventId ev = 0;
-  ASSERT_EQ(ctx_.StreamCreate(&s), CudaResult::kSuccess);
-  ASSERT_EQ(ctx_.EventCreate(&ev), CudaResult::kSuccess);
-  ASSERT_EQ(ctx_.StreamDestroy(s), CudaResult::kSuccess);
-  ASSERT_EQ(ctx_.EventDestroy(ev), CudaResult::kSuccess);
-  for (int round = 0; round < 2; ++round) {
-    // Before and after new ids are handed out, the destroyed ones stay dead.
-    EXPECT_EQ(ctx_.StreamDestroy(s), CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(ctx_.LaunchKernel({Millis(5), 0.0, "x"}, s, nullptr),
-              CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(ctx_.CancelPending(s), 0u);
-    EXPECT_EQ(ctx_.EventRecord(ev, kDefaultStream),
-              CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(ctx_.EventSynchronize(ev, [] {}),
-              CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(ctx_.EventDestroy(ev), CudaResult::kErrorInvalidHandle);
-    StreamId s2 = 0;
-    EventId ev2 = 0;
-    ASSERT_EQ(ctx_.StreamCreate(&s2), CudaResult::kSuccess);
-    ASSERT_EQ(ctx_.EventCreate(&ev2), CudaResult::kSuccess);
-    EXPECT_GT(s2, s);
-    EXPECT_GT(ev2, ev);
-    EXPECT_EQ(ctx_.EventRecord(ev2, s), CudaResult::kErrorInvalidHandle);
-  }
-  EXPECT_EQ(ctx_.EventQuery(0), CudaResult::kErrorInvalidHandle);
-  EXPECT_EQ(ctx_.PendingKernels(), 0u);
-}
-
-TEST_F(CudaContextTest, SynchronizeFiresAfterAllWork) {
-  bool synced = false;
-  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream, nullptr);
-  ctx_.LaunchKernel({Millis(10), 0.0, "b"}, kDefaultStream, nullptr);
-  ctx_.Synchronize([&] { synced = true; });
-  EXPECT_FALSE(synced);
-  sim_.Run();
-  EXPECT_TRUE(synced);
-}
-
-TEST_F(CudaContextTest, SynchronizeFiresImmediatelyWhenIdle) {
-  bool synced = false;
-  ctx_.Synchronize([&] { synced = true; });
-  EXPECT_TRUE(synced);
-}
-
 TEST_F(CudaContextTest, PendingKernelsCountsQueuedWork) {
-  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream, nullptr);
-  ctx_.LaunchKernel({Millis(10), 0.0, "b"}, kDefaultStream, nullptr);
+  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, nullptr);
+  ctx_.LaunchKernel({Millis(10), 0.0, "b"}, nullptr);
   EXPECT_EQ(ctx_.PendingKernels(), 2u);
   sim_.Run();
   EXPECT_EQ(ctx_.PendingKernels(), 0u);
@@ -161,79 +96,14 @@ TEST_F(CudaContextTest, DestructorFreesDeviceMemory) {
   EXPECT_EQ(dev_.used_memory(), 0u);
 }
 
-TEST_F(CudaContextTest, EventCompletesAfterPriorKernels) {
-  EventId ev = 0;
-  ASSERT_EQ(ctx_.EventCreate(&ev), CudaResult::kSuccess);
-  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream, nullptr);
-  ctx_.LaunchKernel({Millis(10), 0.0, "b"}, kDefaultStream, nullptr);
-  ASSERT_EQ(ctx_.EventRecord(ev, kDefaultStream), CudaResult::kSuccess);
-  EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kErrorNotReady);
-  bool fired = false;
-  ASSERT_EQ(ctx_.EventSynchronize(ev, [&] { fired = true; }),
-            CudaResult::kSuccess);
-  sim_.Run();
-  EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kSuccess);
-  EXPECT_TRUE(fired);
-}
-
-TEST_F(CudaContextTest, EventOnIdleStreamCompletesImmediately) {
-  EventId ev = 0;
-  ASSERT_EQ(ctx_.EventCreate(&ev), CudaResult::kSuccess);
-  ASSERT_EQ(ctx_.EventRecord(ev, kDefaultStream), CudaResult::kSuccess);
-  EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kSuccess);
-  bool fired = false;
-  ctx_.EventSynchronize(ev, [&] { fired = true; });
-  EXPECT_TRUE(fired);  // immediate for complete events
-}
-
-TEST_F(CudaContextTest, EventElapsedTimeMeasuresKernelSpan) {
-  EventId start = 0, end = 0;
-  ASSERT_EQ(ctx_.EventCreate(&start), CudaResult::kSuccess);
-  ASSERT_EQ(ctx_.EventCreate(&end), CudaResult::kSuccess);
-  ctx_.EventRecord(start, kDefaultStream);  // completes at t=0
-  ctx_.LaunchKernel({Millis(30), 0.0, "k"}, kDefaultStream, nullptr);
-  ctx_.EventRecord(end, kDefaultStream);
-  Duration elapsed{0};
-  EXPECT_EQ(ctx_.EventElapsedTime(&elapsed, start, end),
-            CudaResult::kErrorNotReady);
-  sim_.Run();
-  ASSERT_EQ(ctx_.EventElapsedTime(&elapsed, start, end),
-            CudaResult::kSuccess);
-  EXPECT_NEAR(ToMillis(elapsed), 30.0, 0.1);
-}
-
-TEST_F(CudaContextTest, EventErrorPaths) {
-  EventId ev = 0;
-  EXPECT_EQ(ctx_.EventCreate(nullptr), CudaResult::kErrorInvalidValue);
-  ASSERT_EQ(ctx_.EventCreate(&ev), CudaResult::kSuccess);
-  EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kErrorInvalidValue);  // unrecorded
-  EXPECT_EQ(ctx_.EventRecord(ev, 999), CudaResult::kErrorInvalidHandle);
-  EXPECT_EQ(ctx_.EventRecord(999, kDefaultStream),
-            CudaResult::kErrorInvalidHandle);
-  EXPECT_EQ(ctx_.EventDestroy(ev), CudaResult::kSuccess);
-  EXPECT_EQ(ctx_.EventDestroy(ev), CudaResult::kErrorInvalidHandle);
-}
-
-TEST_F(CudaContextTest, ReRecordResetsEvent) {
-  EventId ev = 0;
-  ASSERT_EQ(ctx_.EventCreate(&ev), CudaResult::kSuccess);
-  ctx_.EventRecord(ev, kDefaultStream);
-  EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kSuccess);
-  ctx_.LaunchKernel({Millis(10), 0.0, "k"}, kDefaultStream, nullptr);
-  ctx_.EventRecord(ev, kDefaultStream);
-  EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kErrorNotReady);
-  sim_.Run();
-  EXPECT_EQ(ctx_.EventQuery(ev), CudaResult::kSuccess);
-}
-
 TEST_F(CudaContextTest, CompletionCallbackCanLaunchAgain) {
   int chain = 0;
   std::function<void()> next = [&] {
     if (++chain < 3) {
-      ctx_.LaunchKernel({Millis(5), 0.0, "chain"}, kDefaultStream, next);
+      ctx_.LaunchKernel({Millis(5), 0.0, "chain"}, next);
     }
   };
-  ctx_.LaunchKernel({Millis(5), 0.0, "chain"}, kDefaultStream, next);
+  ctx_.LaunchKernel({Millis(5), 0.0, "chain"}, next);
   sim_.Run();
   EXPECT_EQ(chain, 3);
 }
@@ -245,7 +115,7 @@ TEST_F(CudaContextTest, StreamUnitsRetireInOrderAtTheirFinish) {
   dev_.SetKernelTraceFn(
       [&](const gpu::KernelTraceEvent& e) { retired.push_back(e.finish); });
   std::vector<Time> fired;  // when each unit callback ran
-  ASSERT_EQ(ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 5, kDefaultStream,
+  ASSERT_EQ(ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 5,
                                     [&] { fired.push_back(sim_.Now()); }),
             CudaResult::kSuccess);
   EXPECT_EQ(ctx_.PendingKernels(), 5u);
@@ -261,27 +131,20 @@ TEST_F(CudaContextTest, StreamUnitsRetireInOrderAtTheirFinish) {
 }
 
 TEST_F(CudaContextTest, StreamRejectsBadArgs) {
-  EXPECT_EQ(ctx_.LaunchKernelStream({Millis(1), 0.0, "s"}, 0, kDefaultStream,
-                                    nullptr),
+  EXPECT_EQ(ctx_.LaunchKernelStream({Millis(1), 0.0, "s"}, 0, nullptr),
             CudaResult::kErrorInvalidValue);
-  EXPECT_EQ(ctx_.LaunchKernelStream({Duration{0}, 0.0, "s"}, 2,
-                                    kDefaultStream, nullptr),
+  EXPECT_EQ(ctx_.LaunchKernelStream({Duration{0}, 0.0, "s"}, 2, nullptr),
             CudaResult::kErrorInvalidValue);
-  EXPECT_EQ(ctx_.LaunchKernelStream({Millis(1), 0.0, "s"}, 2, 999, nullptr),
-            CudaResult::kErrorInvalidHandle);
 }
 
 TEST_F(CudaContextTest, CancelPendingMidStreamLetsInFlightUnitRetire) {
   std::vector<Time> finishes;
-  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 10, kDefaultStream,
+  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 10,
                           [&] { finishes.push_back(sim_.Now()); });
   bool queued_fired = false;
-  ctx_.LaunchKernel({Millis(10), 0.0, "k"}, kDefaultStream,
-                    [&] { queued_fired = true; });
+  ctx_.LaunchKernel({Millis(10), 0.0, "k"}, [&] { queued_fired = true; });
   std::size_t cancelled = 0;
-  sim_.ScheduleAt(Millis(35), [&] {
-    cancelled = ctx_.CancelPending(kDefaultStream);
-  });
+  sim_.ScheduleAt(Millis(35), [&] { cancelled = ctx_.CancelPending(); });
   sim_.Run();
   // Unit 4 was in flight and retires at its finish; units 5..10 and the
   // queued kernel behind them never start.
@@ -304,16 +167,11 @@ TEST_F(CudaContextTest, FencedSubmitDropsEntryWhileStreamKeepsDraining) {
     dev_.AdmitTokenEpoch(who, 2);
   });
   bool first_done = false;
-  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, kDefaultStream,
-                    [&] { first_done = true; });
+  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, [&] { first_done = true; });
   int fenced_units = 0;
-  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 3, kDefaultStream,
-                          [&] { ++fenced_units; });
+  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 3, [&] { ++fenced_units; });
   Time last_done{0};
-  ctx_.LaunchKernel({Millis(10), 0.0, "c"}, kDefaultStream,
-                    [&] { last_done = sim_.Now(); });
-  bool synced = false;
-  ctx_.Synchronize([&] { synced = true; });
+  ctx_.LaunchKernel({Millis(10), 0.0, "c"}, [&] { last_done = sim_.Now(); });
   sim_.ScheduleAt(Millis(5), [&] { dev_.FenceTokenEpoch(owner); });
   sim_.Run();
   EXPECT_TRUE(first_done);  // in flight when the fence landed
@@ -323,23 +181,7 @@ TEST_F(CudaContextTest, FencedSubmitDropsEntryWhileStreamKeepsDraining) {
   EXPECT_EQ(dev_.fenced_kernel_rejections(), 1u);
   // ...and the kernel behind it still ran, straight after.
   EXPECT_EQ(last_done, Millis(20));
-  EXPECT_TRUE(synced);
   EXPECT_EQ(ctx_.PendingKernels(), 0u);
-}
-
-TEST_F(CudaContextTest, SynchronizeFiresAfterStream) {
-  int units = 0;
-  ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 4, kDefaultStream,
-                          [&] { ++units; });
-  Time synced_at{0};
-  int units_at_sync = -1;
-  ctx_.Synchronize([&] {
-    synced_at = sim_.Now();
-    units_at_sync = units;
-  });
-  sim_.Run();
-  EXPECT_EQ(synced_at, Millis(40));
-  EXPECT_EQ(units_at_sync, 4);
 }
 
 TEST(CudaContextTeardown, DestroyMidStreamRetiresOnlyTheInFlightUnit) {
@@ -349,8 +191,7 @@ TEST(CudaContextTeardown, DestroyMidStreamRetiresOnlyTheInFlightUnit) {
   auto ctx = std::make_unique<CudaContext>(&dev, ContainerId("job-1"));
   gpu::DevicePtr p = 0;
   ASSERT_EQ(ctx->MemAlloc(&p, 1 << 20), CudaResult::kSuccess);
-  ctx->LaunchKernelStream({Millis(10), 0.0, "s"}, 10, kDefaultStream,
-                          [&] { ++units; });
+  ctx->LaunchKernelStream({Millis(10), 0.0, "s"}, 10, [&] { ++units; });
   sim.RunUntil(Millis(25));  // units 1 and 2 retired, unit 3 in flight
   ctx.reset();               // container teardown
   sim.Run();

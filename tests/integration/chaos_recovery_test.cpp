@@ -43,7 +43,6 @@ ScenarioResult RunCrashScenario(std::uint64_t seed) {
 
   kubeshare::KubeShareConfig kcfg;
   kcfg.reconcile_period = Seconds(1);
-  kcfg.requeue_lost_workloads = true;
   kubeshare::KubeShare kubeshare(&cluster, kcfg);
   workload::WorkloadHost host(&cluster);
   EXPECT_TRUE(cluster.Start().ok());

@@ -44,7 +44,6 @@ TEST(ChaosSeedMatrix, RandomPlanConvergesForSeed) {
 
   kubeshare::KubeShareConfig kcfg;
   kcfg.reconcile_period = Seconds(1);
-  kcfg.requeue_lost_workloads = true;
   kubeshare::KubeShare kubeshare(&cluster, kcfg);
   workload::WorkloadHost host(&cluster);
   ASSERT_TRUE(cluster.Start().ok());
@@ -141,7 +140,6 @@ TEST(ChaosSeedMatrix, AdversarialPlanConvergesForSeed) {
 
   kubeshare::KubeShareConfig kcfg;
   kcfg.reconcile_period = Seconds(1);
-  kcfg.requeue_lost_workloads = true;
   kubeshare::KubeShare kubeshare(&cluster, kcfg);
   workload::WorkloadHost host(&cluster);
   ASSERT_TRUE(cluster.Start().ok());

@@ -50,7 +50,6 @@ RestartResult RunRestartScenario(bool crash, std::uint64_t seed = 2026,
   kubeshare::KubeShareConfig kcfg;
   kcfg.pool_policy = kubeshare::PoolPolicy::kReservation;
   kcfg.reconcile_period = Seconds(1);
-  kcfg.requeue_lost_workloads = true;
   kubeshare::KubeShare kubeshare(&cluster, kcfg);
   workload::WorkloadHost host(&cluster);
   EXPECT_TRUE(cluster.Start().ok());
@@ -193,7 +192,6 @@ TEST(WatchDropRecovery, DroppedEventsConvergeViaResync) {
 
   kubeshare::KubeShareConfig kcfg;
   kcfg.reconcile_period = Seconds(1);
-  kcfg.requeue_lost_workloads = true;
   kubeshare::KubeShare kubeshare(&cluster, kcfg);
   workload::WorkloadHost host(&cluster);
   ASSERT_TRUE(cluster.Start().ok());

@@ -135,7 +135,6 @@ TEST(LeaderElection, KubeShareFacadeSurvivesLeaderPartition) {
 
   kubeshare::KubeShareConfig kcfg;
   kcfg.reconcile_period = Seconds(1);
-  kcfg.requeue_lost_workloads = true;
   kcfg.enable_leader_election = true;
   kubeshare::KubeShare kubeshare(&cluster, kcfg);
   workload::WorkloadHost host(&cluster);

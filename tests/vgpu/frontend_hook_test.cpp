@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -92,8 +92,7 @@ TEST_F(FrontendHookTest, ArrayCreateGoesThroughQuota) {
 TEST_F(FrontendHookTest, KernelWaitsForToken) {
   ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
   bool done = false;
-  ASSERT_EQ(c.hook.LaunchKernel({Millis(10), 0.0, "k"}, cuda::kDefaultStream,
-                                [&] { done = true; }),
+  ASSERT_EQ(c.hook.LaunchKernel({Millis(10), 0.0, "k"}, [&] { done = true; }),
             cuda::CudaResult::kSuccess);
   // Nothing reaches the device until the token exchange completes.
   EXPECT_FALSE(dev_.busy());
@@ -105,8 +104,7 @@ TEST_F(FrontendHookTest, KernelWaitsForToken) {
 
 TEST_F(FrontendHookTest, TokenReleasedEarlyWhenQueueDrains) {
   ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  ASSERT_EQ(c.hook.LaunchKernel({Millis(10), 0.0, "k"}, cuda::kDefaultStream,
-                                nullptr),
+  ASSERT_EQ(c.hook.LaunchKernel({Millis(10), 0.0, "k"}, nullptr),
             cuda::CudaResult::kSuccess);
   sim_.RunUntil(Millis(20));
   // Kernel finished well inside the 100ms quota; the holder must have
@@ -120,8 +118,7 @@ TEST_F(FrontendHookTest, ExpiryStopsSubmissionUntilRegrant) {
   // 30 kernels x 10ms = 300ms of work vs 100ms quota: needs >= 3 grants.
   int done = 0;
   for (int i = 0; i < 30; ++i) {
-    ASSERT_EQ(c.hook.LaunchKernel({Millis(10), 0.0, "k"},
-                                  cuda::kDefaultStream, [&] { ++done; }),
+    ASSERT_EQ(c.hook.LaunchKernel({Millis(10), 0.0, "k"}, [&] { ++done; }),
               cuda::CudaResult::kSuccess);
   }
   sim_.Run();
@@ -134,10 +131,8 @@ TEST_F(FrontendHookTest, TwoContainersAlternateViaToken) {
   ContainerStack b(&sim_, &dev_, backend_.get(), "b", ResourceSpec{});
   int done_a = 0, done_b = 0;
   for (int i = 0; i < 20; ++i) {
-    a.hook.LaunchKernel({Millis(20), 0.0, "ka"}, cuda::kDefaultStream,
-                        [&] { ++done_a; });
-    b.hook.LaunchKernel({Millis(20), 0.0, "kb"}, cuda::kDefaultStream,
-                        [&] { ++done_b; });
+    a.hook.LaunchKernel({Millis(20), 0.0, "ka"}, [&] { ++done_a; });
+    b.hook.LaunchKernel({Millis(20), 0.0, "kb"}, [&] { ++done_b; });
   }
   sim_.Run();
   EXPECT_EQ(done_a, 20);
@@ -152,8 +147,7 @@ TEST_F(FrontendHookTest, NonPreemptiveKernelOverrunsQuota) {
   // A single 250ms kernel: the quota (100ms) expires mid-kernel; the kernel
   // must still complete (CUDA kernels are non-preemptive).
   bool done = false;
-  c.hook.LaunchKernel({Millis(250), 0.0, "long"}, cuda::kDefaultStream,
-                      [&] { done = true; });
+  c.hook.LaunchKernel({Millis(250), 0.0, "long"}, [&] { done = true; });
   sim_.RunUntil(Millis(200));
   EXPECT_FALSE(done);
   EXPECT_EQ(backend_->HolderOf(dev_.uuid()), ContainerId("c1"));  // overrun
@@ -162,145 +156,65 @@ TEST_F(FrontendHookTest, NonPreemptiveKernelOverrunsQuota) {
   EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
 }
 
-TEST_F(FrontendHookTest, SynchronizeCoversQueuedKernels) {
-  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  bool synced = false;
-  c.hook.LaunchKernel({Millis(50), 0.0, "k"}, cuda::kDefaultStream, nullptr);
-  c.hook.Synchronize([&] { synced = true; });
-  EXPECT_FALSE(synced);
-  sim_.Run();
-  EXPECT_TRUE(synced);
-}
-
-TEST_F(FrontendHookTest, StreamLifecycleForwarded) {
-  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  cuda::StreamId s = 0;
-  ASSERT_EQ(c.hook.StreamCreate(&s), cuda::CudaResult::kSuccess);
-  c.hook.LaunchKernel({Millis(5), 0.0, "k"}, s, nullptr);
-  EXPECT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kErrorNotReady);
-  sim_.Run();
-  EXPECT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kSuccess);
-}
-
-TEST_F(FrontendHookTest, GrantForwardsQueuedStreamHeadsInIdOrder) {
-  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  std::vector<gpu::KernelTraceEvent> trace;
-  dev_.SetKernelTraceFn(
-      [&](const gpu::KernelTraceEvent& e) { trace.push_back(e); });
-  cuda::StreamId s[3] = {};
-  for (cuda::StreamId& id : s) {
-    ASSERT_EQ(c.hook.StreamCreate(&id), cuda::CudaResult::kSuccess);
-  }
-  ASSERT_LT(s[0], s[1]);
-  ASSERT_LT(s[1], s[2]);
-  // One kernel per stream, the newest stream first, all queued in the hook
-  // until the token arrives.
-  for (int i : {2, 0, 1}) {
-    ASSERT_EQ(c.hook.LaunchKernel({Millis(5), 0.0, "s" + std::to_string(i)},
-                                  s[i], nullptr),
-              cuda::CudaResult::kSuccess);
-  }
-  EXPECT_FALSE(c.hook.holds_valid_token());
-  sim_.Run();
-  // The grant forwards every head at once; the device numbers kernels in
-  // submission order.
-  ASSERT_EQ(trace.size(), 3u);
-  std::sort(trace.begin(), trace.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
-  EXPECT_EQ(trace[0].name, "s0");
-  EXPECT_EQ(trace[1].name, "s1");
-  EXPECT_EQ(trace[2].name, "s2");
-  EXPECT_EQ(trace[0].start, trace[2].start);
-}
-
-TEST_F(FrontendHookTest, DestroyedIdsStayInvalidAndAreNeverReused) {
-  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  cuda::StreamId s = 0;
-  cuda::EventId ev = 0;
-  ASSERT_EQ(c.hook.StreamCreate(&s), cuda::CudaResult::kSuccess);
-  ASSERT_EQ(c.hook.EventCreate(&ev), cuda::CudaResult::kSuccess);
-  ASSERT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kSuccess);
-  ASSERT_EQ(c.hook.EventDestroy(ev), cuda::CudaResult::kSuccess);
-  for (int round = 0; round < 2; ++round) {
-    // Before and after new ids are handed out, the destroyed ones stay dead.
-    EXPECT_EQ(c.hook.StreamDestroy(s), cuda::CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(c.hook.LaunchKernel({Millis(5), 0.0, "k"}, s, nullptr),
-              cuda::CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(c.hook.CancelPending(s), 0u);
-    EXPECT_EQ(c.hook.EventRecord(ev, cuda::kDefaultStream),
-              cuda::CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(c.hook.EventQuery(ev), cuda::CudaResult::kErrorInvalidHandle);
-    EXPECT_EQ(c.hook.EventDestroy(ev), cuda::CudaResult::kErrorInvalidHandle);
-    cuda::StreamId s2 = 0;
-    cuda::EventId ev2 = 0;
-    ASSERT_EQ(c.hook.StreamCreate(&s2), cuda::CudaResult::kSuccess);
-    ASSERT_EQ(c.hook.EventCreate(&ev2), cuda::CudaResult::kSuccess);
-    EXPECT_GT(s2, s);
-    EXPECT_GT(ev2, ev);
-    EXPECT_EQ(c.hook.EventRecord(ev2, s),
-              cuda::CudaResult::kErrorInvalidHandle);
-  }
-  EXPECT_EQ(c.hook.PendingKernels(), 0u);
-  EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
-}
-
-TEST_F(FrontendHookTest, LaunchOnUnknownStreamFails) {
-  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  EXPECT_EQ(c.hook.LaunchKernel({Millis(5), 0.0, "k"}, 777, nullptr),
-            cuda::CudaResult::kErrorInvalidHandle);
-}
-
-TEST_F(FrontendHookTest, EventsKeepOrderThroughTheHookQueues) {
-  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  cuda::EventId ev = 0;
-  ASSERT_EQ(c.hook.EventCreate(&ev), cuda::CudaResult::kSuccess);
-  // Two kernels queue in the hook (no token yet), then the event: it must
-  // not complete before both kernels retire.
-  c.hook.LaunchKernel({Millis(30), 0.0, "a"}, cuda::kDefaultStream, nullptr);
-  c.hook.LaunchKernel({Millis(30), 0.0, "b"}, cuda::kDefaultStream, nullptr);
-  ASSERT_EQ(c.hook.EventRecord(ev, cuda::kDefaultStream),
-            cuda::CudaResult::kSuccess);
-  EXPECT_EQ(c.hook.EventQuery(ev), cuda::CudaResult::kErrorNotReady);
-  Time fired{0};
-  ASSERT_EQ(c.hook.EventSynchronize(ev, [&] { fired = sim_.Now(); }),
-            cuda::CudaResult::kSuccess);
-  sim_.Run();
-  EXPECT_EQ(c.hook.EventQuery(ev), cuda::CudaResult::kSuccess);
-  // Exchange (~1.5 ms) + 60 ms of kernels.
-  EXPECT_GE(fired, Millis(60));
-}
-
-TEST_F(FrontendHookTest, EventOnEmptyHookQueueCompletesWithoutToken) {
-  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
-  cuda::EventId ev = 0;
-  ASSERT_EQ(c.hook.EventCreate(&ev), cuda::CudaResult::kSuccess);
-  ASSERT_EQ(c.hook.EventRecord(ev, cuda::kDefaultStream),
-            cuda::CudaResult::kSuccess);
-  // No kernels, no token needed — events consume no GPU time.
-  EXPECT_EQ(c.hook.EventQuery(ev), cuda::CudaResult::kSuccess);
-  EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
-}
-
-TEST_F(FrontendHookTest, EventElapsedTimeSpansThrottledKernels) {
+TEST_F(FrontendHookTest, GpuLimitHalfStretchesKernelsToTwiceTheirTime) {
   ResourceSpec spec;
   spec.gpu_request = 0.2;
   spec.gpu_limit = 0.5;  // throttled to half speed
   ContainerStack c(&sim_, &dev_, backend_.get(), "c1", spec);
-  cuda::EventId start = 0, end = 0;
-  c.hook.EventCreate(&start);
-  c.hook.EventCreate(&end);
-  c.hook.EventRecord(start, cuda::kDefaultStream);
+  Time last{0};
   for (int i = 0; i < 100; ++i) {
-    c.hook.LaunchKernel({Millis(10), 0.0, "k"}, cuda::kDefaultStream,
-                        nullptr);
+    c.hook.LaunchKernel({Millis(10), 0.0, "k"}, [&] { last = sim_.Now(); });
   }
-  c.hook.EventRecord(end, cuda::kDefaultStream);
   sim_.Run();
-  Duration elapsed{0};
-  ASSERT_EQ(c.hook.EventElapsedTime(&elapsed, start, end),
-            cuda::CudaResult::kSuccess);
-  // 1 s of kernels at <=0.5 usage -> ~2 s between the events.
-  EXPECT_GE(elapsed, Millis(1900));
+  // 1 s of kernels at <=0.5 usage -> the last one retires after ~2 s.
+  EXPECT_GE(last, Millis(1900));
+}
+
+TEST_F(FrontendHookTest, CancelWhileTheRequestWaitsHandsTheGrantBack) {
+  ContainerStack a(&sim_, &dev_, backend_.get(), "a", ResourceSpec{});
+  ContainerStack c(&sim_, &dev_, backend_.get(), "c", ResourceSpec{});
+  std::vector<std::string> ran;
+  dev_.SetKernelTraceFn(
+      [&](const gpu::KernelTraceEvent& e) { ran.push_back(e.name); });
+  a.hook.LaunchKernelStream({Millis(20), 0.0, "a"}, 3, nullptr);
+  sim_.RunUntil(Millis(5));
+  ASSERT_EQ(backend_->HolderOf(dev_.uuid()), ContainerId("a"));
+  // c's request queues behind a's grant; c cancels before it is served.
+  int c_units = 0;
+  c.hook.LaunchKernelStream({Millis(10), 0.0, "c"}, 4, [&] { ++c_units; });
+  c.hook.LaunchKernel({Millis(10), 0.0, "c"}, [&] { ++c_units; });
+  EXPECT_EQ(c.hook.CancelPending(), 5u);
+  EXPECT_EQ(c.hook.PendingKernels(), 0u);
+  sim_.Run();
+  // The grant that was already owed to c arrives and goes straight back,
+  // not at its expiry.
+  EXPECT_EQ(backend_->StatsOf(ContainerId("c")).grants, 1u);
+  EXPECT_EQ(backend_->StatsOf(ContainerId("c")).held_total, Duration{0});
+  EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
+  EXPECT_FALSE(c.hook.holds_valid_token());
+  EXPECT_EQ(c_units, 0);
+  EXPECT_EQ(ran, (std::vector<std::string>{"a", "a", "a"}));
+}
+
+TEST_F(FrontendHookTest, CancelMidStreamLetsTheInFlightUnitRetireThenReleases) {
+  ContainerStack c(&sim_, &dev_, backend_.get(), "c", ResourceSpec{});
+  std::vector<Time> finishes;
+  c.hook.LaunchKernelStream({Millis(10), 0.0, "s"}, 10,
+                            [&] { finishes.push_back(sim_.Now()); });
+  sim_.RunUntil(Millis(35));  // units 1..3 retired, unit 4 in flight
+  ASSERT_EQ(finishes.size(), 3u);
+  EXPECT_EQ(c.hook.CancelPending(), 6u);
+  EXPECT_EQ(c.hook.PendingKernels(), 1u);
+  // The in-flight unit keeps the token until it retires.
+  EXPECT_EQ(backend_->HolderOf(dev_.uuid()), ContainerId("c"));
+  sim_.Run();
+  ASSERT_EQ(finishes.size(), 4u);
+  EXPECT_EQ(finishes[3] - finishes[2], Millis(10));
+  EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
+  EXPECT_FALSE(c.hook.holds_valid_token());
+  EXPECT_EQ(c.hook.PendingKernels(), 0u);
+  EXPECT_EQ(backend_->StatsOf(ContainerId("c")).grants, 1u);
+  EXPECT_EQ(dev_.completed_kernels(), 4u);
 }
 
 TEST_F(FrontendHookTest, ThroughputRatioMatchesQuotaOverhead) {
@@ -310,9 +224,9 @@ TEST_F(FrontendHookTest, ThroughputRatioMatchesQuotaOverhead) {
   int done = 0;
   std::function<void()> next = [&] {
     ++done;
-    c.hook.LaunchKernel({Millis(10), 0.0, "k"}, cuda::kDefaultStream, next);
+    c.hook.LaunchKernel({Millis(10), 0.0, "k"}, next);
   };
-  c.hook.LaunchKernel({Millis(10), 0.0, "k"}, cuda::kDefaultStream, next);
+  c.hook.LaunchKernel({Millis(10), 0.0, "k"}, next);
   sim_.RunUntil(Seconds(10));
   const double expected =
       ToSeconds(cfg_.quota) / ToSeconds(cfg_.quota + cfg_.exchange_latency);

@@ -31,8 +31,7 @@ class GreedyJob {
 
  private:
   void LaunchNext() {
-    hook_.LaunchKernel({kernel_, 0.0, "train"}, cuda::kDefaultStream,
-                       [this] { LaunchNext(); });
+    hook_.LaunchKernel({kernel_, 0.0, "train"}, [this] { LaunchNext(); });
   }
 
   cuda::CudaContext ctx_;

@@ -186,11 +186,9 @@ TEST_F(OvercommitHookTest, TokenGrantPaysMigrationDelay) {
   // a runs first (resident), then b must swap 8 GiB in/out before its
   // kernel starts.
   Time a_done{0}, b_done{0};
-  a.hook.LaunchKernel({Millis(10), 0.0, "ka"}, cuda::kDefaultStream,
-                      [&] { a_done = sim_.Now(); });
+  a.hook.LaunchKernel({Millis(10), 0.0, "ka"}, [&] { a_done = sim_.Now(); });
   sim_.RunUntil(Millis(50));
-  b.hook.LaunchKernel({Millis(10), 0.0, "kb"}, cuda::kDefaultStream,
-                      [&] { b_done = sim_.Now(); });
+  b.hook.LaunchKernel({Millis(10), 0.0, "kb"}, [&] { b_done = sim_.Now(); });
   sim_.Run();
   EXPECT_GT(a_done.count(), 0);
   EXPECT_GT(b_done.count(), 0);
@@ -205,8 +203,7 @@ TEST_F(OvercommitHookTest, ResidentContainerRunsWithoutDelay) {
   gpu::DevicePtr p = 0;
   ASSERT_EQ(a.hook.MemAlloc(&p, 4 * kGiB), cuda::CudaResult::kSuccess);
   Time done{0};
-  a.hook.LaunchKernel({Millis(10), 0.0, "k"}, cuda::kDefaultStream,
-                      [&] { done = sim_.Now(); });
+  a.hook.LaunchKernel({Millis(10), 0.0, "k"}, [&] { done = sim_.Now(); });
   sim_.Run();
   // Exchange latency + kernel only; no migration.
   EXPECT_LT(done, Millis(20));

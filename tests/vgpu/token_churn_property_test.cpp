@@ -55,8 +55,7 @@ class BurstyClient {
     for (int i = 0; i < kernels; ++i) {
       ++launched_;
       (void)hook_->LaunchKernel(
-          {Millis(rng_->UniformInt(2, 40)), 0.0, "burst"},
-          cuda::kDefaultStream, [this] {
+          {Millis(rng_->UniformInt(2, 40)), 0.0, "burst"}, [this] {
             if (!stopped_) ++completed_;
           });
     }
