@@ -9,11 +9,15 @@ namespace ks::chaos {
 
 namespace {
 constexpr const char* kComponent = "chaos";
+/// Poll cadence of a fault's recovery (MTTR) probe.
+constexpr Duration kRecoveryPoll = Millis(500);
+/// A probe gives up after this long, so the event queue stays drainable
+/// when the cluster never re-converges.
+constexpr Duration kRecoveryTimeout = Seconds(120);
 }  // namespace
 
-FaultInjector::FaultInjector(k8s::Cluster* cluster, FaultPlan plan,
-                             InjectorConfig config)
-    : cluster_(cluster), plan_(std::move(plan)), config_(config) {
+FaultInjector::FaultInjector(k8s::Cluster* cluster, FaultPlan plan)
+    : cluster_(cluster), plan_(std::move(plan)) {
   assert(cluster_ != nullptr);
 }
 
@@ -433,7 +437,7 @@ void FaultInjector::ClearAdversarial(const std::string& job, FaultKind kind) {
 
 void FaultInjector::Poll(Probe probe) {
   cluster_->sim().ScheduleAfter(
-      config_.recovery_poll, [this, probe = std::move(probe)]() mutable {
+      kRecoveryPoll, [this, probe = std::move(probe)]() mutable {
         const Duration elapsed = cluster_->sim().Now() - probe.since;
         if (std::optional<std::string> message = probe.converged(elapsed)) {
           ++(stats_.*probe.measured);
@@ -443,7 +447,7 @@ void FaultInjector::Poll(Probe probe) {
                                           std::move(*message));
           return;
         }
-        if (elapsed >= config_.recovery_timeout) {
+        if (elapsed >= kRecoveryTimeout) {
           ++stats_.recoveries_timed_out;
           cluster_->api().events().Record(kComponent, probe.object,
                                           probe.timeout_reason);

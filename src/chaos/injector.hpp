@@ -90,22 +90,13 @@ struct ChaosStats {
   }
 };
 
-struct InjectorConfig {
-  /// Poll cadence for the node-crash recovery (MTTR) probe.
-  Duration recovery_poll = Millis(500);
-  /// Give up probing a crash's recovery after this long (keeps the event
-  /// queue drainable if the cluster never re-converges).
-  Duration recovery_timeout = Seconds(120);
-};
-
 /// Deterministic fault injector: replays a FaultPlan through the simulation
 /// clock against a live cluster. Every injection lands in the event queue
 /// at its scripted time, so the same plan against the same cluster and
 /// workload yields a byte-identical event timeline.
 class FaultInjector {
  public:
-  FaultInjector(k8s::Cluster* cluster, FaultPlan plan,
-                InjectorConfig config = {});
+  FaultInjector(k8s::Cluster* cluster, FaultPlan plan);
 
   /// Schedules every fault in the plan. Call once, before running the
   /// simulation (faults whose time has already passed are skipped).
@@ -159,14 +150,12 @@ class FaultInjector {
     Duration ChaosStats::*time;
     Time since;  // when the fault struck
   };
-  /// Checks `probe` one recovery_poll from now, and every recovery_poll
-  /// after that until it converges or recovery_timeout has passed.
+  /// Checks `probe` every 500 ms until it converges or 120 s have passed.
   void Poll(Probe probe);
   void RecordSkip(const Fault& fault, const std::string& why);
 
   k8s::Cluster* cluster_;
   FaultPlan plan_;
-  InjectorConfig config_;
   kubeshare::KubeShare* kubeshare_ = nullptr;
   workload::WorkloadHost* workload_host_ = nullptr;
   std::vector<k8s::LeaderElector*> electors_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
 
 namespace ks::kubeshare {
 
@@ -56,8 +57,7 @@ const NodeFreeGpus* PickNodeForNewDevice(
   return best;
 }
 
-// `id` is deliberately taken by value: callers may pass a reference into a
-// pool index (e.g. the idle-device set) that Attach itself mutates.
+/// Reserves `r` on device `id` and returns the GPUID, or Attach's error.
 Expected<GpuId> AttachOrPropagate(VgpuPool& pool, GpuId id,
                                   const ScheduleRequest& r) {
   const Status s = pool.Attach(id, r.sharepod, r.gpu, r.locality);
@@ -67,9 +67,9 @@ Expected<GpuId> AttachOrPropagate(VgpuPool& pool, GpuId id,
 
 }  // namespace
 
-Expected<GpuId> ScheduleSharePodReference(
-    VgpuPool& pool, const ScheduleRequest& r,
-    const std::vector<NodeFreeGpus>& free_gpus, PlacementVariant variant) {
+Expected<GpuId> ScheduleSharePod(VgpuPool& pool, const ScheduleRequest& r,
+                                 const std::vector<NodeFreeGpus>& free_gpus,
+                                 PlacementVariant variant) {
   KS_RETURN_IF_ERROR(r.gpu.Validate());
   const bool sliced = pool.spatial_enabled() && r.gpu.slice_groups > 0;
   if (sliced && r.gpu.slice_groups > pool.sm_groups()) {
@@ -152,7 +152,7 @@ Expected<GpuId> ScheduleSharePodReference(
   // toward the least-loaded node so simultaneous placements spread like
   // the native scheduler's instead of queueing on one kubelet.
   std::map<std::string, int> node_attached;
-  for (const VgpuInfo* d : pool.List()) {
+  for (const VgpuInfo* d : devices) {
     node_attached[d->node] += static_cast<int>(d->attached.size());
   }
   auto tie_break_better = [&](const VgpuInfo* d, const VgpuInfo* pick) {
@@ -230,152 +230,6 @@ Expected<GpuId> ScheduleSharePodReference(
     case PlacementVariant::kFirstFit:
       if (!candidates.empty()) pick = candidates.front();
       break;
-  }
-  if (pick != nullptr) {
-    return AttachOrPropagate(pool, pick->id, r);
-  }
-
-  const NodeFreeGpus* node = PickNodeForNewDevice(r, free_gpus);
-  if (node == nullptr) {
-    return UnavailableError("no device fits and no free physical GPU");
-  }
-  VgpuInfo& fresh = pool.Create(node->node);
-  return AttachOrPropagate(pool, fresh.id, r);
-}
-
-Expected<GpuId> ScheduleSharePod(VgpuPool& pool, const ScheduleRequest& r,
-                                 const std::vector<NodeFreeGpus>& free_gpus,
-                                 PlacementVariant variant) {
-  KS_RETURN_IF_ERROR(r.gpu.Validate());
-  const bool sliced = pool.spatial_enabled() && r.gpu.slice_groups > 0;
-  if (sliced && r.gpu.slice_groups > pool.sm_groups()) {
-    return RejectedError("slice claim exceeds device geometry");
-  }
-
-  // Index-accelerated Algorithm 1. Every index iterates in GpuId order —
-  // the same order the reference scan visits pool.List() — so each step
-  // selects the identical device; only the work to find it changes.
-
-  // ---- Step 1: affinity label, via the label index --------------------
-  if (r.locality.affinity.has_value()) {
-    if (const std::set<GpuId>* group =
-            pool.DevicesWithAffinity(*r.locality.affinity)) {
-      for (const GpuId& id : *group) {
-        const VgpuInfo* labelled = pool.Find(id);
-        assert(labelled != nullptr);
-        if (!NodeAllowed(r, labelled->node)) continue;
-        if (r.locality.exclusion != labelled->exclusion) {
-          return RejectedError("exclusion conflict with affinity device " +
-                               labelled->id.value());
-        }
-        if (r.locality.anti_affinity.has_value() &&
-            labelled->anti_affinity.count(*r.locality.anti_affinity) > 0) {
-          return RejectedError("anti-affinity conflict on affinity device " +
-                               labelled->id.value());
-        }
-        if (!FitsResources(r, *labelled, pool.mem_capacity())) {
-          return RejectedError("insufficient resources on affinity device " +
-                               labelled->id.value());
-        }
-        if (!FitsSlices(r, *labelled, pool.spatial_enabled())) {
-          return RejectedError(
-              "insufficient slice groups on affinity device " +
-              labelled->id.value());
-        }
-        return AttachOrPropagate(pool, labelled->id, r);
-      }
-    }
-    // First container of this affinity group: first idle device from the
-    // idle index, else a new device.
-    for (const GpuId& id : pool.idle_devices()) {
-      const VgpuInfo* d = pool.Find(id);
-      assert(d != nullptr);
-      if (NodeAllowed(r, d->node)) return AttachOrPropagate(pool, id, r);
-    }
-    const NodeFreeGpus* node = PickNodeForNewDevice(r, free_gpus);
-    if (node == nullptr) {
-      return UnavailableError("no free physical GPU for new vGPU");
-    }
-    VgpuInfo& fresh = pool.Create(node->node);
-    return AttachOrPropagate(pool, fresh.id, r);
-  }
-
-  // ---- Steps 2+3 fused into one pass over the pool --------------------
-  // Residual-index precheck: with no idle device (idle candidates need no
-  // capacity check) and a request above every device's residual compute,
-  // the candidate set is provably empty — skip the scan and go straight to
-  // new_dev(). Conservative: never claims infeasible when a candidate
-  // exists. Skipped under a node constraint (the index is cluster-wide).
-  const bool provably_no_candidate =
-      r.node_constraint.empty() && pool.idle_devices().empty() &&
-      r.gpu.gpu_request > pool.MaxResidualUtil() + kEps;
-
-  const VgpuInfo* pick = nullptr;
-  if (!provably_no_candidate) {
-    // Same comparison chains as the reference best_fit/worst_fit, with the
-    // per-node attach counts read from the pool index instead of a map
-    // rebuilt per request.
-    auto tie_break_better = [&](const VgpuInfo& d, const VgpuInfo& p) {
-      return pool.AttachedOnNode(d.node) < pool.AttachedOnNode(p.node);
-    };
-    auto better_best = [&](const VgpuInfo& d, const VgpuInfo* p) {
-      return p == nullptr || d.residual_util() < p->residual_util() - kEps ||
-             (std::abs(d.residual_util() - p->residual_util()) <= kEps &&
-              (d.residual_mem() < p->residual_mem() - kEps ||
-               (std::abs(d.residual_mem() - p->residual_mem()) <= kEps &&
-                tie_break_better(d, *p))));
-    };
-    auto better_worst = [&](const VgpuInfo& d, const VgpuInfo* p) {
-      return p == nullptr || d.residual_util() > p->residual_util() + kEps ||
-             (std::abs(d.residual_util() - p->residual_util()) <= kEps &&
-              (d.residual_mem() > p->residual_mem() + kEps ||
-               (std::abs(d.residual_mem() - p->residual_mem()) <= kEps &&
-                tie_break_better(d, *p))));
-    };
-    // Same fragmentation-first ordering as the reference Step 3: only a
-    // slice claim activates it, and residual capacity breaks frag ties.
-    auto improves_with_frag = [&](const VgpuInfo& d, const VgpuInfo* p,
-                                  auto&& base) {
-      if (p == nullptr) return true;
-      if (sliced) {
-        const double fd = PostPlacementFragmentation(d, r.gpu.slice_groups);
-        const double fp = PostPlacementFragmentation(*p, r.gpu.slice_groups);
-        if (fd < fp - kEps) return true;
-        if (fd > fp + kEps) return false;
-      }
-      return static_cast<bool>(base(d, p));
-    };
-
-    const VgpuInfo* primary = nullptr;    // unlabelled-group winner
-    const VgpuInfo* secondary = nullptr;  // labelled-group winner
-    for (const auto& [id, d] : pool.entries()) {
-      if (!NodeAllowed(r, d.node)) continue;
-      if (!d.idle()) {
-        const bool excl_conflict =
-            (r.locality.exclusion.has_value() || d.exclusion.has_value()) &&
-            r.locality.exclusion != d.exclusion;
-        if (excl_conflict) continue;
-        if (r.locality.anti_affinity.has_value() &&
-            d.anti_affinity.count(*r.locality.anti_affinity) > 0) {
-          continue;
-        }
-        if (!FitsResources(r, d, pool.mem_capacity())) continue;
-        if (!FitsSlices(r, d, pool.spatial_enabled())) continue;
-      }
-      if (variant == PlacementVariant::kFirstFit) {
-        pick = &d;
-        break;
-      }
-      const VgpuInfo*& winner = d.affinity.empty() ? primary : secondary;
-      const bool improves = (variant == PlacementVariant::kPaper &&
-                             d.affinity.empty())
-                                ? improves_with_frag(d, winner, better_best)
-                                : improves_with_frag(d, winner, better_worst);
-      if (improves) winner = &d;
-    }
-    if (variant != PlacementVariant::kFirstFit && pick == nullptr) {
-      pick = primary != nullptr ? primary : secondary;
-    }
   }
   if (pick != nullptr) {
     return AttachOrPropagate(pool, pick->id, r);

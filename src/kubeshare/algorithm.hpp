@@ -27,7 +27,7 @@ struct NodeFreeGpus {
 };
 
 /// Locality & Resource Aware Scheduling — the paper's Algorithm 1,
-/// implemented verbatim over the vGPU pool:
+/// implemented verbatim as one scan over pool.List():
 ///
 ///  Step 1  If the request carries an affinity label and a device already
 ///          has it, the request MUST go there; exclusion/anti-affinity/
@@ -40,6 +40,9 @@ struct NodeFreeGpus {
 ///          among devices WITH affinity labels (keep labelled devices
 ///          roomy for their future co-residents); finally a new device.
 ///
+/// Each decision costs O(pool): the scan, plus a per-node attach count
+/// rebuilt for the tie-break.
+///
 /// On success the placement is reserved in the pool (Attach / Create) and
 /// the GPUID is returned. Error codes distinguish outcomes:
 ///   kRejected     — constraint violation, terminal ("return -1");
@@ -49,16 +52,5 @@ Expected<GpuId> ScheduleSharePod(VgpuPool& pool, const ScheduleRequest& r,
                                  const std::vector<NodeFreeGpus>& free_gpus,
                                  PlacementVariant variant =
                                      PlacementVariant::kPaper);
-
-/// Reference implementation of Algorithm 1: the literal three-step scan
-/// over pool.List(), rebuilding the per-node attach counts per request.
-/// Kept verbatim as the behavioral oracle — ScheduleSharePod is the
-/// index-accelerated path and must pick the same device for the same pool
-/// state and request (cross-checked by the scheduler-equivalence property
-/// test). Use this one when auditing against the paper's pseudo-code.
-Expected<GpuId> ScheduleSharePodReference(
-    VgpuPool& pool, const ScheduleRequest& r,
-    const std::vector<NodeFreeGpus>& free_gpus,
-    PlacementVariant variant = PlacementVariant::kPaper);
 
 }  // namespace ks::kubeshare

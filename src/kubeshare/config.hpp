@@ -41,13 +41,9 @@ struct KubeShareConfig {
   /// Run the control plane behind a Lease-based leader election. The
   /// facade campaigns for the "kubeshare-controller" lease and stamps the
   /// won fencing token into every controller write, so a deposed replica's
-  /// stale writes are rejected at the store instead of applied.
+  /// stale writes are rejected at the store instead of applied. The lease
+  /// runs on k8s::LeaderElectorConfig's defaults.
   bool enable_leader_election = false;
-  /// Lease parameters when enable_leader_election is set (client-go
-  /// defaults scaled to the simulation's pace).
-  Duration lease_duration = Seconds(10);
-  Duration lease_renew_period = Seconds(3);
-  Duration lease_retry_period = Seconds(2);
 };
 
 }  // namespace ks::kubeshare

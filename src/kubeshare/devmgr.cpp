@@ -233,9 +233,12 @@ Status KubeShareDevMgr::RebuildFromApiServer() {
   // Phase 4: vGPUs nobody is attached to follow the pool policy, exactly
   // as if their last detach had just happened — on-demand releases them
   // (and their acquisition pods) back to Kubernetes, reservation keeps
-  // them warm. No orphaned vGPU survives the rebuild unaccounted.
-  std::vector<GpuId> idle(pool_->idle_devices().begin(),
-                          pool_->idle_devices().end());
+  // them warm. No orphaned vGPU survives the rebuild unaccounted. Collect
+  // first: a release removes the entry from the pool being scanned.
+  std::vector<GpuId> idle;
+  for (const VgpuInfo* dev : pool_->List()) {
+    if (dev->idle()) idle.push_back(dev->id);
+  }
   for (const GpuId& id : idle) MaybeReleaseVgpu(id);
 
   cluster_->api().events().Record(

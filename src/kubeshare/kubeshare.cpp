@@ -34,9 +34,6 @@ Status KubeShare::Start() {
     k8s::LeaderElectorConfig lec;
     lec.lease_name = "kubeshare-controller";
     lec.identity = "kubeshare-0";
-    lec.lease_duration = config_.lease_duration;
-    lec.renew_period = config_.lease_renew_period;
-    lec.retry_period = config_.lease_retry_period;
     elector_ =
         std::make_unique<k8s::LeaderElector>(&cluster_->api(), std::move(lec));
     // A win must fence BOTH stores the controllers write through: the

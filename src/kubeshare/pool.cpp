@@ -41,7 +41,6 @@ VgpuInfo& VgpuPool::Create(const std::string& node) {
   auto [it, inserted] = entries_.emplace(id, std::move(info));
   assert(inserted);
   ++node_devices_[node];
-  OnAfterDeviceChange(it->second);
   return it->second;
 }
 
@@ -55,9 +54,8 @@ Expected<GpuId> VgpuPool::CreateWithId(const GpuId& id,
   info.id = id;
   info.node = node;
   if (sm_groups_ > 0) info.slices = spatial::SliceMap(sm_groups_);
-  auto [it, inserted] = entries_.emplace(id, std::move(info));
+  entries_.emplace(id, std::move(info));
   ++node_devices_[node];
-  OnAfterDeviceChange(it->second);
   return id;
 }
 
@@ -84,91 +82,36 @@ std::size_t VgpuPool::CountOnNode(const std::string& node) const {
   return it == node_devices_.end() ? 0 : static_cast<std::size_t>(it->second);
 }
 
-const std::set<GpuId>* VgpuPool::DevicesWithAffinity(const Label& l) const {
-  auto it = affinity_index_.find(l);
-  return it == affinity_index_.end() ? nullptr : &it->second;
-}
-
-int VgpuPool::AttachedOnNode(const std::string& node) const {
-  auto it = node_attached_.find(node);
-  return it == node_attached_.end() ? 0 : it->second;
-}
-
-double VgpuPool::MaxResidualUtil() const {
-  return residuals_.empty() ? -1.0 : *residuals_.rbegin();
-}
-
-void VgpuPool::OnBeforeDeviceChange(const VgpuInfo& dev) {
-  idle_.erase(dev.id);
-  for (const Label& l : dev.affinity) {
-    auto it = affinity_index_.find(l);
-    if (it != affinity_index_.end()) {
-      it->second.erase(dev.id);
-      if (it->second.empty()) affinity_index_.erase(it);
-    }
-  }
-  node_attached_[dev.node] -= static_cast<int>(dev.attached.size());
-  auto it = residuals_.find(dev.residual_util());
-  assert(it != residuals_.end());
-  residuals_.erase(it);
-}
-
-void VgpuPool::OnAfterDeviceChange(const VgpuInfo& dev) {
-  if (dev.idle()) idle_.insert(dev.id);
-  for (const Label& l : dev.affinity) affinity_index_[l].insert(dev.id);
-  node_attached_[dev.node] += static_cast<int>(dev.attached.size());
-  residuals_.insert(dev.residual_util());
-}
-
 Status VgpuPool::CheckIndexInvariants() const {
-  std::set<GpuId> idle;
-  std::map<Label, std::set<GpuId>> affinity;
-  std::map<std::string, int> attached;
+  // Remove drops a node's count when it reaches zero, so a recount must
+  // match the map exactly.
   std::map<std::string, int> devices;
-  std::multiset<double> residuals;
-  for (const auto& [id, dev] : entries_) {
-    if (dev.idle()) idle.insert(id);
-    for (const Label& l : dev.affinity) affinity[l].insert(id);
-    attached[dev.node] += static_cast<int>(dev.attached.size());
-    ++devices[dev.node];
-    residuals.insert(dev.residual_util());
-  }
-  // The incremental maps may retain zero-count entries for nodes whose
-  // devices all left; normalize both sides before comparing.
-  auto nonzero = [](const std::map<std::string, int>& m) {
-    std::map<std::string, int> out;
-    for (const auto& [k, v] : m) {
-      if (v != 0) out.emplace(k, v);
-    }
-    return out;
-  };
-  if (idle != idle_) return InternalError("idle-device index out of sync");
-  if (affinity != affinity_index_) {
-    return InternalError("affinity-label index out of sync");
-  }
-  if (nonzero(attached) != nonzero(node_attached_)) {
-    return InternalError("node-attached index out of sync");
-  }
-  if (nonzero(devices) != nonzero(node_devices_)) {
+  for (const auto& [id, dev] : entries_) ++devices[dev.node];
+  if (devices != node_devices_) {
     return InternalError("node-device index out of sync");
   }
-  if (residuals != residuals_) {
-    return InternalError("residual index out of sync");
-  }
-  // Slice occupancy: replaying every attachment's recorded run into a
-  // fresh map must reproduce each device's incrementally-maintained
-  // bitmap exactly (and never collide).
+  // Every attachment replays against its device. Its exclusion label must
+  // be the device's: an occupied device carries its tenants' label, and
+  // Attach admits no other. Its slice run, occupied into a fresh map per
+  // device, must never collide and must reproduce the device's
+  // incrementally-maintained bitmap exactly.
   std::map<GpuId, spatial::SliceMap> slice_maps;
   for (const auto& [id, dev] : entries_) {
     slice_maps.emplace(id, spatial::SliceMap(dev.slices.groups()));
   }
   for (const auto& [name, att] : attachments_) {
-    if (att.slice_offset < 0) continue;
-    auto it = slice_maps.find(att.device);
-    if (it == slice_maps.end()) {
-      return InternalError("slice attachment to unknown device: " + name);
+    auto it = entries_.find(att.device);
+    if (it == entries_.end()) {
+      return InternalError("attachment to unknown device: " + name);
     }
-    if (!it->second.Occupy(att.slice_offset, att.gpu.slice_groups).ok()) {
+    if (att.locality.exclusion != it->second.exclusion) {
+      return InternalError("exclusion label of " + name +
+                           " differs from its device's");
+    }
+    if (att.slice_offset >= 0 &&
+        !slice_maps.at(att.device)
+             .Occupy(att.slice_offset, att.gpu.slice_groups)
+             .ok()) {
       return InternalError("overlapping slice attachments: " + name);
     }
   }
@@ -205,8 +148,7 @@ Status VgpuPool::Attach(const GpuId& id, const std::string& sharepod,
   if (gpu.gpu_mem > mem_capacity() - dev->used_mem + kCapacityEps) {
     return ResourceExhaustedError("insufficient memory on " + id.value());
   }
-  if (dev->exclusion.has_value() && locality.exclusion != dev->exclusion &&
-      !dev->attached.empty()) {
+  if (!dev->attached.empty() && locality.exclusion != dev->exclusion) {
     return RejectedError("exclusion label mismatch on " + id.value());
   }
   if (locality.anti_affinity.has_value() &&
@@ -236,7 +178,6 @@ Status VgpuPool::Attach(const GpuId& id, const std::string& sharepod,
     }
   }
 
-  OnBeforeDeviceChange(*dev);
   if (granted_offset >= 0) {
     const Status occupied =
         dev->slices.Occupy(granted_offset, gpu.slice_groups);
@@ -253,7 +194,6 @@ Status VgpuPool::Attach(const GpuId& id, const std::string& sharepod,
   dev->attached.insert(sharepod);
   if (dev->uuid.has_value()) dev->state = VgpuState::kActive;
   attachments_[sharepod] = {id, gpu, locality, granted_offset};
-  OnAfterDeviceChange(*dev);
   return Status::Ok();
 }
 
@@ -293,9 +233,7 @@ Status VgpuPool::UpdateAttachment(const std::string& sharepod,
                                   it->second.device.value());
   }
   it->second.gpu = updated;
-  OnBeforeDeviceChange(*dev);
   dev->used_util += delta;
-  OnAfterDeviceChange(*dev);
   return Status::Ok();
 }
 
@@ -310,7 +248,6 @@ Expected<GpuId> VgpuPool::Detach(const std::string& sharepod) {
   attachments_.erase(it);
   VgpuInfo* dev = Find(device);
   if (dev != nullptr) {
-    OnBeforeDeviceChange(*dev);
     if (slice_offset >= 0) {
       const Status released = dev->slices.Release(slice_offset, slice_groups);
       assert(released.ok());
@@ -321,7 +258,6 @@ Expected<GpuId> VgpuPool::Detach(const std::string& sharepod) {
     if (dev->attached.empty() && dev->uuid.has_value()) {
       dev->state = VgpuState::kIdle;
     }
-    OnAfterDeviceChange(*dev);
   }
   return device;
 }
@@ -352,7 +288,6 @@ Status VgpuPool::Remove(const GpuId& id) {
   if (!it->second.attached.empty()) {
     return FailedPreconditionError("vGPU still attached: " + id.value());
   }
-  OnBeforeDeviceChange(it->second);
   if (--node_devices_[it->second.node] == 0) {
     node_devices_.erase(it->second.node);
   }
@@ -369,11 +304,7 @@ std::optional<GpuId> VgpuPool::DeviceOf(const std::string& sharepod) const {
 void VgpuPool::Clear() {
   entries_.clear();
   attachments_.clear();
-  idle_.clear();
-  affinity_index_.clear();
-  node_attached_.clear();
   node_devices_.clear();
-  residuals_.clear();
   // next_id_ intentionally survives — see the header comment.
 }
 

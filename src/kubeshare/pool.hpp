@@ -93,43 +93,19 @@ class VgpuPool {
   std::size_t size() const { return entries_.size(); }
   std::size_t CountOnNode(const std::string& node) const;
 
-  /// Ordered read access to all entries, without materializing the
-  /// pointer vector List() builds.
-  const std::map<GpuId, VgpuInfo>& entries() const { return entries_; }
-
-  // ---- Incremental indices (see docs/performance.md) -------------------
-  // Maintained by every mutator so the scheduler never rescans the pool.
-  // All GpuId/string-keyed values, no pointers: copying the pool (the
-  // gang-admission dry run does) copies consistent indices. Each set
-  // iterates in GpuId order — the same order as entries_ — which is what
-  // keeps the indexed scheduler's picks identical to the reference scan.
-
-  /// Devices with no attachments (VgpuInfo::idle()), in GpuId order.
-  const std::set<GpuId>& idle_devices() const { return idle_; }
-
-  /// Devices carrying affinity label `l`, in GpuId order; nullptr if none.
-  const std::set<GpuId>* DevicesWithAffinity(const Label& l) const;
-
-  /// Total attachments across devices on `node` (the scheduler's
-  /// tie-break key), without a pool scan.
-  int AttachedOnNode(const std::string& node) const;
-
-  /// Largest residual compute capacity over all devices; -1 when the pool
-  /// is empty. A request above this cannot fit any existing device, which
-  /// lets the scheduler skip straight to the new-device path.
-  double MaxResidualUtil() const;
-
-  /// Rebuilds every index from entries_/attachments_ and compares with the
-  /// incrementally-maintained state. Test hook: any mismatch is a bug in a
-  /// mutator's index upkeep.
+  /// Recounts the per-node device counts and replays every attachment's
+  /// slice run and exclusion label against the devices. Test and recovery
+  /// hook: any mismatch is a bug in a mutator.
   Status CheckIndexInvariants() const;
 
   /// Marks the acquisition complete (UUID learned from the launched pod).
   Status Activate(const GpuId& id, const GpuUuid& uuid);
 
   /// Reserves capacity and labels for `sharepod` on device `id`. Fails if
-  /// the reservation would over-commit or violate the device's exclusion
-  /// label; label sets are extended as Algorithm 1 lines 7/11-13 do.
+  /// the reservation would over-commit, or if the device is occupied and
+  /// its exclusion label differs from the request's (an unlabelled request
+  /// and an unlabelled device match; a label and no label do not); label
+  /// sets are extended as Algorithm 1 lines 7/11-13 do.
   /// `slice_offset` applies only on spatial pools with gpu.slice_groups
   /// > 0: -1 lets the pool pick the first-fit (lowest-offset) free run; a
   /// concrete offset pins the exact groups (DevMgr rebuild re-attaching
@@ -165,10 +141,10 @@ class VgpuPool {
   /// GPUID of the device a sharePod is attached to, if any.
   std::optional<GpuId> DeviceOf(const std::string& sharepod) const;
 
-  /// Crash model: drops every entry, attachment, and index — the
-  /// in-memory state a dead DevMgr loses. The id counter survives on
-  /// purpose: GPUIDs already recorded in sharePod specs at the apiserver
-  /// must never be re-minted for a different device after the restart.
+  /// Crash model: drops every entry and attachment — the in-memory state
+  /// a dead DevMgr loses. The id counter survives on purpose: GPUIDs
+  /// already recorded in sharePod specs at the apiserver must never be
+  /// re-minted for a different device after the restart.
   void Clear();
 
   /// Rebuild helper: after re-creating entries whose counter-derived ids
@@ -192,12 +168,6 @@ class VgpuPool {
 
   void RecomputeDevice(VgpuInfo& dev);
 
-  /// Index upkeep around a mutation of `dev`'s usage/labels/attachments.
-  /// Call OnBeforeDeviceChange with the device's current state, mutate,
-  /// then OnAfterDeviceChange with the new state.
-  void OnBeforeDeviceChange(const VgpuInfo& dev);
-  void OnAfterDeviceChange(const VgpuInfo& dev);
-
   std::map<GpuId, VgpuInfo> entries_;
   std::map<std::string, Attachment> attachments_;
   std::uint64_t next_id_ = 1;
@@ -205,12 +175,9 @@ class VgpuPool {
   double overcommit_factor_ = 0.0;  // 0: unbounded when over-committing
   int sm_groups_ = 0;  // 0: spatial sharing off
 
-  // Incremental indices — see the accessor block above.
-  std::set<GpuId> idle_;
-  std::map<Label, std::set<GpuId>> affinity_index_;
-  std::map<std::string, int> node_attached_;
+  // Devices per node, kept by Create/CreateWithId/Remove: FreePhysicalGpus
+  // and gang admission read it on every decision.
   std::map<std::string, int> node_devices_;
-  std::multiset<double> residuals_;
 };
 
 }  // namespace ks::kubeshare

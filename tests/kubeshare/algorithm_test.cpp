@@ -322,6 +322,33 @@ TEST(Algorithm1, MemoryOvercommitSkipsMemFilter) {
   EXPECT_GT(pool.Get(*d)->used_mem, 1.0);
 }
 
+TEST(Algorithm1, SliceClaimPrefersLowerPostPlacementFragmentation) {
+  // On a spatial pool a slice claim ranks candidates by the fragmentation
+  // each would have after first-fit placement, before residual capacity.
+  VgpuPool pool;
+  pool.EnableSpatial(7);
+  const GpuId a = pool.Create("node-0").id;
+  const GpuId b = pool.Create("node-0").id;
+  auto slice = [](const std::string& name, int groups) {
+    ScheduleRequest r = Req(name, 0.2);
+    r.gpu.slice_groups = groups;
+    return r;
+  };
+  ASSERT_TRUE(pool.Attach(a, "a0", slice("a0", 2).gpu, {}, 0).ok());
+  ASSERT_TRUE(pool.Attach(b, "b0", slice("b0", 1).gpu, {}, 0).ok());
+  ASSERT_TRUE(pool.Attach(b, "b1", slice("b1", 1).gpu, {}, 2).ok());
+  // A temporal request ignores slices: best fit picks the tighter b.
+  auto temporal = ScheduleSharePod(pool, Req("t", 0.1), Supply(4));
+  ASSERT_TRUE(temporal.ok());
+  EXPECT_EQ(*temporal, b);
+  // a is "##.....", b is "#.#....". Two groups leave a one free run but
+  // split b's ("#.####."), so the claim goes to a although b is tighter.
+  auto claim = ScheduleSharePod(pool, slice("c", 2), Supply(4));
+  ASSERT_TRUE(claim.ok());
+  EXPECT_EQ(*claim, a);
+  EXPECT_EQ(pool.SliceOf("c"), std::make_pair(2, 2));
+}
+
 TEST(Algorithm1, InvalidSpecRejected) {
   VgpuPool pool;
   ScheduleRequest r = Req("bad", 0.5);
@@ -366,13 +393,14 @@ TEST_P(AlgorithmProperty, RandomStreamKeepsPoolInvariants) {
     auto result = ScheduleSharePod(pool, r, free);
     if (result.ok()) placed.push_back(r.sharepod);
 
-    // Invariants: no device over-committed; anti-affinity labels unique per
-    // device attachment set; exclusion uniform across a device.
+    // Invariants: no device over-committed; exclusion uniform across a
+    // device (CheckIndexInvariants replays every attachment's label).
     for (const VgpuInfo* d : pool.List()) {
       EXPECT_LE(d->used_util, 1.0 + 1e-9);
       EXPECT_LE(d->used_mem, 1.0 + 1e-9);
       EXPECT_GE(d->used_util, -1e-9);
     }
+    ASSERT_TRUE(pool.CheckIndexInvariants().ok()) << "op " << i;
     EXPECT_LE(pool.size(), static_cast<std::size_t>(supply));
   }
 }

@@ -102,6 +102,53 @@ TEST_F(DevMgrEdgeTest, PinnedGpuIdOvercommitRejected) {
             SharePodPhase::kRejected);
 }
 
+TEST_F(DevMgrEdgeTest, PinnedExclusiveSharePodOntoSharedDeviceRejected) {
+  // A user-pinned GPUID bypasses Algorithm 1's exclusion filter, so the
+  // pool itself must refuse an exclusive sharePod on a device an
+  // unlabelled tenant already occupies.
+  SharePod a = MakeSharePod("a", 0.3);
+  a.spec.gpu_id = GpuId("pin");
+  a.spec.node_name = "node-0";
+  SharePod b = MakeSharePod("b", 0.3);
+  b.spec.gpu_id = GpuId("pin");
+  b.spec.node_name = "node-0";
+  b.spec.locality.exclusion = Label("X");
+  ASSERT_TRUE(kubeshare_.CreateSharePod(a).ok());
+  ASSERT_TRUE(kubeshare_.CreateSharePod(b).ok());
+  cluster_.sim().RunUntil(Seconds(15));
+  EXPECT_EQ(kubeshare_.sharepods().Get("a")->status.phase,
+            SharePodPhase::kRunning);
+  EXPECT_EQ(kubeshare_.sharepods().Get("b")->status.phase,
+            SharePodPhase::kRejected);
+  auto dev = kubeshare_.pool().Get(GpuId("pin"));
+  ASSERT_TRUE(dev.ok());
+  EXPECT_FALSE(dev->exclusion.has_value());
+  EXPECT_TRUE(kubeshare_.pool().CheckIndexInvariants().ok());
+}
+
+TEST_F(DevMgrEdgeTest, RebuildReleasesVgpuOrphanedWhileDown) {
+  // A sharePod deleted while DevMgr is down leaves its vGPU with nobody
+  // attached. The rebuild applies the on-demand policy to it, as if its
+  // last detach had just happened: the physical GPU goes back to
+  // Kubernetes.
+  ASSERT_TRUE(kubeshare_.CreateSharePod(MakeSharePod("gone", 0.3)).ok());
+  cluster_.sim().RunUntil(Seconds(15));
+  ASSERT_EQ(kubeshare_.sharepods().Get("gone")->status.phase,
+            SharePodPhase::kRunning);
+  kubeshare_.devmgr().Crash();
+  ASSERT_TRUE(kubeshare_.sharepods().Delete("gone").ok());
+  cluster_.sim().RunUntil(Seconds(20));
+  ASSERT_TRUE(kubeshare_.devmgr().Restart().ok());
+  EXPECT_EQ(kubeshare_.devmgr().rebuilt_vgpus(), 1u);
+  EXPECT_EQ(kubeshare_.devmgr().vgpus_released(), 1u);
+  EXPECT_EQ(kubeshare_.pool().size(), 0u);
+  cluster_.sim().RunUntil(Seconds(30));
+  // Both the orphaned workload pod and the acquisition pod are gone.
+  for (const k8s::Pod& p : cluster_.api().pods().List()) {
+    EXPECT_TRUE(p.terminal()) << p.meta.name;
+  }
+}
+
 TEST_F(DevMgrEdgeTest, ReserveVgpuProducesIdleEntry) {
   auto id = kubeshare_.devmgr().ReserveVgpu("node-0");
   ASSERT_TRUE(id.ok());

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace ks::kubeshare {
 namespace {
 
@@ -96,6 +102,28 @@ TEST(VgpuPool, ExclusionBlocksOtherLabels) {
             StatusCode::kRejected);
   // Same label shares fine.
   EXPECT_TRUE(pool.Attach(id, "a2", Spec(0.2), tenant_a).ok());
+}
+
+TEST(VgpuPool, ExclusiveRequestCannotJoinUnlabelledTenant) {
+  // Exclusion is symmetric: a labelled request must not join a device an
+  // unlabelled tenant occupies, which would relabel the device under the
+  // running tenant.
+  VgpuPool pool;
+  const GpuId id = pool.Create("node-0").id;
+  ASSERT_TRUE(pool.Attach(id, "n1", Spec(0.2), {}).ok());
+  LocalitySpec tenant_a;
+  tenant_a.exclusion = Label("tenant-a");
+  EXPECT_EQ(pool.Attach(id, "a1", Spec(0.2), tenant_a).code(),
+            StatusCode::kRejected);
+  EXPECT_FALSE(pool.Get(id)->exclusion.has_value());
+  EXPECT_TRUE(pool.Attach(id, "n2", Spec(0.2), {}).ok());
+  ASSERT_TRUE(pool.CheckIndexInvariants().ok());
+  // Once the device empties, the labelled request may take it.
+  ASSERT_TRUE(pool.Detach("n1").ok());
+  ASSERT_TRUE(pool.Detach("n2").ok());
+  EXPECT_TRUE(pool.Attach(id, "a1", Spec(0.2), tenant_a).ok());
+  EXPECT_EQ(pool.Get(id)->exclusion, Label("tenant-a"));
+  ASSERT_TRUE(pool.CheckIndexInvariants().ok());
 }
 
 TEST(VgpuPool, AntiAffinityBlocksSameLabel) {
@@ -251,6 +279,124 @@ TEST(VgpuPoolSlices, DebugStringPinsSliceOccupancy) {
   ASSERT_TRUE(pool.Attach(id, "a", SliceSpec(3), {}).ok());
   EXPECT_NE(pool.DebugString().find("slices=###...."), std::string::npos)
       << pool.DebugString();
+}
+
+/// A uniformly drawn device of a non-empty pool.
+GpuId RandomDevice(Rng& rng, const VgpuPool& pool) {
+  const std::vector<const VgpuInfo*> devices = pool.List();
+  return devices[static_cast<std::size_t>(rng.UniformInt(
+                     0, static_cast<std::int64_t>(devices.size()) - 1))]
+      ->id;
+}
+
+/// The first idle device in GpuId order, if any.
+std::optional<GpuId> FirstIdle(const VgpuPool& pool) {
+  for (const VgpuInfo* d : pool.List()) {
+    if (d->idle()) return d->id;
+  }
+  return std::nullopt;
+}
+
+TEST(PoolIndexInvariants, HoldAcrossRandomMutations) {
+  // Directly drive every pool mutator and re-check the pool's invariants
+  // after each step.
+  Rng rng(5150);
+  VgpuPool pool;
+  std::vector<std::string> attached;
+  int next_pod = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::int64_t action = rng.UniformInt(0, 9);
+    const std::optional<GpuId> idle = FirstIdle(pool);
+    if (action <= 3) {  // attach to a random existing or new device
+      if (pool.size() == 0 || rng.Chance(0.3)) {
+        pool.Create("node-" + std::to_string(rng.UniformInt(0, 2)));
+      }
+      const GpuId id = RandomDevice(rng, pool);
+      const std::string name = "pod-" + std::to_string(next_pod++);
+      vgpu::ResourceSpec gpu;
+      gpu.gpu_request = 0.05 * static_cast<double>(rng.UniformInt(1, 12));
+      gpu.gpu_mem = 0.05 * static_cast<double>(rng.UniformInt(1, 8));
+      LocalitySpec locality;
+      if (rng.Chance(0.4)) {
+        locality.affinity =
+            Label("aff-" + std::to_string(rng.UniformInt(0, 2)));
+      }
+      if (pool.Attach(id, name, gpu, locality).ok()) {
+        attached.push_back(name);
+      }
+    } else if (action <= 5 && !attached.empty()) {
+      const std::size_t pick = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(attached.size()) - 1));
+      (void)pool.Detach(attached[pick]);
+      attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (action == 6 && !attached.empty()) {
+      const std::size_t pick = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(attached.size()) - 1));
+      (void)pool.UpdateAttachment(
+          attached[pick], 0.05 * static_cast<double>(rng.UniformInt(1, 14)),
+          1.0);
+    } else if (action == 7 && idle.has_value()) {
+      (void)pool.Remove(*idle);
+    } else if (action == 8) {
+      (void)pool.CreateWithId(GpuId("pinned-" + std::to_string(i)),
+                              "node-" + std::to_string(rng.UniformInt(0, 2)));
+    } else {
+      pool.Create("node-" + std::to_string(rng.UniformInt(0, 2)));
+    }
+    const Status inv = pool.CheckIndexInvariants();
+    ASSERT_TRUE(inv.ok()) << "op " << i << ": " << inv;
+  }
+}
+
+TEST(PoolIndexInvariants, SliceOccupancyHoldsAcrossRandomMutations) {
+  // Spatial pool under random slice-claim churn: CheckIndexInvariants
+  // rebuilds every device's SliceMap from the attachment table and any
+  // drift (leaked groups, overlapping runs, stale occupancy after Detach)
+  // is a mutator bug.
+  Rng rng(6160);
+  VgpuPool pool;
+  pool.EnableSpatial(7);
+  std::vector<std::string> attached;
+  int next_pod = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::int64_t action = rng.UniformInt(0, 9);
+    const std::optional<GpuId> idle = FirstIdle(pool);
+    if (action <= 4) {
+      if (pool.size() == 0 || rng.Chance(0.3)) {
+        pool.Create("node-" + std::to_string(rng.UniformInt(0, 2)));
+      }
+      const GpuId id = RandomDevice(rng, pool);
+      const std::string name = "pod-" + std::to_string(next_pod++);
+      vgpu::ResourceSpec gpu;
+      gpu.gpu_request = 0.05 * static_cast<double>(rng.UniformInt(1, 6));
+      gpu.gpu_mem = 0.05 * static_cast<double>(rng.UniformInt(1, 4));
+      if (rng.Chance(0.85)) {
+        gpu.slice_groups = static_cast<int>(rng.UniformInt(1, 4));
+      }
+      // Occasionally pin an explicit offset (the DevMgr rebuild path).
+      const int offset =
+          rng.Chance(0.2) ? static_cast<int>(rng.UniformInt(0, 6)) : -1;
+      if (pool.Attach(id, name, gpu, LocalitySpec{}, offset).ok()) {
+        attached.push_back(name);
+        if (gpu.slice_groups > 0) {
+          EXPECT_TRUE(pool.SliceOf(name).has_value()) << name;
+        }
+      }
+    } else if (action <= 7 && !attached.empty()) {
+      const std::size_t pick = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(attached.size()) - 1));
+      (void)pool.Detach(attached[pick]);
+      attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (action == 8 && idle.has_value()) {
+      (void)pool.Remove(*idle);
+    } else {
+      pool.Create("node-" + std::to_string(rng.UniformInt(0, 2)));
+    }
+    const Status inv = pool.CheckIndexInvariants();
+    ASSERT_TRUE(inv.ok()) << "op " << i << ": " << inv;
+    EXPECT_GE(pool.FragmentationRatio(), 0.0);
+    EXPECT_LE(pool.FragmentationRatio(), 1.0);
+  }
 }
 
 }  // namespace
