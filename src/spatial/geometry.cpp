@@ -5,29 +5,6 @@
 
 namespace ks::spatial {
 
-SliceGeometry::SliceGeometry(int sm_groups) : sm_groups_(sm_groups) {
-  assert(sm_groups_ >= 1 && sm_groups_ <= 64);
-}
-
-SliceProfile SliceGeometry::Profile(int groups) const {
-  SliceProfile profile;
-  profile.groups = std::clamp(groups, 1, sm_groups_);
-  profile.compute_fraction =
-      static_cast<double>(profile.groups) / static_cast<double>(sm_groups_);
-  profile.memory_fraction = profile.compute_fraction;
-  return profile;
-}
-
-double SliceGeometry::ComputeFraction(int groups) const {
-  return Profile(groups).compute_fraction;
-}
-
-std::uint64_t SliceGeometry::MemoryWallBytes(
-    int groups, std::uint64_t device_bytes) const {
-  return static_cast<std::uint64_t>(
-      Profile(groups).memory_fraction * static_cast<double>(device_bytes));
-}
-
 SliceMap::SliceMap(int groups) : groups_(groups) {
   assert(groups_ >= 0 && groups_ <= 64);
 }

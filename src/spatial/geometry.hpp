@@ -19,36 +19,6 @@ struct SpatialConfig {
   int sm_groups = 7;
 };
 
-/// A MIG-style slice profile: `groups` contiguous SM groups out of the
-/// device total, with proportional compute throughput and a memory wall.
-struct SliceProfile {
-  int groups = 0;
-  /// Fraction of the device's SMs (and thus peak throughput) the slice
-  /// owns. Linear in groups, as MIG compute slices are.
-  double compute_fraction = 0.0;
-  /// Fraction of device memory the slice may allocate before OOM.
-  double memory_fraction = 0.0;
-};
-
-/// The static slice geometry of one GPU model: how many SM groups it has
-/// and what each k-group profile provides. Pure arithmetic — no state.
-class SliceGeometry {
- public:
-  explicit SliceGeometry(int sm_groups = 7);
-
-  int sm_groups() const { return sm_groups_; }
-
-  /// Profile of a `groups`-wide slice; `groups` is clamped to
-  /// [1, sm_groups].
-  SliceProfile Profile(int groups) const;
-
-  double ComputeFraction(int groups) const;
-  std::uint64_t MemoryWallBytes(int groups, std::uint64_t device_bytes) const;
-
- private:
-  int sm_groups_;
-};
-
 /// Occupancy bitmap over one GPU's SM groups. Slices are contiguous group
 /// runs (MIG placement rule); allocation is first-fit at the lowest
 /// offset, which keeps free space consolidated at the high end and makes

@@ -107,7 +107,15 @@ Status TokenBackend::UpdateSpec(const ContainerId& container,
   KS_RETURN_IF_ERROR(spec.Validate());
   auto it = containers_.find(container);
   if (it == containers_.end()) {
-    return NotFoundError("container not registered: " + container.value());
+    // A container parked across a restart comes back with the resized
+    // spec, not the one it was parked with.
+    const auto parked = pending_reattach_.find(container);
+    if (parked == pending_reattach_.end()) {
+      return NotFoundError("container not registered: " + container.value());
+    }
+    parked->second.spec.gpu_request = spec.gpu_request;
+    parked->second.spec.gpu_limit = spec.gpu_limit;
+    return Status::Ok();
   }
   it->second.spec.gpu_request = spec.gpu_request;
   it->second.spec.gpu_limit = spec.gpu_limit;

@@ -207,7 +207,9 @@ class TokenBackend {
 
   /// Vertical resize: replaces a running container's compute spec. Takes
   /// effect at the next grant decision (the current hold is untouched);
-  /// gpu_mem changes are ignored — allocations are already placed.
+  /// gpu_mem changes are ignored — allocations are already placed. A
+  /// container parked across a Restart() is re-registered with the new
+  /// spec.
   Status UpdateSpec(const ContainerId& container, const ResourceSpec& spec);
 
   /// Frontend request: the container has kernels to run and needs the

@@ -135,9 +135,9 @@ std::unique_ptr<Job> MakeTraceJob(const TraceEntry& entry,
 }
 
 std::vector<TraceEntry> GenerateTrace(const WorkloadConfig& config) {
-  // Mirrors WorkloadDriver::SubmitOne: the same seed yields the same
-  // arrival times and demands, so a generated trace replays the driver's
-  // workload exactly.
+  // Mirrors WorkloadDriver::SubmitOne's draw order: the same seed yields
+  // the same arrival times and demands. The rest of a replay differs from
+  // the driver's run (trace.hpp says how).
   Rng rng(config.seed);
   std::vector<TraceEntry> out;
   out.reserve(static_cast<std::size_t>(std::max(0, config.total_jobs)));
@@ -172,10 +172,10 @@ TraceReplayer::TraceReplayer(k8s::Cluster* cluster, WorkloadHost* host,
 Status TraceReplayer::Load(std::vector<TraceEntry> entries,
                            std::uint64_t seed) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (std::size_t j = i + 1; j < entries.size(); ++j) {
-      if (entries[i].name == entries[j].name) {
-        return InvalidArgumentError("duplicate job name: " + entries[i].name);
-      }
+    if (!names_.insert(entries[i].name).second) {
+      // A rejected Load keeps none of its names: the first i were new.
+      for (std::size_t j = 0; j < i; ++j) names_.erase(entries[j].name);
+      return InvalidArgumentError("duplicate job name: " + entries[i].name);
     }
   }
   total_ += entries.size();

@@ -168,6 +168,44 @@ TEST_F(GpuDeviceTest, ManyKernelsAllComplete) {
   EXPECT_FALSE(dev_.busy());
 }
 
+TEST_F(GpuDeviceTest, SliceMemoryWallIsItsShareOfDeviceMemory) {
+  const std::uint64_t device = dev_.spec().memory_bytes;
+  dev_.SetSliceAssignment(c1_, 1, 4);
+  EXPECT_TRUE(dev_.Allocate(c1_, device / 4).ok());
+  EXPECT_EQ(dev_.Allocate(c1_, 1).status().code(),
+            StatusCode::kResourceExhausted);
+  dev_.SetSliceAssignment(c2_, 2, 4);
+  EXPECT_TRUE(dev_.Allocate(c2_, device / 2).ok());
+  EXPECT_EQ(dev_.Allocate(c2_, 1).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST_F(GpuDeviceTest, SliceStretchesKernelsThatNeedMoreSms) {
+  // Wall time is nominal * max(1, sm_demand / slice fraction).
+  dev_.SetSliceAssignment(c1_, 1, 4);
+  Time full{0}, small{0};
+  dev_.Submit(c1_, {Millis(10), 0.0, "full", 1.0}, [&] { full = sim_.Now(); });
+  dev_.Submit(c1_, {Millis(10), 0.0, "small", 0.2},
+              [&] { small = sim_.Now(); });
+  sim_.Run();
+  EXPECT_EQ(full, Millis(40));
+  EXPECT_EQ(small, Millis(10));
+}
+
+TEST_F(GpuDeviceTest, SliceGroupsClampToTheDevice) {
+  // As MIG profile lookup does: 0 of 7 groups is a 1-of-7 slice, and 99
+  // of 7 is the whole device.
+  dev_.SetSliceAssignment(c1_, 0, 7);
+  dev_.SetSliceAssignment(c2_, 99, 7);
+  Time narrow{0}, whole{0};
+  dev_.Submit(c1_, {Millis(10), 0.0, "narrow"}, [&] { narrow = sim_.Now(); });
+  dev_.Submit(c2_, {Millis(10), 0.0, "whole"}, [&] { whole = sim_.Now(); });
+  sim_.Run();
+  EXPECT_EQ(narrow, Millis(70));
+  EXPECT_EQ(whole, Millis(10));
+  EXPECT_TRUE(dev_.Allocate(c2_, dev_.spec().memory_bytes).ok());
+}
+
 // Soak: drive the per-kernel path against the 2^40 lifetime-event-id cap.
 // A long steady kernel stream consumes one id per kernel; when the id
 // space runs out the engine must latch (CapacityStatus turns

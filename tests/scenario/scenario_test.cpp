@@ -288,6 +288,30 @@ TEST(ScenarioRun, TraceCommandLoadsCsv) {
   EXPECT_EQ(text.find("failed"), std::string::npos);
 }
 
+TEST(ScenarioRun, JobNameRepeatedByTraceFails) {
+  // A `job` line and a `trace` file are separate loads into one replayer;
+  // a name they share is the same job submitted twice.
+  const std::string path = ::testing::TempDir() + "/ksim_collision_test.csv";
+  {
+    std::vector<workload::TraceEntry> entries(1);
+    entries[0].name = "a";
+    entries[0].submit_s = 5;
+    std::ofstream file(path);
+    workload::FormatTrace(entries, file);
+  }
+  auto s = ParseString(
+      "cluster nodes=1 gpus=1\n"
+      "kubeshare\n"
+      "job name=a kind=inference at=0 demand=0.3 duration=20 request=0.3\n"
+      "trace file=" + path + "\n"
+      "run until=60\n"
+      "report jobs\n");
+  ASSERT_TRUE(s.ok()) << s.status();
+  std::stringstream out;
+  EXPECT_EQ(s->Run(out).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out.str().find("loaded"), std::string::npos);
+}
+
 TEST(ScenarioRun, TraceMissingFileFails) {
   auto s = ParseString(
       "cluster nodes=1 gpus=1\nmode native\ntrace file=/no/such/file.csv\n");

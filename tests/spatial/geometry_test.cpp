@@ -5,29 +5,6 @@
 namespace ks::spatial {
 namespace {
 
-TEST(SliceGeometry, ProfilesAreLinearInGroups) {
-  SliceGeometry geo(7);
-  EXPECT_EQ(geo.sm_groups(), 7);
-  const SliceProfile one = geo.Profile(1);
-  EXPECT_EQ(one.groups, 1);
-  EXPECT_DOUBLE_EQ(one.compute_fraction, 1.0 / 7.0);
-  EXPECT_DOUBLE_EQ(one.memory_fraction, 1.0 / 7.0);
-  const SliceProfile all = geo.Profile(7);
-  EXPECT_DOUBLE_EQ(all.compute_fraction, 1.0);
-  // Out-of-range requests clamp to the device geometry, as MIG profile
-  // lookup does.
-  EXPECT_EQ(geo.Profile(0).groups, 1);
-  EXPECT_EQ(geo.Profile(99).groups, 7);
-}
-
-TEST(SliceGeometry, MemoryWallScalesWithGroups) {
-  SliceGeometry geo(4);
-  const std::uint64_t device = 16ull << 30;
-  EXPECT_EQ(geo.MemoryWallBytes(1, device), device / 4);
-  EXPECT_EQ(geo.MemoryWallBytes(2, device), device / 2);
-  EXPECT_EQ(geo.MemoryWallBytes(4, device), device);
-}
-
 TEST(SliceMap, FirstFitAllocatesLowestOffset) {
   SliceMap map(7);
   EXPECT_EQ(map.FreeGroups(), 7);

@@ -42,6 +42,12 @@ class FakeClient : public TokenClient {
     if (rerequest) (void)backend_->RequestToken(id_);
   }
 
+  void OnBackendRestart() override {
+    // The restarted daemon holds no token for anyone: ask again.
+    holding = false;
+    if (rerequest) (void)backend_->RequestToken(id_);
+  }
+
   sim::Simulation* sim_;
   TokenBackend* backend_;
   ContainerId id_;
@@ -341,6 +347,24 @@ TEST_F(TokenBackendTest, ReRegisteredContainerIgnoresStaleHandOff) {
   EXPECT_EQ(second->last_expiry, Micros(2100) + Millis(100));
   EXPECT_EQ(backend_->StatsOf(ContainerId("a")).grants, 1u);
   EXPECT_EQ(backend_->grants(), 2u);  // both decisions were made
+}
+
+TEST_F(TokenBackendTest, ResizeDuringRestartDowntimeIsKept) {
+  // Restart() parks every container for restart_downtime. A resize that
+  // lands in that window is the spec the container comes back with.
+  AddContainer("c1", 0.0, 1.0);
+  ASSERT_TRUE(backend_->RequestToken(ContainerId("c1")).ok());
+  sim_.RunUntil(Seconds(1));
+  backend_->Restart();
+  ASSERT_TRUE(backend_->down());
+  ResourceSpec resized;
+  resized.gpu_limit = 0.2;
+  EXPECT_TRUE(backend_->UpdateSpec(ContainerId("c1"), resized).ok());
+  EXPECT_EQ(backend_->UpdateSpec(ContainerId("ghost"), resized).code(),
+            StatusCode::kNotFound);
+  sim_.RunUntil(Seconds(13));
+  ASSERT_FALSE(backend_->down());
+  EXPECT_NEAR(backend_->UsageOf(ContainerId("c1")), 0.2, 0.01);
 }
 
 TEST_F(TokenBackendTest, GrantsCounterAdvances) {

@@ -2,7 +2,11 @@
 //
 // The recorded traces in tests/golden/token_daemon.golden come from the
 // daemon's two retired implementations, and it must keep reproducing them
-// byte for byte:
+// byte for byte. The exceptions are the 17 churn plans whose resize lands
+// while the daemon is down across a restart: a parked container used to
+// come back with its old spec, and since UpdateSpec resizes the parked
+// entry those plans are recorded from the daemon itself (the golden
+// file's header lists them). The runs are:
 //   - seeded churn plans (registrations, unregistrations, spec resizes and
 //     daemon restarts) replayed against a lone daemon — grant trace,
 //     sliding-window usage probes, final per-container stats, grant count
@@ -41,7 +45,13 @@ constexpr const char* kGoldenHeader =
     "# churn/seed* and cluster/* were recorded from the one-event-per-\n"
     "# deadline daemon, churn/sliced_* and churn/enforced_* from the\n"
     "# timer-wheel daemon at an exact 1 us tick; see\n"
-    "# tests/vgpu/token_golden_test.cpp for how each run is built.\n";
+    "# tests/vgpu/token_golden_test.cpp for how each run is built.\n"
+    "# Re-recorded from TokenBackend once UpdateSpec kept a resize that\n"
+    "# lands while the daemon is down across a restart (the parked\n"
+    "# container used to come back with its old spec): the plans with such\n"
+    "# a resize, churn/seed{3106,4139,6205,7238,9304,12403,13436,18601,\n"
+    "# 19634,20667,21700,24799}, churn/sliced_seed{4139,6205,7238} and\n"
+    "# churn/enforced_seed{4139,6205}.\n";
 
 void ExpectGolden(const std::string& key, const std::string& actual) {
   golden::ExpectGolden(kGoldenFile, kGoldenHeader, key, actual);

@@ -226,5 +226,48 @@ TEST_F(TraceReplayTest, DuplicateNamesRejected) {
   EXPECT_FALSE(replayer.Load(entries).ok());
 }
 
+TEST_F(TraceReplayTest, NameRepeatedAcrossLoadsRejected) {
+  // ksim calls Load once per `job` line and once per `trace` file, so a
+  // name is unique only if every Load checks every name loaded before.
+  std::vector<TraceEntry> first(1);
+  first[0].name = "a";
+  std::vector<TraceEntry> second(2);
+  second[0].name = "b";
+  second[1].name = "a";
+  second[1].submit_s = 5;
+  TraceReplayer replayer(&cluster_, &host_, TraceReplayer::Mode::kKubeShare,
+                         &kubeshare_);
+  ASSERT_TRUE(replayer.Load(first).ok());
+  EXPECT_EQ(replayer.Load(second).code(), StatusCode::kInvalidArgument);
+  // The rejected call scheduled nothing and kept none of its names.
+  std::vector<TraceEntry> third(1);
+  third[0].name = "b";
+  EXPECT_TRUE(replayer.Load(third).ok());
+  cluster_.sim().RunUntil(Seconds(10));
+  EXPECT_EQ(replayer.submitted(), 2u);
+}
+
+TEST_F(TraceReplayTest, GeneratedTraceSharesTheDriversArrivalsAndDemands) {
+  // GenerateTrace mirrors WorkloadDriver's draw order: the i-th entry's
+  // submit time and demand are the i-th sharePod's creation time and
+  // gpu_request. Nothing else of a replay is the driver's run.
+  WorkloadConfig cfg;
+  cfg.total_jobs = 20;
+  cfg.seed = 42;
+  const std::vector<TraceEntry> trace = GenerateTrace(cfg);
+  ASSERT_EQ(trace.size(), 20u);
+  WorkloadDriver driver(&cluster_, &host_, WorkloadDriver::Mode::kKubeShare,
+                        &kubeshare_, cfg);
+  driver.Start();
+  cluster_.sim().RunUntil(Seconds(trace.back().submit_s) + Seconds(1));
+  ASSERT_TRUE(driver.AllSubmitted());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto sp = kubeshare_.sharepods().Get(trace[i].name);
+    ASSERT_TRUE(sp.ok()) << trace[i].name;
+    EXPECT_EQ(trace[i].submit_s, ToSeconds(sp->meta.creation_time)) << i;
+    EXPECT_EQ(trace[i].demand, sp->spec.gpu.gpu_request) << i;
+  }
+}
+
 }  // namespace
 }  // namespace ks::workload
