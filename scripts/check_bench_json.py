@@ -2,13 +2,14 @@
 """Validate BENCH_*.json benchmark reports (schema ks-bench/1).
 
 Usage: check_bench_json.py FILE [FILE...]
-       check_bench_json.py --digest WORKLOAD=HEX [--digest ...] FILE
+       check_bench_json.py --digest WORKLOAD[@SEED]=HEX [--digest ...] FILE
 
-The --digest mode compares the "modeled digest" a seed-1 perfbench run
-printed for WORKLOAD with the digest of the newest PR's "change" row for
-that workload and seed 1 in the perfbench report FILE, and fails with both
-values when they differ: the model moved without committed rows. A change
-that moves the model on purpose commits its scripts/perf_pairs.py rows.
+The --digest mode compares the "modeled digest" a perfbench run printed
+for WORKLOAD and SEED (1 when omitted) with the digest of the newest PR's
+"change" row for that workload and seed in the perfbench report FILE, and
+fails with both values when they differ: the model moved without
+committed rows. A change that moves the model on purpose commits its
+scripts/perf_pairs.py rows.
 
 Checks, per file:
   * parses as JSON, top level is an object;
@@ -694,29 +695,29 @@ def check_file(path):
 
 
 def check_digests(path, expected):
-    """--digest mode: each (workload, digest) against the newest PR's
-    change row for that workload and seed 1 in the perfbench report."""
+    """--digest mode: each (workload, seed, digest) against the newest PR's
+    change row for that workload and seed in the perfbench report."""
     try:
         with open(path, "rb") as f:
             rows = json.load(f).get("rows", [])
     except (OSError, ValueError, AttributeError) as e:
         return fail(path, f"unreadable perfbench report: {e}")
     ok = True
-    for workload, digest in expected:
+    for workload, seed, digest in expected:
         mine = [r for r in rows if isinstance(r, dict)
-                and r.get("role") == "change" and r.get("seed") == 1
+                and r.get("role") == "change" and r.get("seed") == seed
                 and r.get("workload") == workload
                 and isinstance(r.get("pr"), int)]
         if not mine:
-            ok = fail(path, f"no change row for {workload} seed 1")
+            ok = fail(path, f"no change row for {workload} seed {seed}")
             continue
         newest = max(mine, key=lambda r: r["pr"])
         if newest.get("digest") != digest:
-            ok = fail(path, f"{workload} seed 1: modeled digest {digest}, "
-                            f"but PR {newest['pr']}'s change row has "
-                            f"{newest.get('digest')}")
+            ok = fail(path, f"{workload} seed {seed}: modeled digest "
+                            f"{digest}, but PR {newest['pr']}'s change row "
+                            f"has {newest.get('digest')}")
         else:
-            print(f"{path}: {workload} seed 1 digest {digest} matches "
+            print(f"{path}: {workload} seed {seed} digest {digest} matches "
                   f"PR {newest['pr']}")
     return ok
 
@@ -728,11 +729,12 @@ def main(argv):
         if arg != "--digest":
             files.append(arg)
             continue
-        workload, _, digest = next(args, "").partition("=")
-        if not workload or not digest:
+        target, _, digest = next(args, "").partition("=")
+        workload, at, seed = target.partition("@")
+        if not workload or not digest or (at and not seed.isdigit()):
             files = []
             break
-        expected.append((workload, digest))
+        expected.append((workload, int(seed) if at else 1, digest))
     if not files or (expected and len(files) != 1):
         print(__doc__, file=sys.stderr)
         return 1

@@ -20,9 +20,11 @@ It writes two rows per (workload, seed) into the ks-bench/1 report --out,
 study "perfbench": role "parent" and role "change". pairs_faster counts
 the pairs that role won on wall_s. Each row carries the median and
 quartiles of wall_s, cpu_s and done_per_wall_s (inclusive method, so
-q1 <= median <= q3) and the median peak_rss_mb. Rows already in the file
-with the same (pr, role, workload, seed) are replaced; every other row is
-kept, so the file accumulates one block of rows per PR.
+q1 <= median <= q3) and the median peak_rss_mb. Each run is forked by a
+shell, not by this interpreter, so peak_rss_mb is the workload's own.
+Rows already in the file with the same (pr, role, workload, seed) are
+replaced; every other row is kept, so the file accumulates one block of
+rows per PR.
 """
 
 import argparse
@@ -40,7 +42,13 @@ TIMED = ("wall_s", "cpu_s", "done_per_wall_s")
 
 def run_once(binary, workload, seed):
     cmd = [binary, "--workload", workload, "--seed", str(seed)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    # Linux folds the pre-exec address space's RSS high-water mark into the
+    # exec'd program's ru_maxrss, so a binary exec'd from this interpreter's
+    # fork reports max(interpreter RSS, its own) as peak_rss_mb. A shell
+    # forks the binary instead (it is not the script's last command, so the
+    # shell cannot exec it in place), and the pre-exec image is the shell's.
+    proc = subprocess.run(["sh", "-c", '"$0" "$@"; exit $?'] + cmd,
+                          capture_output=True, text=True, timeout=300)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit("perf_pairs: %s failed (exit %d): %s"

@@ -59,9 +59,26 @@ CudaResult CudaContext::LaunchKernelStream(const gpu::KernelDesc& desc,
     return CudaResult::kErrorInvalidValue;
   }
   pending_kernels_ += static_cast<std::size_t>(count);
+  // Only the units that must wait for the unit in flight are queued.
+  if (!in_flight_ && queue_.empty()) {
+    count = SubmitFirst(desc, count, on_unit);
+    if (count == 0) return CudaResult::kSuccess;
+  }
   queue_.push_back(Entry{count, desc, std::move(on_unit)});
+  // Launched from a retiring unit's callback: the queue's head goes first.
   if (!in_flight_) SubmitNext();
   return CudaResult::kSuccess;
+}
+
+int CudaContext::SubmitFirst(const gpu::KernelDesc& desc, int count,
+                             HostFn& fn) {
+  if (device_->Submit(owner_, desc, [this] { OnKernelRetired(); }) == 0) {
+    pending_kernels_ -= static_cast<std::size_t>(count);
+    return 0;
+  }
+  in_flight_ = true;
+  in_flight_fn_ = count == 1 ? std::move(fn) : fn;  // a copy if more follow
+  return count - 1;
 }
 
 void CudaContext::SubmitNext() {
@@ -69,23 +86,8 @@ void CudaContext::SubmitNext() {
   // queue iteratively instead of recursing per dropped entry.
   while (!in_flight_ && !queue_.empty()) {
     Entry& head = queue_.front();
-    const gpu::KernelId id =
-        device_->Submit(owner_, head.desc, [this] { OnKernelRetired(); });
-    if (id == 0) {
-      // The device fenced the submit (expired/revoked token epoch): the
-      // entry's kernels are dropped without callbacks, and the queue keeps
-      // draining so work behind the fence cannot wedge it.
-      pending_kernels_ -= static_cast<std::size_t>(head.count);
-      queue_.pop_front();
-      continue;
-    }
-    in_flight_ = true;
-    if (--head.count == 0) {
-      in_flight_fn_ = std::move(head.fn);
-      queue_.pop_front();
-    } else {
-      in_flight_fn_ = head.fn;  // more units of this entry follow
-    }
+    head.count = SubmitFirst(head.desc, head.count, head.fn);
+    if (head.count == 0) queue_.pop_front();
   }
 }
 

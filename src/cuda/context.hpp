@@ -15,10 +15,11 @@ namespace ks::cuda {
 /// Kernel ordering is enforced here (the device itself executes whatever it
 /// is given): the context's kernels form one FIFO, and at most one of them
 /// is in flight on the device; the next is submitted when the previous
-/// retires. A LaunchKernelStream is one counted queue entry whose units go
-/// to the device one at a time the same way. Kernels of different contexts
-/// overlap on the device, which is what makes the no-compute-isolation
-/// baselines measurably interfere.
+/// retires. A launch made with nothing queued or in flight goes to the
+/// device at once; only units that must wait are queued, a stream's as one
+/// counted entry. Kernels of different contexts overlap on the device,
+/// which is what makes the no-compute-isolation baselines measurably
+/// interfere.
 class CudaContext final : public CudaApi {
  public:
   CudaContext(gpu::GpuDevice* device, ContainerId owner);
@@ -55,6 +56,10 @@ class CudaContext final : public CudaApi {
     HostFn fn;
   };
 
+  /// Submits the first of `count` units, taking its callback from `fn`.
+  /// Returns the units left to submit: 0 also when the device fenced the
+  /// submit, which drops the whole launch without callbacks.
+  int SubmitFirst(const gpu::KernelDesc& desc, int count, HostFn& fn);
   void SubmitNext();
   void OnKernelRetired();
 

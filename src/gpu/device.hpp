@@ -33,7 +33,9 @@ struct GpuSpec {
 struct KernelDesc {
   Duration nominal_duration{0};
   double bandwidth_demand = 0.0;
-  std::string name;
+  /// A string with static storage (a literal): descriptors and the kernels
+  /// in flight keep the pointer, and only a kernel trace copies the text.
+  const char* name = "";
   /// Fraction of the device's SMs the kernel can saturate. Only consulted
   /// when the owner runs on a spatial slice: a kernel whose demand exceeds
   /// its slice's compute fraction stretches by demand/fraction, while a
@@ -196,7 +198,7 @@ class GpuDevice {
     ContainerId owner;
     double bandwidth_demand;
     Duration remaining{0};
-    std::string name;
+    const char* name;
     Time start{0};
     std::function<void()> on_done;  // null once detached
   };
@@ -211,7 +213,7 @@ class GpuDevice {
   struct SlicedRunning {
     KernelId id = 0;
     ContainerId owner;
-    std::string name;
+    const char* name = "";
     Time start{0};
     Time finish{0};
     std::function<void()> on_done;  // null once detached
@@ -234,8 +236,8 @@ class GpuDevice {
     std::uint64_t bytes;
   };
 
-  void RecordTrace(KernelId id, const ContainerId& owner,
-                   const std::string& name, Time start, Time finish) {
+  void RecordTrace(KernelId id, const ContainerId& owner, const char* name,
+                   Time start, Time finish) {
     if (trace_) trace_(KernelTraceEvent{id, owner, name, start, finish});
   }
   /// Returns true when the submit must be rejected by `owner`'s token

@@ -496,6 +496,23 @@ void KubeShareDevMgr::OnPodEvent(const k8s::WatchEvent<k8s::Pod>& event) {
               return Status::Ok();
             },
             Token());
+        // The container registered the limits DevMgr wrote into the pod's
+        // env at launch; a resize that landed before it started (and found
+        // no container to tell) reaches the daemon now.
+        auto sp = sharepods_->Get(sharepod_name);
+        const auto launched = [&pod](const char* key, double value) {
+          const auto env = pod.spec.env.find(key);
+          return env != pod.spec.env.end() &&
+                 env->second == FormatFraction(value);
+        };
+        auto* node = cluster_->FindNode(pod.status.node_name);
+        const auto cid = node ? node->runtime->ContainerIdOf(pod.meta.name)
+                              : std::nullopt;
+        if (sp.ok() && cid &&
+            !(launched(kEnvGpuRequest, sp->spec.gpu.gpu_request) &&
+              launched(kEnvGpuLimit, sp->spec.gpu.gpu_limit))) {
+          (void)node->token_backend->UpdateSpec(*cid, sp->spec.gpu);
+        }
       }
       return;
     }

@@ -20,10 +20,10 @@ FrontendHook::FrontendHook(cuda::CudaApi* inner, TokenBackend* backend,
           static_cast<double>(device_memory_bytes) * spec.gpu_mem)) {
   assert(inner_ != nullptr);
   assert(backend_ != nullptr);
-  const Status s =
-      backend_->RegisterContainer(container_, device_, spec_, this);
-  if (!s.ok()) {
-    KS_LOG(kError) << "frontend registration failed: " << s;
+  auto handle = backend_->RegisterContainer(container_, device_, spec_, this);
+  token_ = handle.value_or({});
+  if (!handle.ok()) {
+    KS_LOG(kError) << "frontend registration failed: " << handle.status();
   }
 }
 
@@ -196,12 +196,18 @@ cuda::CudaResult FrontendHook::LaunchKernelStream(const gpu::KernelDesc& desc,
     return cuda::CudaResult::kErrorInvalidValue;
   }
   pending_kernels_ += static_cast<std::size_t>(count);
+  // Only the units that must wait for the token, a migration or the unit
+  // in flight are queued.
+  if (token_valid_ && !swap_pending_ && !in_flight_ && pending_.empty()) {
+    count = ForwardFirst(desc, count, on_unit);
+    if (count == 0) return cuda::CudaResult::kSuccess;
+  }
   pending_.push_back(PendingEntry{count, desc, std::move(on_unit)});
   if (token_valid_) {
     Drain();
   } else if (!token_held_ && !token_requested_) {
     token_requested_ = true;
-    (void)backend_->RequestToken(container_);
+    (void)backend_->RequestToken(token_);
   }
   return cuda::CudaResult::kSuccess;
 }
@@ -219,25 +225,26 @@ std::size_t FrontendHook::CancelPending() {
 
 Time FrontendHook::Now() const { return inner_->Now(); }
 
+int FrontendHook::ForwardFirst(const gpu::KernelDesc& desc, int count,
+                               cuda::HostFn& fn) {
+  in_flight_ = true;
+  const cuda::CudaResult r =
+      inner_->LaunchKernel(desc, [this] { OnKernelRetired(); });
+  if (r != cuda::CudaResult::kSuccess) {
+    KS_LOG(kError) << "inner launch failed: " << cuda::CudaResultName(r);
+    in_flight_ = false;
+    pending_kernels_ -= static_cast<std::size_t>(count);
+    return 0;
+  }
+  in_flight_fn_ = count == 1 ? std::move(fn) : fn;  // a copy if more follow
+  return count - 1;
+}
+
 void FrontendHook::Drain() {
   while (token_valid_ && !swap_pending_ && !in_flight_ && !pending_.empty()) {
     PendingEntry& head = pending_.front();
-    in_flight_ = true;
-    const cuda::CudaResult r =
-        inner_->LaunchKernel(head.desc, [this] { OnKernelRetired(); });
-    if (r != cuda::CudaResult::kSuccess) {
-      KS_LOG(kError) << "inner launch failed: " << cuda::CudaResultName(r);
-      in_flight_ = false;
-      pending_kernels_ -= static_cast<std::size_t>(head.count);
-      pending_.pop_front();
-      continue;
-    }
-    if (--head.count == 0) {
-      in_flight_fn_ = std::move(head.fn);
-      pending_.pop_front();
-    } else {
-      in_flight_fn_ = head.fn;  // more units of this entry follow
-    }
+    head.count = ForwardFirst(head.desc, head.count, head.fn);
+    if (head.count == 0) pending_.pop_front();
   }
 }
 
@@ -256,7 +263,7 @@ void FrontendHook::MaybeReleaseOrRerequest() {
     // remains, get back in line.
     if (HasQueuedWork() && !token_requested_) {
       token_requested_ = true;
-      (void)backend_->RequestToken(container_);
+      (void)backend_->RequestToken(token_);
     }
     return;
   }
@@ -272,9 +279,9 @@ void FrontendHook::MaybeReleaseOrRerequest() {
   // gpu_request priorities never engage).
   if (HasQueuedWork() && !token_requested_) {
     token_requested_ = true;
-    (void)backend_->RequestToken(container_);
+    (void)backend_->RequestToken(token_);
   }
-  (void)backend_->ReleaseToken(container_);
+  (void)backend_->ReleaseToken(token_);
 }
 
 void FrontendHook::OnTokenGranted(Time expiry) {
@@ -287,7 +294,7 @@ void FrontendHook::OnTokenGranted(Time expiry) {
     // request waited; give the token straight back.
     token_held_ = false;
     token_valid_ = false;
-    (void)backend_->ReleaseToken(container_);
+    (void)backend_->ReleaseToken(token_);
     return;
   }
   if (swap_ != nullptr) {
@@ -337,9 +344,10 @@ void FrontendHook::OnBackendRestart() {
   token_valid_ = false;
   token_held_ = false;
   token_requested_ = false;
+  token_ = backend_->HandleOf(container_);
   if (HasQueuedWork()) {
     token_requested_ = true;
-    (void)backend_->RequestToken(container_);
+    (void)backend_->RequestToken(token_);
   }
 }
 

@@ -52,10 +52,11 @@ struct AdversarialSpec {
 ///    exceeded (no over-commitment, per the paper);
 ///  - kernel launches are held in one FIFO until the container holds a
 ///    valid token from the node's TokenBackend, then forwarded to the
-///    driver one unit at a time; when the token expires the frontend stops
-///    submitting, lets the in-flight kernel retire, and releases the
-///    token; when its queue drains it releases the token early ("revoked
-///    by its holder").
+///    driver one unit at a time (a launch that finds the token valid and
+///    nothing queued or in flight skips the FIFO); when the token expires
+///    the frontend stops submitting, lets the in-flight kernel retire, and
+///    releases the token; when its queue drains it releases the token
+///    early ("revoked by its holder").
 class FrontendHook final : public cuda::CudaApi, public TokenClient {
  public:
   /// `inner` is the driver-level API (not owned). `device_memory_bytes` is
@@ -144,7 +145,11 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
     cuda::HostFn fn;
   };
 
-  /// Forwards the next unit while the token is valid and nothing is in
+  /// Forwards the first of `count` units, taking its callback from `fn`.
+  /// Returns the units left to forward: 0 also when the driver refused the
+  /// launch, which drops the whole launch.
+  int ForwardFirst(const gpu::KernelDesc& desc, int count, cuda::HostFn& fn);
+  /// Forwards queued units while the token is valid and nothing is in
   /// flight.
   void Drain();
   void OnKernelRetired();
@@ -154,6 +159,8 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
 
   cuda::CudaApi* inner_;
   TokenBackend* backend_;
+  /// This container's record at the backend; re-resolved after a restart.
+  TokenBackend::Handle token_;
   ContainerId container_;
   GpuUuid device_;
   ResourceSpec spec_;

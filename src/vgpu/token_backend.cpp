@@ -25,10 +25,9 @@ TokenBackend::DeviceState& TokenBackend::EnsureDevice(const GpuUuid& device) {
   return it->second;
 }
 
-Status TokenBackend::RegisterContainer(const ContainerId& container,
-                                       const GpuUuid& device,
-                                       const ResourceSpec& spec,
-                                       TokenClient* client) {
+Expected<TokenBackend::Handle> TokenBackend::RegisterContainer(
+    const ContainerId& container, const GpuUuid& device,
+    const ResourceSpec& spec, TokenClient* client) {
   KS_RETURN_IF_ERROR(spec.Validate());
   if (client == nullptr) return InvalidArgumentError("null token client");
   if (containers_.count(container) > 0) {
@@ -43,13 +42,17 @@ Status TokenBackend::RegisterContainer(const ContainerId& container,
                                 container.value());
     }
     pending_reattach_[container] = {device, spec, client};
-    return Status::Ok();
+    return Handle{};
   }
-  ContainerState& state =
-      containers_
-          .try_emplace(container, container, &EnsureDevice(device),
-                       config_.usage_window)
-          .first->second;
+  if (free_records_.empty()) {
+    free_records_.push_back(
+        records_.emplace_back(std::make_unique<ContainerState>()).get());
+  }
+  ContainerState& state = *free_records_.back();
+  free_records_.pop_back();
+  state = {container, &EnsureDevice(device), config_.usage_window};
+  state.registration = ++registrations_;
+  containers_.emplace(container, &state);
   state.spec = spec;
   state.client = client;
   if (Enforcing()) {
@@ -66,22 +69,41 @@ Status TokenBackend::RegisterContainer(const ContainerId& container,
               spec.gpu_mem * static_cast<double>(d->spec().memory_bytes))));
     }
   }
-  return Status::Ok();
+  return Handle(&state, state.registration);
+}
+
+TokenBackend::Handle TokenBackend::HandleOf(
+    const ContainerId& container) const {
+  ContainerState* state = Find(container);
+  return state == nullptr ? Handle{} : Handle(state, state->registration);
+}
+
+TokenBackend::ContainerState* TokenBackend::Find(
+    const ContainerId& container) const {
+  const auto it = containers_.find(container);
+  return it == containers_.end() ? nullptr : it->second;
+}
+
+void TokenBackend::FreeRecord(ContainerState& state) {
+  containers_.erase(state.id);
+  // Blank before the free list: registration 0 and no hold, so no handle
+  // or timer of the container matches, and none of its memory is kept.
+  state = ContainerState();
+  free_records_.push_back(&state);
 }
 
 Status TokenBackend::UnregisterContainer(const ContainerId& container) {
   // A container dying while the daemon is down (or before its reattach
   // fires) must not be resurrected by the restart path.
   const bool was_pending = pending_reattach_.erase(container) > 0;
-  auto it = containers_.find(container);
-  if (it == containers_.end()) {
+  ContainerState* state = Find(container);
+  if (state == nullptr) {
     if (was_pending) return Status::Ok();
     return NotFoundError("container not registered: " + container.value());
   }
-  DeviceState& dev = *it->second.dev;
-  dev.queue.erase(
-      std::remove(dev.queue.begin(), dev.queue.end(), &it->second),
-      dev.queue.end());
+  DeviceState& dev = *state->dev;
+  dev.queue.erase(std::remove(dev.queue.begin(), dev.queue.end(), state),
+                  dev.queue.end());
   // A reeval poll armed for a queue this unregistration just emptied would
   // otherwise dangle until it fired as a no-op.
   CancelIdleReeval(dev);
@@ -95,9 +117,9 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
       d->ClearMemoryQuota(container);
     }
   }
-  const bool held = it->second.holding;
-  if (held) EndHold(it->second, /*settle=*/false, sim_->Now());
-  containers_.erase(it);
+  const bool held = state->holding;
+  if (held) EndHold(*state, /*settle=*/false, sim_->Now());
+  FreeRecord(*state);
   if (held) TryGrant(dev);
   return Status::Ok();
 }
@@ -105,8 +127,8 @@ Status TokenBackend::UnregisterContainer(const ContainerId& container) {
 Status TokenBackend::UpdateSpec(const ContainerId& container,
                                 const ResourceSpec& spec) {
   KS_RETURN_IF_ERROR(spec.Validate());
-  auto it = containers_.find(container);
-  if (it == containers_.end()) {
+  ContainerState* state = Find(container);
+  if (state == nullptr) {
     // A container parked across a restart comes back with the resized
     // spec, not the one it was parked with.
     const auto parked = pending_reattach_.find(container);
@@ -117,19 +139,19 @@ Status TokenBackend::UpdateSpec(const ContainerId& container,
     parked->second.spec.gpu_limit = spec.gpu_limit;
     return Status::Ok();
   }
-  it->second.spec.gpu_request = spec.gpu_request;
-  it->second.spec.gpu_limit = spec.gpu_limit;
+  state->spec.gpu_request = spec.gpu_request;
+  state->spec.gpu_limit = spec.gpu_limit;
   // A raised limit may unblock throttled waiters right away.
-  TryGrant(*it->second.dev);
+  TryGrant(*state->dev);
   return Status::Ok();
 }
 
-Status TokenBackend::RequestToken(const ContainerId& container) {
-  auto it = containers_.find(container);
-  if (it == containers_.end()) {
-    return NotFoundError("container not registered: " + container.value());
+Status TokenBackend::RequestToken(const Handle& handle) {
+  ContainerState* record = handle.record_;
+  if (record == nullptr || record->registration != handle.registration_) {
+    return NotFoundError("container not registered");
   }
-  ContainerState& state = it->second;
+  ContainerState& state = *record;
   DeviceState& dev = *state.dev;
   if (state.holding && (state.hold.valid || state.hold.in_flight)) {
     return Status::Ok();  // already holding (or being granted) a valid token
@@ -147,16 +169,16 @@ Status TokenBackend::RequestToken(const ContainerId& container) {
   return Status::Ok();
 }
 
-Status TokenBackend::ReleaseToken(const ContainerId& container) {
-  auto it = containers_.find(container);
-  if (it == containers_.end()) {
-    return NotFoundError("container not registered: " + container.value());
+Status TokenBackend::ReleaseToken(const Handle& handle) {
+  ContainerState* record = handle.record_;
+  if (record == nullptr || record->registration != handle.registration_) {
+    return NotFoundError("container not registered");
   }
-  ContainerState& state = it->second;
+  ContainerState& state = *record;
   DeviceState& dev = *state.dev;
   if (!state.holding) {
     return FailedPreconditionError("container does not hold the token: " +
-                                   container.value());
+                                   state.id.value());
   }
   const Time now = sim_->Now();
   EndHold(state, /*settle=*/true, now);
@@ -165,28 +187,27 @@ Status TokenBackend::ReleaseToken(const ContainerId& container) {
     // grant are rejected (that is the flood containment), without counting
     // an overstay against a polite releaser.
     if (gpu::GpuDevice* d = ResolveDevice(dev.id)) {
-      d->FenceTokenEpoch(container);
+      d->FenceTokenEpoch(state.id);
     }
   }
-  Trace("release", container, now);
+  Trace("release", state.id, now);
   TryGrant(dev);
   return Status::Ok();
 }
 
 TokenBackend::ContainerStats TokenBackend::StatsOf(
     const ContainerId& container) const {
-  auto it = containers_.find(container);
-  if (it == containers_.end()) return {};
-  return it->second.stats;
+  const ContainerState* state = Find(container);
+  return state == nullptr ? ContainerStats{} : state->stats;
 }
 
 Status TokenBackend::ExtendQuota(const ContainerId& container,
                                  Duration extra) {
-  auto it = containers_.find(container);
-  if (it == containers_.end()) {
+  ContainerState* record = Find(container);
+  if (record == nullptr) {
     return NotFoundError("container not registered: " + container.value());
   }
-  ContainerState& state = it->second;
+  ContainerState& state = *record;
   if (!state.holding || !state.hold.valid) {
     return FailedPreconditionError("container holds no valid token: " +
                                    container.value());
@@ -198,9 +219,8 @@ Status TokenBackend::ExtendQuota(const ContainerId& container,
 }
 
 double TokenBackend::UsageOf(const ContainerId& container) const {
-  auto it = containers_.find(container);
-  if (it == containers_.end()) return 0.0;
-  return it->second.usage.Usage(sim_->Now());
+  const ContainerState* state = Find(container);
+  return state == nullptr ? 0.0 : state->usage.Usage(sim_->Now());
 }
 
 std::optional<ContainerId> TokenBackend::HolderOf(const GpuUuid& device) const {
@@ -338,12 +358,11 @@ void TokenBackend::GrantTo(DeviceState& dev, ContainerState& state) {
   // The hand-off costs one exchange latency, during which the holder's
   // groups sit idle; the token is valid from the end of the exchange for
   // one quota.
-  sim_->ScheduleAfterFixed(config_.exchange_latency, [this,
-                                                      granted = state.id,
+  sim_->ScheduleAfterFixed(config_.exchange_latency, [this, record = &state,
                                                       serial = hold.serial] {
     // The hold may have ended meanwhile (released, unregistered, dropped
-    // by a restart), and a later grant may hold the same id by now.
-    ContainerState* s = HolderBySerial(granted, serial);
+    // by a restart), and a later grant may hold the record by now.
+    ContainerState* s = HolderBySerial(record, serial);
     if (s == nullptr) return;
     Hold& h = s->hold;
     const Time now = sim_->Now();
@@ -359,29 +378,19 @@ void TokenBackend::GrantTo(DeviceState& dev, ContainerState& state) {
       // one fence_grace past the quota so a polite overrun (one
       // non-preemptive kernel) never trips it.
       if (gpu::GpuDevice* gd = ResolveDevice(s->dev->id)) {
-        gd->AdmitTokenEpoch(granted, ++token_epoch_);
+        gd->AdmitTokenEpoch(s->id, ++token_epoch_);
       }
     }
     ArmExpiry(*s, /*at_handoff=*/true);
-    Trace("grant", granted, h.expiry);
+    Trace("grant", s->id, h.expiry);
     s->client->OnTokenGranted(h.expiry);
   });
 }
 
-TokenBackend::ContainerState* TokenBackend::HolderBySerial(
-    const ContainerId& container, std::uint64_t serial) {
-  auto it = containers_.find(container);
-  if (it == containers_.end() || !it->second.holding ||
-      it->second.hold.serial != serial) {
-    return nullptr;
-  }
-  return &it->second;
-}
-
 void TokenBackend::ArmExpiry(ContainerState& holder, bool at_handoff) {
   Hold& hold = holder.hold;
-  const auto on_expiry = [this, container = holder.id, serial = hold.serial] {
-    if (ContainerState* s = HolderBySerial(container, serial)) OnExpiry(*s);
+  const auto on_expiry = [this, record = &holder, serial = hold.serial] {
+    if (ContainerState* s = HolderBySerial(record, serial)) OnExpiry(*s);
   };
   sim_->Cancel(hold.expiry_event);
   hold.expiry_event =
@@ -389,8 +398,8 @@ void TokenBackend::ArmExpiry(ContainerState& holder, bool at_handoff) {
                                             on_expiry)
                  : sim_->ScheduleAt(hold.expiry, on_expiry);
   if (!Enforcing()) return;
-  const auto on_fence = [this, container = holder.id, serial = hold.serial] {
-    if (ContainerState* s = HolderBySerial(container, serial)) {
+  const auto on_fence = [this, record = &holder, serial = hold.serial] {
+    if (ContainerState* s = HolderBySerial(record, serial)) {
       OnFenceDeadline(*s);
     }
   };
@@ -460,10 +469,11 @@ void TokenBackend::Restart() {
   // Registered frontends become reattach candidates: their sockets
   // reconnect once the daemon is back. Sliding-window usage is lost — the
   // rebuilt daemon starts everyone from a clean slate.
-  for (const auto& [container, state] : containers_) {
-    pending_reattach_[container] = {state.dev->id, state.spec, state.client};
+  while (!containers_.empty()) {
+    ContainerState& state = *containers_.begin()->second;
+    pending_reattach_[state.id] = {state.dev->id, state.spec, state.client};
+    FreeRecord(state);
   }
-  containers_.clear();
   sim_->ScheduleAfter(config_.restart_downtime, [this, epoch = epoch_] {
     if (epoch != epoch_) return;  // restarted again before coming up
     down_ = false;
@@ -524,7 +534,9 @@ double TokenBackend::EffectiveRequest(const ContainerState& state) const {
 void TokenBackend::RecordViolation(const ContainerId& container,
                                    ViolationKind kind) {
   if (!Enforcing()) return;
-  IsolationStats& s = violations_[container];
+  // Never erased, so the eviction event below may point at the entry's key.
+  const auto entry = violations_.try_emplace(container).first;
+  IsolationStats& s = entry->second;
   switch (kind) {
     case ViolationKind::kOverstay: ++s.overstays; break;
     case ViolationKind::kFencedSubmit: ++s.fenced_submits; break;
@@ -550,8 +562,8 @@ void TokenBackend::RecordViolation(const ContainerId& container,
       const std::string reason =
           std::string("isolation violations (last: ") + ViolationKindName(kind) +
           ")";
-      sim_->ScheduleAfter(Duration{0}, [this, container, reason] {
-        if (eviction_fn_) eviction_fn_(container, reason);
+      sim_->ScheduleAfter(Duration{0}, [this, victim = &entry->first, reason] {
+        if (eviction_fn_) eviction_fn_(*victim, reason);
       });
     }
   }
@@ -570,14 +582,14 @@ TokenBackend::IsolationLedger() const {
 }
 
 void TokenBackend::ReportUsage(const ContainerId& container, double claimed) {
-  auto it = containers_.find(container);
-  if (it == containers_.end()) return;
-  it->second.claimed_usage = std::max(0.0, claimed);
+  ContainerState* state = Find(container);
+  if (state == nullptr) return;
+  state->claimed_usage = std::max(0.0, claimed);
   if (Enforcing()) {
     // Server-side attribution: the claim never enters scheduling; it is
     // only checked against the daemon's own measurement for under-reports.
     const EnforcementConfig& e = config_.enforcement;
-    const double measured = it->second.usage.Usage(sim_->Now());
+    const double measured = state->usage.Usage(sim_->Now());
     if (measured > e.spoof_floor &&
         claimed < measured * (1.0 - e.spoof_tolerance)) {
       RecordViolation(container, ViolationKind::kMetricsSpoof);
@@ -664,9 +676,9 @@ Duration TokenBackend::GrantQuotaFor(const GpuUuid& device_id, int groups) {
 void TokenBackend::ReportSwapBytes(const ContainerId& container,
                                    std::uint64_t bytes) {
   if (!config_.tq.enabled || bytes == 0) return;
-  auto it = containers_.find(container);
-  if (it == containers_.end()) return;
-  tq_.OnSwapBytes(it->second.dev->id, bytes, sim_->Now());
+  const ContainerState* state = Find(container);
+  if (state == nullptr) return;
+  tq_.OnSwapBytes(state->dev->id, bytes, sim_->Now());
 }
 
 }  // namespace ks::vgpu

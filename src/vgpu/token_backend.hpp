@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -187,6 +188,8 @@ class TokenClient {
 /// and the overstay fence always lie a constant delay ahead, so they ride
 /// the engine's fixed-delay lanes (Simulation::ScheduleAfterFixed).
 class TokenBackend {
+  struct ContainerState;
+
  public:
   TokenBackend(sim::Simulation* sim, BackendConfig config = {});
   TokenBackend(const TokenBackend&) = delete;
@@ -197,10 +200,33 @@ class TokenBackend {
   /// Makes a device known to the backend. Idempotent.
   void RegisterDevice(const GpuUuid& device);
 
-  /// Registers a container that will contend for `device`. The client
-  /// pointer must outlive the registration.
-  Status RegisterContainer(const ContainerId& container, const GpuUuid& device,
-                           const ResourceSpec& spec, TokenClient* client);
+  /// How a frontend reaches its container with no id lookup: the daemon's
+  /// record and the registration it was issued for. A handle goes stale
+  /// when the container is unregistered or the daemon restarts; a stale or
+  /// default handle answers NOT_FOUND, as an unregistered id does.
+  class Handle {
+   public:
+    Handle() = default;
+
+   private:
+    friend class TokenBackend;
+    Handle(ContainerState* record, std::uint64_t registration)
+        : record_(record), registration_(registration) {}
+    ContainerState* record_ = nullptr;
+    std::uint64_t registration_ = 0;
+  };
+
+  /// Registers a container that will contend for `device` and returns its
+  /// handle. The client pointer must outlive the registration. While the
+  /// daemon is down the registration parks and the handle is a default
+  /// one; the frontend re-resolves it in TokenClient::OnBackendRestart.
+  Expected<Handle> RegisterContainer(const ContainerId& container,
+                                     const GpuUuid& device,
+                                     const ResourceSpec& spec,
+                                     TokenClient* client);
+
+  /// A registered container's handle; a default one for any other id.
+  Handle HandleOf(const ContainerId& container) const;
 
   /// Removes a container; an outstanding token is reclaimed immediately.
   Status UnregisterContainer(const ContainerId& container);
@@ -214,11 +240,17 @@ class TokenBackend {
 
   /// Frontend request: the container has kernels to run and needs the
   /// token. Idempotent while already queued or holding.
-  Status RequestToken(const ContainerId& container);
+  Status RequestToken(const Handle& handle);
+  Status RequestToken(const ContainerId& container) {
+    return RequestToken(HandleOf(container));
+  }
 
   /// Frontend release: the holder yields (early, with no more work, or
   /// after expiry once its in-flight kernel retired).
-  Status ReleaseToken(const ContainerId& container);
+  Status ReleaseToken(const Handle& handle);
+  Status ReleaseToken(const ContainerId& container) {
+    return ReleaseToken(HandleOf(container));
+  }
 
   /// Postpones the holder's quota expiry by `extra`. Used by the memory
   /// over-commitment extension: the time slice should cover kernel
@@ -411,9 +443,14 @@ class TokenBackend {
     int groups = 0;  // SM groups the hold occupies
   };
 
+  /// A container's record: never destroyed before the daemon and recycled
+  /// through a free list, so handles and timers may point at it.
   struct ContainerState {
+    ContainerState() : ContainerState(ContainerId(), nullptr, Duration{0}) {}
     ContainerState(ContainerId id, DeviceState* dev, Duration window)
         : id(std::move(id)), dev(dev), usage(window) {}
+    /// Numbers the registration that owns the record; 0 while it is free.
+    std::uint64_t registration = 0;
     ContainerId id;
     /// The device the container contends for, resolved once at
     /// registration. devices_ entries are never erased, so it stays valid.
@@ -456,10 +493,15 @@ class TokenBackend {
   /// TQ quantum while the thrash detector has the device in rotation and
   /// the hold is exclusive, the normal quota otherwise.
   Duration GrantQuotaFor(const GpuUuid& device_id, int groups);
-  /// The holder of the hold numbered `serial`, looked up by id: nullptr
-  /// once that hold has ended, even if the id holds a later one.
-  ContainerState* HolderBySerial(const ContainerId& container,
-                                 std::uint64_t serial);
+  /// The registered container's record, or nullptr.
+  ContainerState* Find(const ContainerId& container) const;
+  void FreeRecord(ContainerState& state);
+  /// `holder` while it holds the hold numbered `serial`. Grant serials are
+  /// global, so no later hold, even of a recycled record, matches.
+  static ContainerState* HolderBySerial(ContainerState* holder,
+                                        std::uint64_t serial) {
+    return holder->holding && holder->hold.serial == serial ? holder : nullptr;
+  }
   /// Arms the hold's quota expiry and, under enforcement, its overstay
   /// fence. At the hand-off both lie a constant delay ahead (the quota, and
   /// the quota plus fence_grace), so they ride fixed-delay lanes; an
@@ -500,7 +542,11 @@ class TokenBackend {
   BackendConfig config_;
   /// Never erased: containers, holds and timers point at these entries.
   std::unordered_map<GpuUuid, DeviceState> devices_;
-  std::unordered_map<ContainerId, ContainerState> containers_;
+  /// Every record ever made, the free ones, and the registered ones by id.
+  std::vector<std::unique_ptr<ContainerState>> records_;
+  std::vector<ContainerState*> free_records_;
+  std::unordered_map<ContainerId, ContainerState*> containers_;
+  std::uint64_t registrations_ = 0;
   std::map<ContainerId, ReattachInfo> pending_reattach_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t grants_ = 0;

@@ -108,6 +108,66 @@ TEST_F(CudaContextTest, CompletionCallbackCanLaunchAgain) {
   EXPECT_EQ(chain, 3);
 }
 
+// ---- What reaches the device at once ---------------------------------------
+
+TEST_F(CudaContextTest, IdleLaunchReachesTheDeviceAtOnce) {
+  bool done = false;
+  ASSERT_EQ(ctx_.LaunchKernel({Millis(10), 0.0, "a"}, [&] { done = true; }),
+            CudaResult::kSuccess);
+  EXPECT_EQ(dev_.active_kernels(), 1u);
+  EXPECT_EQ(ctx_.PendingKernels(), 1u);
+  sim_.Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sim_.Now(), Millis(10));
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
+TEST_F(CudaContextTest, LaunchBehindAnInFlightUnitWaits) {
+  std::vector<Time> starts;
+  dev_.SetKernelTraceFn(
+      [&](const gpu::KernelTraceEvent& e) { starts.push_back(e.start); });
+  ctx_.LaunchKernel({Millis(10), 0.0, "a"}, nullptr);
+  ctx_.LaunchKernel({Millis(10), 0.0, "b"}, nullptr);
+  EXPECT_EQ(dev_.active_kernels(), 1u);  // b is queued, not on the device
+  EXPECT_EQ(ctx_.PendingKernels(), 2u);
+  sim_.Run();
+  EXPECT_EQ(starts, (std::vector<Time>{Millis(0), Millis(10)}));
+}
+
+TEST_F(CudaContextTest, CountedStreamRunsItsFirstUnitAtOnceAndQueuesTheRest) {
+  int units = 0;
+  ASSERT_EQ(ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 3,
+                                    [&] { ++units; }),
+            CudaResult::kSuccess);
+  EXPECT_EQ(dev_.active_kernels(), 1u);
+  EXPECT_EQ(ctx_.PendingKernels(), 3u);
+  EXPECT_EQ(ctx_.CancelPending(), 2u);  // only the two queued units
+  sim_.Run();
+  EXPECT_EQ(units, 1);
+  EXPECT_EQ(dev_.completed_kernels(), 1u);
+}
+
+TEST_F(CudaContextTest, FencedFirstUnitDropsTheLaunchAndTheNextLaunchRuns) {
+  const ContainerId owner("job-1");
+  dev_.EnforceTokenGate(owner);  // closed: no epoch admitted yet
+  int units = 0;
+  ASSERT_EQ(ctx_.LaunchKernelStream({Millis(10), 0.0, "s"}, 3,
+                                    [&] { ++units; }),
+            CudaResult::kSuccess);
+  EXPECT_EQ(dev_.fenced_kernel_rejections(), 1u);
+  EXPECT_EQ(dev_.active_kernels(), 0u);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+  dev_.AdmitTokenEpoch(owner, 1);
+  bool next_done = false;
+  ctx_.LaunchKernel({Millis(10), 0.0, "k"}, [&] { next_done = true; });
+  EXPECT_EQ(dev_.active_kernels(), 1u);
+  sim_.Run();
+  EXPECT_EQ(units, 0);
+  EXPECT_TRUE(next_done);
+  EXPECT_EQ(sim_.Now(), Millis(10));
+  EXPECT_EQ(dev_.fenced_kernel_rejections(), 1u);
+}
+
 // ---- Counted kernel streams (LaunchKernelStream) ---------------------------
 
 TEST_F(CudaContextTest, StreamUnitsRetireInOrderAtTheirFinish) {

@@ -320,6 +320,34 @@ TEST(ScenarioRun, TraceMissingFileFails) {
   EXPECT_EQ(s->Run(out).code(), StatusCode::kNotFound);
 }
 
+TEST(ScenarioRun, ResizeBeforeTheContainerStartsReachesTheDaemon) {
+  // The vGPU is active at 2.071 s, so DevMgr has created the workload pod
+  // when the resize lands at 2.321 s; its container starts at 4.322 s with
+  // the limit DevMgr wrote into the pod's env at launch.
+  auto s = ParseString(
+      "cluster nodes=1 gpus=1\n"
+      "kubeshare\n"
+      "job name=t kind=training at=0 steps=100000 kernel_ms=10 request=0.0 "
+      "limit=1.0 mem=0.2\n"
+      "run until=2.321\n"
+      "resize name=t request=0.0 limit=0.2\n"
+      "run until=20\n"
+      "report jobs\n"
+      "report gpus\n");
+  ASSERT_TRUE(s.ok()) << s.status();
+  std::stringstream out;
+  ASSERT_TRUE(s->Run(out).ok());
+  const std::string text = out.str();
+  ASSERT_NE(text.find("4.322s"), std::string::npos) << text;
+  const auto row = text.find("GPU-0-0  node-0");
+  ASSERT_NE(row, std::string::npos) << text;
+  std::istringstream cells(text.substr(row));
+  std::string gpu, node;
+  double busy_s = 0.0;
+  cells >> gpu >> node >> busy_s;
+  EXPECT_NEAR(busy_s / (20.0 - 4.322), 0.2, 0.02) << text;
+}
+
 TEST(ScenarioRun, OvercommitSwitchIsWired) {
   auto s = ParseString(
       "cluster nodes=1 gpus=1\n"

@@ -217,6 +217,67 @@ TEST_F(FrontendHookTest, CancelMidStreamLetsTheInFlightUnitRetireThenReleases) {
   EXPECT_EQ(dev_.completed_kernels(), 4u);
 }
 
+// A unit's callback runs while the token is still held and nothing is in
+// flight, so a launch made from it is forwarded at once.
+
+TEST_F(FrontendHookTest, ValidTokenWithNothingInFlightForwardsAtOnce) {
+  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
+  bool token_valid = false;
+  std::size_t on_device = 0;
+  Time b_done{0};
+  c.hook.LaunchKernel({Millis(10), 0.0, "a"}, [&] {
+    token_valid = c.hook.holds_valid_token();
+    c.hook.LaunchKernel({Millis(10), 0.0, "b"}, [&] { b_done = sim_.Now(); });
+    on_device = dev_.active_kernels();
+  });
+  sim_.Run();
+  EXPECT_TRUE(token_valid);
+  EXPECT_EQ(on_device, 1u);
+  // b ran right behind a, inside the one grant.
+  EXPECT_EQ(b_done, Micros(1500) + Millis(20));
+  EXPECT_EQ(backend_->grants(), 1u);
+  EXPECT_EQ(c.hook.PendingKernels(), 0u);
+}
+
+TEST_F(FrontendHookTest, CancelAfterADirectForwardLetsItRetireThenReleases) {
+  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
+  std::size_t cancelled = 99;
+  bool b_done = false;
+  c.hook.LaunchKernel({Millis(10), 0.0, "a"}, [&] {
+    c.hook.LaunchKernel({Millis(10), 0.0, "b"}, [&] { b_done = true; });
+    cancelled = c.hook.CancelPending();
+  });
+  sim_.RunUntil(Millis(15));  // a retired at 11.5 ms, b is in flight
+  EXPECT_EQ(cancelled, 0u);
+  EXPECT_EQ(c.hook.PendingKernels(), 1u);
+  EXPECT_EQ(backend_->HolderOf(dev_.uuid()), ContainerId("c1"));
+  sim_.Run();
+  EXPECT_TRUE(b_done);
+  EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
+  EXPECT_FALSE(c.hook.holds_valid_token());
+  EXPECT_EQ(c.hook.PendingKernels(), 0u);
+  EXPECT_EQ(backend_->grants(), 1u);
+}
+
+TEST_F(FrontendHookTest, ExpiryDuringADirectForwardYieldsOnceItRetires) {
+  ContainerStack c(&sim_, &dev_, backend_.get(), "c1", ResourceSpec{});
+  // Granted at 1.5 ms for 100 ms. a retires at 11.5 ms and forwards b
+  // (150 ms) at once, so b is in flight across the expiry at 101.5 ms.
+  Time b_done{0};
+  c.hook.LaunchKernel({Millis(10), 0.0, "a"}, [&] {
+    c.hook.LaunchKernel({Millis(150), 0.0, "b"},
+                        [&] { b_done = sim_.Now(); });
+  });
+  sim_.RunUntil(Millis(120));
+  EXPECT_FALSE(c.hook.holds_valid_token());
+  EXPECT_EQ(backend_->HolderOf(dev_.uuid()), ContainerId("c1"));  // overrun
+  sim_.Run();
+  EXPECT_EQ(b_done, Micros(1500) + Millis(160));
+  EXPECT_FALSE(backend_->HolderOf(dev_.uuid()).has_value());
+  EXPECT_EQ(backend_->StatsOf(ContainerId("c1")).overrun_total, Millis(60));
+  EXPECT_EQ(backend_->grants(), 1u);
+}
+
 TEST_F(FrontendHookTest, ThroughputRatioMatchesQuotaOverhead) {
   // Fig 7 in miniature: a continuously-busy container's goodput fraction is
   // quota / (quota + exchange).

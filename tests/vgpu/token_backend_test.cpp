@@ -124,7 +124,7 @@ TEST_F(TokenBackendTest, DuplicateRegistrationFails) {
   EXPECT_EQ(backend_
                 ->RegisterContainer(ContainerId("c1"), dev_, ResourceSpec{},
                                     &extra)
-                .code(),
+                .status().code(),
             StatusCode::kAlreadyExists);
 }
 
@@ -347,6 +347,81 @@ TEST_F(TokenBackendTest, ReRegisteredContainerIgnoresStaleHandOff) {
   EXPECT_EQ(second->last_expiry, Micros(2100) + Millis(100));
   EXPECT_EQ(backend_->StatsOf(ContainerId("a")).grants, 1u);
   EXPECT_EQ(backend_->grants(), 2u);  // both decisions were made
+}
+
+TEST_F(TokenBackendTest, TimersOfAnEndedRegistrationLeaveItsSuccessorAlone) {
+  // Each registration of "a" leaves with a timer still owed to it, and the
+  // next one comes back at once under the same id (recycling the record):
+  // the first leaves at 0.5 ms before its hand-off at 1.5 ms, the second
+  // (granted at 2.0 ms) leaves at 50 ms before its expiry at 102 ms.
+  FakeClient* first = AddContainer("a", 0.3, 1.0);
+  ASSERT_TRUE(backend_->RequestToken(ContainerId("a")).ok());
+  sim_.RunUntil(Micros(500));
+  ASSERT_TRUE(backend_->UnregisterContainer(ContainerId("a")).ok());
+  FakeClient* second = AddContainer("a", 0.3, 1.0);
+  ASSERT_TRUE(backend_->RequestToken(ContainerId("a")).ok());
+  sim_.RunUntil(Micros(1900));
+  EXPECT_EQ(second->grants, 0);
+  sim_.RunUntil(Millis(50));
+  EXPECT_EQ(second->grants, 1);
+  EXPECT_EQ(second->last_expiry, Millis(102));
+  ASSERT_TRUE(backend_->UnregisterContainer(ContainerId("a")).ok());
+  FakeClient* third = AddContainer("a", 0.3, 1.0);
+  third->rerequest = false;
+  ASSERT_TRUE(backend_->RequestToken(ContainerId("a")).ok());
+  sim_.RunUntil(Millis(120));
+  EXPECT_EQ(third->grants, 1);
+  EXPECT_EQ(third->expiries, 0);
+  sim_.RunUntil(Millis(200));
+  EXPECT_EQ(third->last_expiry, Micros(151500));
+  EXPECT_EQ(third->expiries, 1);
+  EXPECT_EQ(first->grants + first->expiries + second->expiries, 0);
+  EXPECT_EQ(backend_->StatsOf(ContainerId("a")).grants, 1u);
+}
+
+/// Reaches the daemon by handle, as FrontendHook does: when the daemon
+/// comes back it re-resolves its handle and asks for the token again.
+class HandleClient : public TokenClient {
+ public:
+  HandleClient(TokenBackend* backend, ContainerId id)
+      : backend_(backend), id_(std::move(id)) {}
+
+  void OnTokenGranted(Time /*expiry*/) override { ++grants; }
+  void OnTokenExpired() override { (void)backend_->ReleaseToken(handle); }
+  void OnBackendRestart() override {
+    stale_answer = backend_->RequestToken(handle).code();
+    handle = backend_->HandleOf(id_);
+    (void)backend_->RequestToken(handle);
+  }
+
+  TokenBackend* backend_;
+  ContainerId id_;
+  TokenBackend::Handle handle;
+  int grants = 0;
+  StatusCode stale_answer = StatusCode::kOk;
+};
+
+TEST_F(TokenBackendTest, HandleAnswersNotFoundAfterRestartUntilReResolved) {
+  HandleClient client(backend_.get(), ContainerId("c1"));
+  auto registered = backend_->RegisterContainer(ContainerId("c1"), dev_,
+                                                ResourceSpec{}, &client);
+  ASSERT_TRUE(registered.ok());
+  client.handle = *registered;
+  const TokenBackend::Handle old = client.handle;
+  ASSERT_TRUE(backend_->RequestToken(old).ok());
+  sim_.RunUntil(Millis(10));
+  ASSERT_EQ(client.grants, 1);
+  backend_->Restart();
+  EXPECT_EQ(backend_->ReleaseToken(old).code(), StatusCode::kNotFound);
+  EXPECT_EQ(backend_->RequestToken(old).code(), StatusCode::kNotFound);
+  sim_.RunUntil(Millis(70));  // back after the 50 ms downtime
+  ASSERT_FALSE(backend_->down());
+  EXPECT_EQ(client.stale_answer, StatusCode::kNotFound);
+  EXPECT_EQ(backend_->RequestToken(old).code(), StatusCode::kNotFound);
+  EXPECT_EQ(client.grants, 2);  // through the re-resolved handle
+  EXPECT_EQ(backend_->HolderOf(dev_), ContainerId("c1"));
+  EXPECT_EQ(backend_->RequestToken(TokenBackend::Handle{}).code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(TokenBackendTest, ResizeDuringRestartDowntimeIsKept) {

@@ -128,6 +128,11 @@ ChurnPlan MakePlan(std::uint64_t seed, Variant variant) {
   return plan;
 }
 
+/// How the driver and its clients name a container to the daemon: by id,
+/// or by the handle registration returned (re-resolved after a restart),
+/// as FrontendHook does.
+enum class Calls { kById, kByHandle };
+
 /// Greedy client: always wants the token. A polite one releases the
 /// moment its quota expires and never originates its own timing, so the
 /// run's timeline is a pure function of plan + daemon. A stubborn one
@@ -136,12 +141,13 @@ ChurnPlan MakePlan(std::uint64_t seed, Variant variant) {
 class GreedyClient : public TokenClient {
  public:
   GreedyClient(sim::Simulation* sim, TokenBackend* backend, ContainerId id,
-               bool stubborn, golden::TraceDigest* trace)
+               bool stubborn, golden::TraceDigest* trace, Calls calls)
       : sim_(sim),
         backend_(backend),
         id_(std::move(id)),
         stubborn_(stubborn),
-        trace_(trace) {}
+        trace_(trace),
+        calls_(calls) {}
 
   void OnTokenGranted(Time expiry) override {
     trace_->Add("grant " + id_.value() + " exp=" +
@@ -157,14 +163,21 @@ class GreedyClient : public TokenClient {
     });
   }
   void OnBackendRestart() override {
-    if (live_) (void)backend_->RequestToken(id_);
+    handle_ = backend_->HandleOf(id_);
+    if (live_) Request();
   }
   void MarkDead() { live_ = false; }
+  void SetHandle(TokenBackend::Handle handle) { handle_ = handle; }
+  void Request() {
+    (void)(calls_ == Calls::kById ? backend_->RequestToken(id_)
+                                  : backend_->RequestToken(handle_));
+  }
 
  private:
   void ReleaseAndRequest() {
-    (void)backend_->ReleaseToken(id_);
-    if (live_) (void)backend_->RequestToken(id_);
+    (void)(calls_ == Calls::kById ? backend_->ReleaseToken(id_)
+                                  : backend_->ReleaseToken(handle_));
+    if (live_) Request();
   }
 
   sim::Simulation* sim_;
@@ -172,10 +185,13 @@ class GreedyClient : public TokenClient {
   ContainerId id_;
   bool stubborn_;
   golden::TraceDigest* trace_;
+  Calls calls_;
+  TokenBackend::Handle handle_;
   bool live_ = true;
 };
 
-std::string RunChurnPlan(const ChurnPlan& plan, Variant variant) {
+std::string RunChurnPlan(const ChurnPlan& plan, Variant variant,
+                         Calls calls = Calls::kById) {
   sim::Simulation sim;
   BackendConfig cfg;
   cfg.spatial_enabled = variant == Variant::kSliced;
@@ -209,12 +225,14 @@ std::string RunChurnPlan(const ChurnPlan& plan, Variant variant) {
       switch (op.kind) {
         case ChurnOp::kRegister: {
           auto client = std::make_unique<GreedyClient>(
-              &sim, backend.get(), id, op.stubborn, &trace);
-          const Status st =
+              &sim, backend.get(), id, op.stubborn, &trace, calls);
+          const auto handle =
               backend->RegisterContainer(id, gpu, op.spec, client.get());
-          trace.Add("register " + op.name + " " + st.ToString());
-          if (st.ok()) {
-            (void)backend->RequestToken(id);
+          trace.Add("register " + op.name + " " +
+                    handle.status().ToString());
+          if (handle.ok()) {
+            client->SetHandle(*handle);
+            client->Request();
             registered[op.name] = {std::move(client), op.spec};
           }
           break;
@@ -300,6 +318,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TokenGolden, ::testing::ValuesIn(ChurnSeeds()),
                          [](const ::testing::TestParamInfo<std::uint64_t>& i) {
                            return "seed" + std::to_string(i.param);
                          });
+
+TEST(TokenHandles, ChurnTracesEqualTheIdCalls) {
+  for (const std::uint64_t seed : ChurnSeeds()) {
+    for (const Variant variant :
+         {Variant::kTemporal, Variant::kSliced, Variant::kEnforced}) {
+      const ChurnPlan plan = MakePlan(seed, variant);
+      EXPECT_EQ(RunChurnPlan(plan, variant, Calls::kByHandle),
+                RunChurnPlan(plan, variant, Calls::kById))
+          << "seed " << seed << " variant " << static_cast<int>(variant);
+    }
+  }
+}
 
 class TokenFeatureGolden
     : public ::testing::TestWithParam<std::pair<Variant, std::uint64_t>> {};
